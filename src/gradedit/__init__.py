@@ -18,7 +18,6 @@ from .editor import (
     fit_normalizer,
     init_editor,
     load_editor,
-    pseudogradient,
     save_editor,
 )
 from .evaluation import (
@@ -47,7 +46,6 @@ from .training import (
     TrainConfig,
     finetune_edit,
     finetune_kl_edit,
-    editor_train_step,
     pretrain_model,
     train_editor,
 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -230,11 +230,6 @@ def load_dataset(path: str | Path) -> World:
     world.pretrain_x = np.stack(xs) if xs else np.zeros((0, cfg.feature_dim))
     world.pretrain_y = np.array(ys, dtype=np.int64)
     return world
-
-
-def iter_records(world: World) -> Iterator[EditRecord]:
-    yield from world.edit_train
-    yield from world.edit_test
 
 
 def interleave_by_fact(records: Sequence[EditRecord]) -> list[EditRecord]:

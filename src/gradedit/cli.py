@@ -168,6 +168,9 @@ def cmd_edit(args) -> int:
     model = load_model(_require_file(args.model, "model"))
     params, normalizer = load_editor(_require_file(args.editor, "editor"))
     pairs = _load_edit_inputs(_require_file(args.edit_input, "edit-input"))
+    for _, y in pairs:
+        if not 0 <= y < model.num_classes:
+            raise DataError(f"edit label {y} is outside the model's {model.num_classes} classes")
     out = _out_dir(args)
     editor = LearnedEditor(params, normalizer)
     edited = editor.edit(model, pairs)
@@ -206,28 +209,23 @@ def cmd_eval(args) -> int:
     params, normalizer = load_editor(_require_file(args.editor, "editor"))
     ks = _parse_k_list(args.k_edits or "1,5,25")
     out = _out_dir(args)
-    workers = args.parallel or 1
     reports = []
     for k in ks:
         editor = LearnedEditor(params, normalizer, name=f"learned@k={k}")
-        reports.append(evaluate_editor(editor, model, world.edit_test, k, workers))
+        reports.append(evaluate_editor(editor, model, world.edit_test, k))
     if args.baselines:
         loc_pool = [r.x_loc for r in world.edit_train]
         for k in ks:
             ft = FtEditor(editable_layers=params.editable_layers, name=f"ft@k={k}")
-            reports.append(evaluate_editor(ft, model, world.edit_test, k, workers))
+            reports.append(evaluate_editor(ft, model, world.edit_test, k))
             ft_kl = FtKlEditor(
                 loc_pool, editable_layers=params.editable_layers, name=f"ft_kl@k={k}"
             )
-            reports.append(evaluate_editor(ft_kl, model, world.edit_test, k, workers))
+            reports.append(evaluate_editor(ft_kl, model, world.edit_test, k))
     reports_to_csv(reports, out / "report.csv")
     reports_to_json(reports, out / "report.json")
     write_timing(reports, out / "report_timing.json")
-    _snapshot(
-        {"k_edits": ks, "baselines": bool(args.baselines), "parallel": workers},
-        out,
-        "eval",
-    )
+    _snapshot({"k_edits": ks, "baselines": bool(args.baselines)}, out, "eval")
     for r in reports:
         print(f"{r.name}: ES={r.es:.3f} DD_acc={r.dd_acc:.3f} DD_kl={r.dd_kl:.4f}")
     return 0
@@ -292,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--editor")
     p.add_argument("--k-edits", default=None, help="comma list, default 1,5,25")
     p.add_argument("--baselines", action="store_true", help="also run ft and ft_kl")
-    p.add_argument("--parallel", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and evaluate all ablation variants")

@@ -2,12 +2,14 @@
 
 One small two-block residual MLP per unique weight-matrix shape maps the
 normalized rank-1 gradient factors (u, delta) of an edited layer to
-pseudo-factors (u~, delta~). Their summed outer product is the pseudogradient
+pseudo-factors (u~, delta~). Their summed outer product is the pseudo-gradient
 used as the edit direction: W~ = W - alpha * pseudograd. The blocks use
 low-rank weights (U V factorizations) and are initialized to the exact
 identity (U1 = U2 = 0, b1 = 0), so a fresh editor reproduces plain
 fine-tuning up to input normalization. Per-layer FiLM scale/shift vectors and
 a per-layer scalar step size allow specialization under shape sharing.
+Each layer's editor maps all B edits of a batch at once, as row-wise matrix
+products over the (B, m) u rows and (B, n) delta rows.
 
 The reverse pass needed for meta-training is implemented structurally in
 `backprop_edit`: gradients w.r.t. the edited weights are chained through the
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .mlp import Mlp, backward_nll, clone_with_weights, forward
-from .ndops import Array, outer, relu, relu_grad, xavier_uniform
+from .ndops import Array, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
 
@@ -76,9 +78,6 @@ class EditorParams:
     layer_group: dict[int, str]
     group_dims: dict[str, tuple[int, int]]  # group key -> (m, n)
     values: dict[str, Array] = field(default_factory=dict)
-
-    def group_key(self, layer: int) -> str:
-        return self.layer_group[layer]
 
     def num_parameters(self) -> int:
         return sum(int(v.size) for v in self.values.values())
@@ -191,7 +190,8 @@ def fit_normalizer(
 
 @dataclass
 class _EditorTape:
-    """Intermediates of one editor_forward call, kept for the reverse pass."""
+    """Intermediates of one layer's editor pass, one row per edit, kept for
+    the reverse pass."""
 
     z: Array
     v1z: Array
@@ -200,17 +200,16 @@ class _EditorTape:
     h: Array
     v2h: Array
     a2: Array
-    g: Array
 
 
 def _editor_apply(
     params: EditorParams, layer: int, u: Array, delta: Array, normalizer: Normalizer | None
 ) -> tuple[Array, Array, _EditorTape]:
-    """Forward one (u, delta) pair through layer's editor; returns
-    (u~, delta~, tape)."""
+    """Forward a layer's (B, m) u rows and (B, n) delta rows through its
+    editor; returns (u~ rows, delta~ rows, tape)."""
     key = params.layer_group[layer]
     m, n = params.group_dims[key]
-    if u.shape != (m,) or delta.shape != (n,):
+    if u.ndim != 2 or u.shape[1] != m or delta.shape != (u.shape[0], n):
         raise ShapeError(f"factor dims {u.shape}/{delta.shape} do not match layer ({m},{n})")
     variant = params.variant
     if variant.normalize:
@@ -221,7 +220,7 @@ def _editor_apply(
     else:
         nu, nd = u, delta
     parts = variant.transformed_parts(m, n)
-    z = np.concatenate([nu if p == "u" else nd for p in parts])
+    z = np.concatenate([nu if p == "u" else nd for p in parts], axis=1)
 
     v = params.values
     V1, U1, b1 = v[f"g:{key}:V1"], v[f"g:{key}:U1"], v[f"g:{key}:b1"]
@@ -229,12 +228,12 @@ def _editor_apply(
     s1, o1 = v[f"l:{layer}:s1"], v[f"l:{layer}:o1"]
     s2, o2 = v[f"l:{layer}:s2"], v[f"l:{layer}:o2"]
 
-    v1z = V1 @ z
-    a1 = U1 @ v1z + b1
+    v1z = z @ V1.T
+    a1 = v1z @ U1.T + b1
     pre1 = s1 * a1 + o1
     h = z + relu(pre1)
-    v2h = V2 @ h
-    a2 = U2 @ v2h
+    v2h = h @ V2.T
+    a2 = v2h @ U2.T
     g = h + s2 * a2 + o2
 
     # Split g back into the transformed halves; untransformed factors pass
@@ -243,13 +242,13 @@ def _editor_apply(
     off = 0
     for p in parts:
         width = m if p == "u" else n
-        seg = g[off : off + width]
+        seg = g[:, off : off + width]
         if p == "u":
             out_u = seg
         else:
             out_d = seg
         off += width
-    return out_u, out_d, _EditorTape(z, v1z, a1, pre1, h, v2h, a2, g)
+    return out_u, out_d, _EditorTape(z, v1z, a1, pre1, h, v2h, a2)
 
 
 def editor_forward(
@@ -259,8 +258,9 @@ def editor_forward(
     delta: Array,
     normalizer: Normalizer | None = None,
 ) -> tuple[Array, Array]:
-    u_t, d_t, _ = _editor_apply(params, layer, u, delta, normalizer)
-    return u_t, d_t
+    """Map one (m,) u / (n,) delta factor pair through `layer`'s editor."""
+    u_t, d_t, _ = _editor_apply(params, layer, u[None, :], delta[None, :], normalizer)
+    return u_t[0], d_t[0]
 
 
 def _editor_backward(
@@ -271,53 +271,35 @@ def _editor_backward(
     g_d: Array,
     grads: dict[str, Array],
 ) -> None:
-    """Accumulate d(loss)/d(editor params) for one example into `grads`,
-    given gradients w.r.t. the editor outputs (u~, delta~)."""
+    """Accumulate d(loss)/d(editor params), summed over the tape's rows, into
+    `grads`, given (B, m) / (B, n) gradients w.r.t. the editor outputs
+    (u~, delta~)."""
     key = params.layer_group[layer]
     m, n = params.group_dims[key]
     parts = params.variant.transformed_parts(m, n)
-    g_g = np.concatenate([g_u if p == "u" else g_d for p in parts])
+    g_g = np.concatenate([g_u if p == "u" else g_d for p in parts], axis=1)
 
     v = params.values
     U1, U2, V2 = v[f"g:{key}:U1"], v[f"g:{key}:U2"], v[f"g:{key}:V2"]
     s1, s2 = v[f"l:{layer}:s1"], v[f"l:{layer}:s2"]
 
     # g = h + s2 * a2 + o2, a2 = U2 (V2 h)
-    grads[f"l:{layer}:o2"] += g_g
-    grads[f"l:{layer}:s2"] += g_g * tape.a2
+    grads[f"l:{layer}:o2"] += g_g.sum(axis=0)
+    grads[f"l:{layer}:s2"] += (g_g * tape.a2).sum(axis=0)
     d_a2 = g_g * s2
-    grads[f"g:{key}:U2"] += outer(d_a2, tape.v2h)
-    d_v2h = U2.T @ d_a2
-    grads[f"g:{key}:V2"] += outer(d_v2h, tape.h)
-    d_h = g_g + V2.T @ d_v2h
+    grads[f"g:{key}:U2"] += d_a2.T @ tape.v2h
+    d_v2h = d_a2 @ U2
+    grads[f"g:{key}:V2"] += d_v2h.T @ tape.h
+    d_h = g_g + d_v2h @ V2
     # h = z + relu(s1 * a1 + o1), a1 = U1 (V1 z) + b1; z is a constant
     d_pre1 = d_h * relu_grad(tape.pre1)
-    grads[f"l:{layer}:o1"] += d_pre1
-    grads[f"l:{layer}:s1"] += d_pre1 * tape.a1
+    grads[f"l:{layer}:o1"] += d_pre1.sum(axis=0)
+    grads[f"l:{layer}:s1"] += (d_pre1 * tape.a1).sum(axis=0)
     d_a1 = d_pre1 * s1
-    grads[f"g:{key}:b1"] += d_a1
-    grads[f"g:{key}:U1"] += outer(d_a1, tape.v1z)
-    d_v1z = U1.T @ d_a1
-    grads[f"g:{key}:V1"] += outer(d_v1z, tape.z)
-
-
-def pseudogradient(
-    params: EditorParams,
-    layer: int,
-    u: Array,
-    delta: Array,
-    normalizer: Normalizer | None = None,
-) -> Array:
-    """Sum over examples of outer(delta~, u~); shape (n, m). `u` is (B, m),
-    `delta` is (B, n)."""
-    u = np.atleast_2d(u)
-    delta = np.atleast_2d(delta)
-    m, n = params.group_dims[params.layer_group[layer]]
-    pg = np.zeros((n, m))
-    for i in range(u.shape[0]):
-        u_t, d_t, _ = _editor_apply(params, layer, u[i], delta[i], normalizer)
-        pg += outer(d_t, u_t)
-    return pg
+    grads[f"g:{key}:b1"] += d_a1.sum(axis=0)
+    grads[f"g:{key}:U1"] += d_a1.T @ tape.v1z
+    d_v1z = d_a1 @ U1
+    grads[f"g:{key}:V1"] += d_v1z.T @ tape.z
 
 
 @dataclass
@@ -325,10 +307,10 @@ class EditTape:
     """Everything needed to push dL/dW~ back into the editor parameters."""
 
     edited: Mlp
-    factors_u: dict[int, Array]  # layer -> (B, m)
-    factors_d: dict[int, Array]  # layer -> (B, n)
-    editor_tapes: dict[int, list[tuple[Array, Array, _EditorTape]]]
-    pseudograds: dict[int, Array]
+    pseudo_u: dict[int, Array]  # layer -> (B, m) rows u~
+    pseudo_d: dict[int, Array]  # layer -> (B, n) rows delta~
+    editor_tapes: dict[int, _EditorTape]
+    pseudograds: dict[int, Array]  # layer -> (n, m) sum_i outer(delta~_i, u~_i)
 
 
 def apply_edit_with_tape(
@@ -347,26 +329,19 @@ def apply_edit_with_tape(
     _, factors, _, _ = backward_nll(model, trace, ys)
 
     replacements: dict[int, Array] = {}
-    factors_u: dict[int, Array] = {}
-    factors_d: dict[int, Array] = {}
-    tapes: dict[int, list[tuple[Array, Array, _EditorTape]]] = {}
+    pseudo_u: dict[int, Array] = {}
+    pseudo_d: dict[int, Array] = {}
+    tapes: dict[int, _EditorTape] = {}
     pgs: dict[int, Array] = {}
     for l in params.editable_layers:
-        m, n = params.group_dims[params.layer_group[l]]
-        u, delta = factors[l].u, factors[l].delta
-        per_example = []
-        pg = np.zeros((n, m))
-        for i in range(u.shape[0]):
-            u_t, d_t, tape = _editor_apply(params, l, u[i], delta[i], normalizer)
-            per_example.append((u_t, d_t, tape))
-            pg += outer(d_t, u_t)
+        pseudo_u[l], pseudo_d[l], tapes[l] = _editor_apply(
+            params, l, factors[l].u, factors[l].delta, normalizer
+        )
+        pgs[l] = pseudo_d[l].T @ pseudo_u[l]
         alpha = float(params.values[f"l:{l}:alpha"])
-        replacements[l] = model.weights[l] - alpha * pg
-        factors_u[l], factors_d[l] = u, delta
-        tapes[l] = per_example
-        pgs[l] = pg
+        replacements[l] = model.weights[l] - alpha * pgs[l]
     edited = clone_with_weights(model, replacements)
-    return EditTape(edited, factors_u, factors_d, tapes, pgs)
+    return EditTape(edited, pseudo_u, pseudo_d, tapes, pgs)
 
 
 def apply_edit(
@@ -386,20 +361,17 @@ def zero_grads(params: EditorParams) -> dict[str, Array]:
 
 
 def backprop_edit(
-    params: EditorParams,
-    tape: EditTape,
-    weight_grads: dict[int, Array],
-    grads: dict[str, Array] | None = None,
+    params: EditorParams, tape: EditTape, weight_grads: dict[int, Array]
 ) -> dict[str, Array]:
     """Chain dL/dW~ (per editable layer) into editor-parameter gradients.
 
-    W~ = W - alpha * pg with pg = sum_i outer(d~_i, u~_i), so
-    dL/dalpha = -<dL/dW~, pg> and dL/dpg = -alpha * dL/dW~; the per-example
-    output gradients then flow through the editor blocks. Raw factors are
-    constants, so nothing propagates into the base model.
+    W~ = W - alpha * pg with pg = D~^T U~ (rows u~_i, delta~_i), so
+    dL/dalpha = -<dL/dW~, pg> and, with dL/dpg = -alpha * dL/dW~, the output
+    gradients are dL/dD~ = U~ (dL/dpg)^T and dL/dU~ = D~ (dL/dpg); they then
+    flow through the editor blocks. Raw factors are constants, so nothing
+    propagates into the base model.
     """
-    if grads is None:
-        grads = zero_grads(params)
+    grads = zero_grads(params)
     for l in params.editable_layers:
         G = weight_grads[l]
         pg = tape.pseudograds[l]
@@ -408,10 +380,9 @@ def backprop_edit(
         alpha = float(params.values[f"l:{l}:alpha"])
         grads[f"l:{l}:alpha"] += np.array(-float(np.sum(G * pg)))
         d_pg = -alpha * G
-        for u_t, d_t, etape in tape.editor_tapes[l]:
-            g_d = d_pg @ u_t
-            g_u = d_pg.T @ d_t
-            _editor_backward(params, l, etape, g_u, g_d, grads)
+        g_d = tape.pseudo_u[l] @ d_pg.T
+        g_u = tape.pseudo_d[l] @ d_pg
+        _editor_backward(params, l, tape.editor_tapes[l], g_u, g_d, grads)
     return grads
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bench import EditRecord, World, interleave_by_fact
 from .editor import EditorParams, Normalizer, VariantConfig, apply_edit
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .mlp import Mlp, forward
 from .ndops import Array, kl_divergence, make_rng
 from .training import TrainConfig, finetune_edit, finetune_kl_edit, train_editor
@@ -136,21 +136,8 @@ def drawdown(
     post_logits, _ = forward(post, loc_x)
     acc_pre = float(np.mean(np.argmax(pre_logits, axis=1) == loc_y))
     acc_post = float(np.mean(np.argmax(post_logits, axis=1) == loc_y))
-    kl = float(
-        np.mean([kl_divergence(p, q) for p, q in zip(pre_logits, post_logits)])
-    )
+    kl = float(np.mean(kl_divergence(pre_logits, post_logits)))
     return acc_pre - acc_post, kl
-
-
-def _eval_group(
-    editor: Editor, model: Mlp, group: Sequence[EditRecord]
-) -> tuple[list[float], float, float]:
-    pairs = [(r.x_e, r.y_e) for r in group]
-    edited = editor.edit(model, pairs)
-    loc_x = np.stack([r.x_loc for r in group])
-    loc_y = np.array([r.y_loc for r in group])
-    dd_acc, dd_kl = drawdown(model, edited, loc_x, loc_y)
-    return [edit_success(edited, r) for r in group], dd_acc, dd_kl
 
 
 def evaluate_editor(
@@ -158,12 +145,9 @@ def evaluate_editor(
     model: Mlp,
     records: Sequence[EditRecord],
     k_edits: int = 1,
-    workers: int = 1,
 ) -> EditReport:
     """Apply the editor to groups of k records at once, scoring per-record
-    edit success and per-group drawdown against the pristine model. Groups
-    are independent; `workers` > 1 evaluates them in a thread pool without
-    changing result order.
+    edit success and per-group drawdown against the pristine model.
 
     Records are interleaved by fact id before grouping, so a group of k
     simultaneous edits targets k distinct facts instead of asking for
@@ -176,22 +160,20 @@ def evaluate_editor(
     pristine = [w.copy() for w in model.weights]
     start = time.perf_counter()
     num_groups = len(records) // k_edits
-    groups = [records[g * k_edits : (g + 1) * k_edits] for g in range(num_groups)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda grp: _eval_group(editor, model, grp), groups))
-    else:
-        results = [_eval_group(editor, model, grp) for grp in groups]
     rows: list[dict] = []
     es_values: list[float] = []
     dd_accs: list[float] = []
     dd_kls: list[float] = []
-    for g, (group, (group_es, dd_acc, dd_kl)) in enumerate(zip(groups, results)):
+    for g in range(num_groups):
+        group = records[g * k_edits : (g + 1) * k_edits]
+        edited = editor.edit(model, [(r.x_e, r.y_e) for r in group])
+        loc_x = np.stack([r.x_loc for r in group])
+        loc_y = np.array([r.y_loc for r in group])
+        dd_acc, dd_kl = drawdown(model, edited, loc_x, loc_y)
         dd_accs.append(dd_acc)
         dd_kls.append(dd_kl)
-        for r, es in zip(group, group_es):
+        for r in group:
+            es = edit_success(edited, r)
             es_values.append(es)
             rows.append(
                 {
@@ -204,7 +186,8 @@ def evaluate_editor(
             )
     wall = time.perf_counter() - start
     for w_before, w_after in zip(pristine, model.weights):
-        assert np.array_equal(w_before, w_after), "evaluation mutated the model"
+        if not np.array_equal(w_before, w_after):
+            raise ContractError(f"editor {editor.name!r} mutated the model's weights")
     return EditReport(
         name=editor.name,
         k_edits=k_edits,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, ShapeError
-from .ndops import Array, check_finite, log_softmax, outer, relu, relu_grad, xavier_uniform
+from .ndops import Array, check_finite, log_softmax, relu, relu_grad, xavier_uniform
 
 MODEL_FORMAT_VERSION = 1
 
@@ -30,6 +30,11 @@ class Mlp:
     biases: list[Array]  # biases[l] has shape (n_l,)
 
     def __post_init__(self) -> None:
+        if len(self.biases) != len(self.weights):
+            raise ShapeError(f"{len(self.biases)} biases for {len(self.weights)} layers")
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if b.shape != (w.shape[0],):
+                raise ShapeError(f"layer {l} bias shape {b.shape} != ({w.shape[0]},)")
         for l in range(len(self.weights) - 1):
             if self.weights[l + 1].shape[1] != self.weights[l].shape[0]:
                 raise ShapeError(

@@ -1,4 +1,4 @@
-"""Deterministic numerical core: seeded RNG, activations, softmax losses,
+"""Deterministic numerical core: seeded RNG, activations, softmax,
 KL divergence, Adam, and a finite-difference gradient oracle.
 
 All arrays are float64 numpy arrays. Every public operation asserts finite
@@ -30,18 +30,6 @@ def check_finite(x: Array, what: str = "array") -> Array:
     return x
 
 
-def matmul(a: Array, b: Array) -> Array:
-    """Dense matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul result")
-
-
-def outer(delta: Array, u: Array) -> Array:
-    """Rank-1 outer product delta u^T, shape (len(delta), len(u))."""
-    return np.outer(delta, u)
-
-
 def xavier_uniform(rows: int, cols: int, rng: np.random.Generator) -> Array:
     """Uniform on [-a, a] with a = sqrt(6 / (rows + cols))."""
     bound = np.sqrt(6.0 / (rows + cols))
@@ -70,27 +58,14 @@ def log_softmax(logits: Array) -> Array:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def softmax_nll(logits: Array, label: int) -> tuple[float, Array]:
-    """Negative log likelihood of `label` under softmax(logits).
-
-    Returns (loss, gradient w.r.t. logits). Gradient is softmax - onehot.
-    """
-    if not 0 <= label < logits.shape[-1]:
-        raise IndexError(f"label {label} out of range for {logits.shape[-1]} classes")
-    logp = log_softmax(logits)
-    loss = -float(logp[label])
-    grad = np.exp(logp)
-    grad[label] -= 1.0
-    return loss, grad
-
-
-def kl_divergence(p_logits: Array, q_logits: Array) -> float:
-    """Exact KL(softmax(p) || softmax(q)) over the class simplex."""
+def kl_divergence(p_logits: Array, q_logits: Array) -> Array:
+    """Exact KL(softmax(p) || softmax(q)) over the class simplex (the last
+    axis): one value per row, a scalar for 1-D logits."""
     if p_logits.shape != q_logits.shape:
         raise ShapeError(f"kl: shapes differ {p_logits.shape} vs {q_logits.shape}")
     logp = log_softmax(p_logits)
     logq = log_softmax(q_logits)
-    return float(np.sum(np.exp(logp) * (logp - logq)))
+    return np.sum(np.exp(logp) * (logp - logq), axis=-1)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Editor training loop and fine-tuning baselines.
 
-A training step edits the base model with one record's edit pair, scores the
-edited model on a sampled paraphrase (edit loss) and on the record's
-locality input (exact KL against the pre-edit model), and pushes the
-gradient of c_e * L_e + L_loc into the editor parameters only. The raw
-gradient factors are treated as constants, so no higher-order gradients of
-the base model are ever formed, and the base model itself is never updated.
+A training step edits the base model with a group of records' edit pairs in
+one update, scores the edited model on a sampled paraphrase per record (edit
+loss) and on the records' locality inputs (exact KL against the pre-edit
+model), and pushes the gradient of c_e * L_e + L_loc into the editor
+parameters only. The raw gradient factors are treated as constants, so no
+higher-order gradients of the base model are ever formed, and the base model
+itself is never updated.
 """
 
 from __future__ import annotations
@@ -107,9 +108,7 @@ def group_losses_and_grads(
     xs_loc = np.stack([rec.x_loc for rec in records])
     pre_logits, _ = forward(model, xs_loc)
     post_logits, trace_loc = forward(edited, xs_loc)
-    l_loc = float(
-        np.mean([kl_divergence(p, q) for p, q in zip(pre_logits, post_logits)])
-    )
+    l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
     losses = StepLosses(l_e, l_loc, c_e * l_e + l_loc)
     if not want_grads:
         return losses, None
@@ -120,36 +119,6 @@ def group_losses_and_grads(
     weight_grads = {l: wgrads_e[l] + wgrads_loc[l] for l in params.editable_layers}
     grads = backprop_edit(params, tape, weight_grads)
     return losses, grads
-
-
-def edit_losses_and_grads(
-    model: Mlp,
-    params: EditorParams,
-    normalizer: Normalizer | None,
-    record: EditRecord,
-    c_e: float,
-    rng: np.random.Generator,
-    want_grads: bool = True,
-) -> tuple[StepLosses, dict[str, Array] | None]:
-    """Single-record (k=1) form of `group_losses_and_grads`."""
-    return group_losses_and_grads(model, params, normalizer, [record], c_e, rng, want_grads)
-
-
-def editor_train_step(
-    model: Mlp,
-    params: EditorParams,
-    normalizer: Normalizer | None,
-    record: EditRecord,
-    config: TrainConfig,
-    adam_state: AdamState,
-    rng: np.random.Generator,
-) -> tuple[EditorParams, StepLosses]:
-    """One editor update from a single record: edit, score, Adam step."""
-    losses, grads = edit_losses_and_grads(model, params, normalizer, record, config.c_e, rng)
-    new_values = adam_step(params.values, grads, adam_state)
-    out = params.copy()
-    out.values = new_values
-    return out, losses
 
 
 def _batched_grads(

@@ -11,7 +11,6 @@ from gradedit.bench import (
     WorldConfig,
     generate_world,
     interleave_by_fact,
-    iter_records,
     load_dataset,
     save_dataset,
 )
@@ -47,7 +46,7 @@ def test_generation_is_deterministic():
     b = generate_world(_tiny_cfg())
     assert np.array_equal(a.fact_labels, b.fact_labels)
     assert np.array_equal(a.pretrain_x, b.pretrain_x)
-    for ra, rb in zip(iter_records(a), iter_records(b)):
+    for ra, rb in zip(a.edit_train + a.edit_test, b.edit_train + b.edit_test):
         assert np.array_equal(ra.x_e, rb.x_e)
         assert ra.y_e == rb.y_e
         assert np.array_equal(ra.x_loc, rb.x_loc)
@@ -70,7 +69,7 @@ def test_encoding_has_one_hot_blocks():
 def test_record_invariants():
     cfg = _tiny_cfg()
     world = generate_world(cfg)
-    for rec in iter_records(world):
+    for rec in world.edit_train + world.edit_test:
         gt = int(world.fact_labels[rec.fact_id])
         assert rec.y_e != gt  # the edit label is a *new* label
         assert 0 <= rec.y_e < cfg.num_classes
@@ -133,7 +132,8 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(loaded.pretrain_y, world.pretrain_y)
     assert len(loaded.edit_train) == len(world.edit_train)
     assert len(loaded.edit_test) == len(world.edit_test)
-    for ra, rb in zip(iter_records(world), iter_records(loaded)):
+    records = world.edit_train + world.edit_test
+    for ra, rb in zip(records, loaded.edit_train + loaded.edit_test):
         assert np.array_equal(ra.x_e, rb.x_e)
         assert ra.y_e == rb.y_e
         assert ra.fact_id == rb.fact_id
@@ -195,5 +195,5 @@ def test_world_shape_properties(entities, relations, classes, seed):
     n_train_facts = int(round(cfg.num_facts * cfg.train_fraction))
     assert len(world.edit_train) == n_train_facts
     assert len(world.edit_test) == cfg.num_facts - n_train_facts
-    for rec in iter_records(world):
+    for rec in world.edit_train + world.edit_test:
         assert rec.x_e.shape == (cfg.feature_dim,)

@@ -2,12 +2,15 @@
 config layering, output artifacts, idempotence, and stable exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradedit
 from gradedit.cli import main
 
 WORLD_CFG = {
@@ -128,7 +131,7 @@ def test_eval_reports_are_deterministic(pipeline, tmp_path_factory):
             "eval", "--dataset", str(pipeline / "dataset.jsonl"),
             "--model", str(pipeline / "model.json"),
             "--editor", str(pipeline / "editor.json"),
-            "--k-edits", "2", "--parallel", "2", "--out-dir", str(out),
+            "--k-edits", "2", "--out-dir", str(out),
         ]) == 0
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
@@ -170,6 +173,42 @@ def test_data_error_exit_code(pipeline, tmp_path):
     ]) == 3
 
 
+def _edit_input(pipeline, tmp_path, y=None):
+    dataset = (pipeline / "dataset.jsonl").read_text().splitlines()
+    record = next(
+        json.loads(line) for line in dataset[1:]
+        if json.loads(line)["split"] == "edit_test"
+    )
+    path = tmp_path / "edit.json"
+    path.write_text(json.dumps({"x": record["x"], "y": record["y"] if y is None else y}))
+    return path
+
+
+def test_edit_label_outside_classes_exit_code(pipeline, tmp_path):
+    for y in (99, -1):
+        assert main([
+            "edit", "--model", str(pipeline / "model.json"),
+            "--editor", str(pipeline / "editor.json"),
+            "--edit-input", str(_edit_input(pipeline, tmp_path, y)),
+            "--out-dir", str(tmp_path),
+        ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()
+
+
+def test_edit_bad_bias_shape_exit_code(pipeline, tmp_path):
+    payload = json.loads((pipeline / "model.json").read_text())
+    payload["biases"][0] = [0.0]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    assert main([
+        "edit", "--model", str(model),
+        "--editor", str(pipeline / "editor.json"),
+        "--edit-input", str(_edit_input(pipeline, tmp_path)),
+        "--out-dir", str(tmp_path),
+    ]) == 4
+    assert not (tmp_path / "edited_model.json").exists()
+
+
 def test_bad_k_edits_exit_code(pipeline, tmp_path):
     assert main([
         "eval", "--dataset", str(pipeline / "dataset.jsonl"),
@@ -192,10 +231,14 @@ def test_unknown_variant_exit_code(pipeline, tmp_path):
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "world.json"
     cfg.write_text(json.dumps(WORLD_CFG))
+    # the child imports the same package as this process, installed or not
+    src = str(Path(gradedit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "gradedit.cli", "gen-data",
          "--config", str(cfg), "--out-dir", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "dataset.jsonl" in proc.stdout

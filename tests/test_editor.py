@@ -1,6 +1,7 @@
 """Editor-network tests: identity initialization, variant switches, shape
-sharing, normalization statistics, the outer-product edit rule, and the
-hand-rolled reverse pass against the finite-difference oracle."""
+sharing, normalization statistics, the outer-product edit rule, the
+hand-rolled reverse pass against the finite-difference oracle, and the
+row-batched edit path against a per-row reference loop."""
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from gradedit.editor import (
     fit_normalizer,
     init_editor,
     load_editor,
-    pseudogradient,
     save_editor,
     zero_grads,
 )
 from gradedit.errors import ConfigError, DataError, ShapeError
+from gradedit.evaluation import ABLATION_VARIANTS
 from gradedit.mlp import backward_nll, forward, init_mlp
-from gradedit.ndops import finite_diff_grad, make_rng
+from gradedit.ndops import finite_diff_grad, make_rng, relu, relu_grad
 
 
 def _editor_for(model, rank=2, variant=None, alpha=1e-2, seed=0, layers=None):
@@ -205,11 +206,13 @@ def test_apply_edit_rule_and_isolation():
     rng = make_rng(6)
     pairs = [(rng.standard_normal(6), 2)]
     tape = apply_edit_with_tape(model, params, None, pairs)
-    # the edit is exactly W - alpha * pseudogradient, biases untouched
+    # the edit is exactly W - alpha * sum_i outer(delta~_i, u~_i), with each
+    # row mapped by editor_forward; biases untouched
     for l in params.editable_layers:
         _, trace = forward(model, pairs[0][0])
         _, factors, _, _ = backward_nll(model, trace, np.array([2]))
-        pg = pseudogradient(params, l, factors[l].u, factors[l].delta)
+        rows = [editor_forward(params, l, u, d) for u, d in zip(factors[l].u, factors[l].delta)]
+        pg = sum(np.outer(d_t, u_t) for u_t, d_t in rows)
         alpha = float(params.values[f"l:{l}:alpha"])
         assert np.allclose(tape.edited.weights[l], model.weights[l] - alpha * pg, atol=1e-12)
         assert np.array_equal(tape.edited.biases[l], model.biases[l])
@@ -280,6 +283,125 @@ def test_backprop_edit_shape_check():
     tape = apply_edit_with_tape(model, params, None, [(np.zeros(5), 0)])
     with pytest.raises(ShapeError):
         backprop_edit(params, tape, {0: np.zeros((2, 2))})
+
+
+# ------------------------------------- row-batched path vs per-row reference
+
+
+def _ref_editor_row(params, layer, u, delta, normalizer):
+    """One (m,) / (n,) factor pair through `layer`'s editor, one matrix-vector
+    product at a time; returns (u~, delta~, intermediates)."""
+    key = params.layer_group[layer]
+    m, n = params.group_dims[key]
+    v = params.values
+    if params.variant.normalize:
+        nu, nd = normalizer.norm_u(key, u), normalizer.norm_d(key, delta)
+    else:
+        nu, nd = u, delta
+    parts = params.variant.transformed_parts(m, n)
+    z = np.concatenate([nu if p == "u" else nd for p in parts])
+    v1z = v[f"g:{key}:V1"] @ z
+    a1 = v[f"g:{key}:U1"] @ v1z + v[f"g:{key}:b1"]
+    pre1 = v[f"l:{layer}:s1"] * a1 + v[f"l:{layer}:o1"]
+    h = z + relu(pre1)
+    v2h = v[f"g:{key}:V2"] @ h
+    a2 = v[f"g:{key}:U2"] @ v2h
+    g = h + v[f"l:{layer}:s2"] * a2 + v[f"l:{layer}:o2"]
+    out = {"u": u, "delta": delta}
+    off = 0
+    for p in parts:
+        width = m if p == "u" else n
+        out[p] = g[off : off + width]
+        off += width
+    return out["u"], out["delta"], (z, v1z, a1, pre1, h, v2h, a2)
+
+
+def _ref_row_backward(params, layer, inter, g_u, g_d, grads):
+    """Accumulate one row's editor-parameter gradients into `grads`."""
+    key = params.layer_group[layer]
+    m, n = params.group_dims[key]
+    v = params.values
+    z, v1z, a1, pre1, h, v2h, a2 = inter
+    parts = params.variant.transformed_parts(m, n)
+    g_g = np.concatenate([g_u if p == "u" else g_d for p in parts])
+    grads[f"l:{layer}:o2"] += g_g
+    grads[f"l:{layer}:s2"] += g_g * a2
+    d_a2 = g_g * v[f"l:{layer}:s2"]
+    grads[f"g:{key}:U2"] += np.outer(d_a2, v2h)
+    d_v2h = v[f"g:{key}:U2"].T @ d_a2
+    grads[f"g:{key}:V2"] += np.outer(d_v2h, h)
+    d_h = g_g + v[f"g:{key}:V2"].T @ d_v2h
+    d_pre1 = d_h * relu_grad(pre1)
+    grads[f"l:{layer}:o1"] += d_pre1
+    grads[f"l:{layer}:s1"] += d_pre1 * a1
+    d_a1 = d_pre1 * v[f"l:{layer}:s1"]
+    grads[f"g:{key}:b1"] += d_a1
+    grads[f"g:{key}:U1"] += np.outer(d_a1, v1z)
+    d_v1z = v[f"g:{key}:U1"].T @ d_a1
+    grads[f"g:{key}:V1"] += np.outer(d_v1z, z)
+
+
+def _ref_edit(model, params, normalizer, pairs, weight_grads):
+    """Edited weights and editor gradients from a loop over the edit rows."""
+    xs = np.stack([x for x, _ in pairs])
+    _, trace = forward(model, xs)
+    _, factors, _, _ = backward_nll(model, trace, np.array([y for _, y in pairs]))
+    weights, grads = {}, zero_grads(params)
+    for l in params.editable_layers:
+        rows = [
+            _ref_editor_row(params, l, u, d, normalizer)
+            for u, d in zip(factors[l].u, factors[l].delta)
+        ]
+        pg = np.zeros(model.weights[l].shape)
+        for u_t, d_t, _ in rows:
+            pg += np.outer(d_t, u_t)
+        alpha = float(params.values[f"l:{l}:alpha"])
+        weights[l] = model.weights[l] - alpha * pg
+        G = weight_grads[l]
+        grads[f"l:{l}:alpha"] += np.array(-float(np.sum(G * pg)))
+        d_pg = -alpha * G
+        for u_t, d_t, inter in rows:
+            _ref_row_backward(params, l, inter, d_pg.T @ d_t, d_pg @ u_t, grads)
+    return weights, grads
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
+def test_row_batched_edit_matches_per_row_loop(name):
+    # layers 0 and 1 share the 5x5 shape; layer 2 (5 -> 4) has its own
+    variant = ABLATION_VARIANTS[name]
+    model = init_mlp([5, 5, 5, 4], make_rng(3))
+    params = _editor_for(model, variant=variant, seed=4)
+    rng = make_rng(9)
+    # move off the identity init so every editor block is exercised
+    params.values = {
+        k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
+    }
+    normalizer = None
+    if variant.normalize:
+        dims = params.group_dims
+        normalizer = Normalizer(
+            1e-6,
+            {k: rng.standard_normal(m) for k, (m, n) in dims.items()},
+            {k: rng.uniform(0.5, 2.0, m) for k, (m, n) in dims.items()},
+            {k: rng.standard_normal(n) for k, (m, n) in dims.items()},
+            {k: rng.uniform(0.5, 2.0, n) for k, (m, n) in dims.items()},
+        )
+    R = {l: rng.standard_normal(model.weights[l].shape) for l in params.editable_layers}
+    for batch in (1, 5, 25):
+        pairs = [(rng.standard_normal(5), int(rng.integers(4))) for _ in range(batch)]
+        tape = apply_edit_with_tape(model, params, normalizer, pairs)
+        got = {f"W{l}": tape.edited.weights[l] for l in params.editable_layers}
+        got.update(backprop_edit(params, tape, R))
+        ref_weights, want = _ref_edit(model, params, normalizer, pairs, R)
+        want.update({f"W{l}": w for l, w in ref_weights.items()})
+        assert set(got) == set(want)
+        for key in want:
+            if batch == 1:
+                assert np.array_equal(got[key], want[key]), key
+            else:
+                scale = max(float(np.max(np.abs(want[key]))), 1e-300)
+                rel = float(np.max(np.abs(got[key] - want[key]))) / scale
+                assert rel <= 1e-12, (batch, key, rel)
 
 
 def test_zero_grads_mirrors_params():

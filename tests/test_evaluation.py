@@ -1,5 +1,5 @@
 """Metric and harness tests: edit success and drawdown on hand-built cases,
-batched evaluation grouping, parallel consistency, and report files."""
+batched evaluation grouping, the model-mutation guard, and report files."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 
 from gradedit.bench import WorldConfig, generate_world
 from gradedit.editor import VariantConfig, fit_normalizer, init_editor
-from gradedit.errors import ConfigError
+from gradedit.errors import ConfigError, ContractError
 from gradedit.evaluation import (
     ABLATION_VARIANTS,
     EditReport,
@@ -117,14 +117,20 @@ def test_evaluate_editor_validates_k(small_world, small_model):
         evaluate_editor(IdentityEditor(), small_model, small_world.edit_test[:3], 4)
 
 
-def test_evaluate_editor_parallel_matches_serial(small_world, small_model):
-    records = small_world.edit_test[:12]
-    editor = FtEditor(max_steps=10)
-    serial = evaluate_editor(editor, small_model, records, k_edits=2, workers=1)
-    parallel = evaluate_editor(editor, small_model, records, k_edits=2, workers=4)
-    assert serial.es == parallel.es
-    assert serial.dd_kl == parallel.dd_kl
-    assert serial.rows == parallel.rows
+class MutatingEditor(IdentityEditor):
+    """Breaks the protocol: writes into the model it was asked to edit."""
+
+    name = "mutating"
+
+    def edit(self, model, pairs):
+        model.weights[0][0, 0] += 1.0
+        return clone_with_weights(model, {})
+
+
+def test_evaluate_editor_rejects_a_mutated_model(small_world, small_model):
+    model = clone_with_weights(small_model, {})  # the fixture must stay pristine
+    with pytest.raises(ContractError, match="mutating"):
+        evaluate_editor(MutatingEditor(), model, small_world.edit_test[:2])
 
 
 def test_learned_editor_protocol(small_world, small_model):

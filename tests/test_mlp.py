@@ -68,6 +68,16 @@ def test_mlp_rejects_mismatched_layers(rng):
         )
 
 
+def test_mlp_rejects_bad_biases(rng):
+    weights = [rng.standard_normal((4, 3)), rng.standard_normal((2, 4))]
+    with pytest.raises(ShapeError):
+        Mlp(weights, [np.zeros(4)])  # one bias for two layers
+    with pytest.raises(ShapeError):
+        Mlp(weights, [np.zeros(1), np.zeros(2)])  # would broadcast silently
+    with pytest.raises(ShapeError):
+        Mlp(weights, [np.zeros(4), np.zeros((2, 1))])
+
+
 def test_dense_gradients_match_finite_differences(rng):
     model = init_mlp([4, 6, 3], make_rng(1))
     xs = rng.standard_normal((5, 4))
