@@ -169,24 +169,33 @@ def save_dataset(world: World, path: str | Path) -> None:
                 fh.write(json.dumps(_record_to_json(split, rec)) + "\n")
 
 
-def _parse_record(obj: dict, lineno: int) -> EditRecord:
+def _example(
+    cfg: WorldConfig, obj: dict, lineno: int, x: str = "x", y: str = "y"
+) -> tuple[Array, int]:
+    """The (input, label) pair under keys `x`, `y` of a dataset line, checked
+    against the world's feature dim and classes."""
     try:
-        neighborhood = [
-            (np.array(p["x"], dtype=np.float64), int(p["y"])) for p in obj["neighborhood"]
-        ]
-        rec = EditRecord(
-            x_e=np.array(obj["x"], dtype=np.float64),
-            y_e=int(obj["y"]),
-            neighborhood=neighborhood,
-            x_loc=np.array(obj["x_loc"], dtype=np.float64),
-            y_loc=int(obj["y_loc"]),
-            fact_id=int(obj["fact_id"]),
-        )
-    except KeyError as e:
-        raise DataError(f"line {lineno}: missing field {e}") from e
-    if not rec.neighborhood or not np.array_equal(rec.neighborhood[0][0], rec.x_e):
+        pair = np.array(obj[x], dtype=np.float64), int(obj[y])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
+    if pair[0].shape != (cfg.feature_dim,):
+        raise DataError(f"line {lineno}: input shape {pair[0].shape} != ({cfg.feature_dim},)")
+    if not 0 <= pair[1] < cfg.num_classes:
+        raise DataError(f"line {lineno}: label {pair[1]} is outside the {cfg.num_classes} classes")
+    return pair
+
+
+def _parse_record(cfg: WorldConfig, obj: dict, lineno: int) -> EditRecord:
+    x_e, y_e = _example(cfg, obj, lineno)
+    x_loc, y_loc = _example(cfg, obj, lineno, "x_loc", "y_loc")
+    try:
+        neighborhood = [_example(cfg, p, lineno) for p in obj["neighborhood"]]
+        fact_id = int(obj["fact_id"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
+    if not neighborhood or not np.array_equal(neighborhood[0][0], x_e):
         raise DataError(f"line {lineno}: neighborhood must start with the edit pair")
-    return rec
+    return EditRecord(x_e, y_e, neighborhood, x_loc, y_loc, fact_id)
 
 
 def load_dataset(path: str | Path) -> World:
@@ -207,7 +216,10 @@ def load_dataset(path: str | Path) -> World:
             f"{path}: dataset version {header.get('format_version')} "
             f"unsupported (want {DATASET_FORMAT_VERSION})"
         )
-    cfg = WorldConfig(**header["config"])
+    try:
+        cfg = WorldConfig(**header["config"])
+    except (KeyError, TypeError, ConfigError) as e:
+        raise DataError(f"{path}: bad world config in the header: {e}") from e
     world = World(
         cfg,
         np.array(header["fact_labels"], dtype=np.int64),
@@ -219,12 +231,13 @@ def load_dataset(path: str | Path) -> World:
         obj = parse_line(i)
         split = obj.get("split")
         if split == "pretrain":
-            xs.append(np.array(obj["x"], dtype=np.float64))
-            ys.append(int(obj["y"]))
+            x, y = _example(cfg, obj, i + 1)
+            xs.append(x)
+            ys.append(y)
         elif split == "edit_train":
-            world.edit_train.append(_parse_record(obj, i + 1))
+            world.edit_train.append(_parse_record(cfg, obj, i + 1))
         elif split == "edit_test":
-            world.edit_test.append(_parse_record(obj, i + 1))
+            world.edit_test.append(_parse_record(cfg, obj, i + 1))
         else:
             raise DataError(f"{path}: line {i + 1}: unknown split {split!r}")
     world.pretrain_x = np.stack(xs) if xs else np.zeros((0, cfg.feature_dim))
@@ -250,3 +263,18 @@ def interleave_by_fact(records: Sequence[EditRecord]) -> list[EditRecord]:
                 out.append(buckets[fact_id][depth])
         depth += 1
     return out
+
+
+def fact_groups(records: Sequence[EditRecord], k: int) -> list[list[EditRecord]]:
+    """Consecutive groups of k records after `interleave_by_fact`; the
+    remainder that does not fill a group is dropped."""
+    if not 1 <= k <= len(records):
+        raise ConfigError(f"groups of k={k} edits need 1 <= k <= {len(records)} records")
+    records = interleave_by_fact(records)
+    return [records[i : i + k] for i in range(0, len(records) - k + 1, k)]
+
+
+def holdout_split(records: Sequence[EditRecord]) -> tuple[Sequence, Sequence]:
+    """(train, validation): the last tenth of `records`, at least one."""
+    n_val = max(1, len(records) // 10)
+    return records[:-n_val], records[-n_val:]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import WorldConfig, generate_world, load_dataset, save_dataset
+from .bench import WorldConfig, generate_world, holdout_split, load_dataset, save_dataset
 from .editor import VariantConfig, load_editor, save_editor
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .evaluation import (
@@ -31,7 +31,7 @@ from .evaluation import (
     run_ablations,
     write_timing,
 )
-from .mlp import forward, load_model, save_model
+from .mlp import Mlp, forward, load_model, save_model
 from .training import TrainConfig, pretrain_model, train_editor
 
 
@@ -104,14 +104,7 @@ def cmd_pretrain(args) -> int:
     cfg = _resolve(args, defaults, {"seed": args.seed})
     world = _load_world(args)
     out = _out_dir(args)
-    model, acc = pretrain_model(
-        world,
-        hidden_dims=cfg["hidden_dims"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        seed=cfg["seed"],
-    )
+    model, acc = pretrain_model(world, **cfg)
     save_model(model, out / "model.json")
     (out / "pretrain_summary.json").write_text(
         json.dumps({"accuracy": acc}, sort_keys=True)
@@ -133,13 +126,9 @@ def cmd_train_editor(args) -> int:
     model = load_model(_require_file(args.model, "model"))
     out = _out_dir(args)
     config = TrainConfig(**cfg)
-    n_val = max(1, len(world.edit_train) // 10)
+    train_recs, val_recs = holdout_split(world.edit_train)
     params, normalizer, log = train_editor(
-        model,
-        world.edit_train[:-n_val],
-        world.edit_train[-n_val:],
-        config,
-        ABLATION_VARIANTS[variant_name],
+        model, train_recs, val_recs, config, ABLATION_VARIANTS[variant_name]
     )
     save_editor(params, normalizer, out / "editor.json")
     with open(out / "train_log.jsonl", "w") as fh:
@@ -152,40 +141,41 @@ def cmd_train_editor(args) -> int:
     return 0
 
 
-def _load_edit_inputs(path: Path) -> list[tuple[np.ndarray, int]]:
+def _load_edit_inputs(path: Path, model: Mlp) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, input_dim) edit inputs and (B,) labels of an edit input file."""
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"malformed edit input file {path}: {e}") from e
     items = payload["edits"] if isinstance(payload, dict) and "edits" in payload else [payload]
     try:
-        return [(np.array(it["x"], dtype=np.float64), int(it["y"])) for it in items]
-    except (KeyError, TypeError) as e:
-        raise DataError(f"edit input file {path} must carry 'x' and 'y' fields") from e
+        xs = [np.array(it["x"], dtype=np.float64) for it in items]
+        ys = np.array([int(it["y"]) for it in items], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"edit input file {path} must carry numeric 'x' and 'y' fields") from e
+    if not xs:
+        raise DataError(f"edit input file {path} lists no edits")
+    if any(x.shape != (model.input_dim,) for x in xs):
+        raise DataError(f"every edit input 'x' must be a list of {model.input_dim} numbers")
+    bad = ys[(ys < 0) | (ys >= model.num_classes)]
+    if bad.size:
+        raise DataError(f"edit label {bad[0]} is outside the model's {model.num_classes} classes")
+    return np.stack(xs), ys
 
 
 def cmd_edit(args) -> int:
     model = load_model(_require_file(args.model, "model"))
     params, normalizer = load_editor(_require_file(args.editor, "editor"))
-    pairs = _load_edit_inputs(_require_file(args.edit_input, "edit-input"))
-    for _, y in pairs:
-        if not 0 <= y < model.num_classes:
-            raise DataError(f"edit label {y} is outside the model's {model.num_classes} classes")
+    xs, ys = _load_edit_inputs(_require_file(args.edit_input, "edit-input"), model)
     out = _out_dir(args)
-    editor = LearnedEditor(params, normalizer)
-    edited = editor.edit(model, pairs)
+    edited = LearnedEditor(params, normalizer).edit(model, list(zip(xs, ys.tolist())))
     save_model(edited, out / "edited_model.json")
-    preds = []
-    for x, y in pairs:
-        pre_logits, _ = forward(model, x)
-        post_logits, _ = forward(edited, x)
-        preds.append(
-            {
-                "target": y,
-                "argmax_pre": int(np.argmax(pre_logits[0])),
-                "argmax_post": int(np.argmax(post_logits[0])),
-            }
-        )
+    argmax_pre = np.argmax(forward(model, xs)[0], axis=1)
+    argmax_post = np.argmax(forward(edited, xs)[0], axis=1)
+    preds = [
+        {"target": y, "argmax_pre": int(pre), "argmax_post": int(post)}
+        for y, pre, post in zip(ys.tolist(), argmax_pre, argmax_post)
+    ]
     (out / "edit_predictions.json").write_text(json.dumps(preds, sort_keys=True))
     _snapshot({"model": args.model, "editor": args.editor, "edit_input": args.edit_input},
               out, "edit")

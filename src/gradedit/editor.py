@@ -93,6 +93,9 @@ class EditorParams:
         )
 
 
+_NORM_STATS = ("mean_u", "var_u", "mean_d", "var_d")
+
+
 @dataclass
 class Normalizer:
     """Per-group input statistics (population mean/variance, floored)."""
@@ -115,6 +118,25 @@ def _group_key(model: Mlp, layer: int, variant: VariantConfig) -> str:
     return f"{m}x{n}" if variant.share_params else f"layer{layer}"
 
 
+def _tensor_shapes(
+    rank: int, variant: VariantConfig, layer_group: dict[int, str], group_dims: dict
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor that `init_editor` makes; `load_editor`
+    checks a checkpoint against it."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for key, (m, n) in group_dims.items():
+        w = variant.editor_width(m, n)
+        if not 1 <= rank <= w:
+            raise ConfigError(f"rank {rank} invalid for editor width {w}")
+        shapes.update({f"g:{key}:V1": (rank, w), f"g:{key}:V2": (rank, w),
+                       f"g:{key}:U1": (w, rank), f"g:{key}:U2": (w, rank), f"g:{key}:b1": (w,)})
+    for l, key in layer_group.items():
+        w = variant.editor_width(*group_dims[key])
+        shapes.update({f"l:{l}:{part}": (w,) for part in ("s1", "o1", "s2", "o2")})
+        shapes[f"l:{l}:alpha"] = ()
+    return shapes
+
+
 def init_editor(
     model: Mlp,
     editable_layers: Sequence[int],
@@ -131,9 +153,7 @@ def init_editor(
         if not 0 <= l < model.num_layers:
             raise ConfigError(f"layer {l} not in model")
     layer_group = {l: _group_key(model, l, variant) for l in layers}
-    group_dims: dict[str, tuple[int, int]] = {}
-    for l in layers:
-        group_dims[layer_group[l]] = model.layer_shape(l)
+    group_dims = {layer_group[l]: model.layer_shape(l) for l in layers}
 
     values: dict[str, Array] = {}
     for key, (m, n) in group_dims.items():
@@ -162,25 +182,19 @@ def init_editor(
 def fit_normalizer(
     model: Mlp, edit_records: Iterable, params: EditorParams, eps: float = 1e-6
 ) -> Normalizer:
-    """One pass over the edit train set with the un-edited model, pooling the
-    per-dimension stats of u and delta over all member layers of a group."""
-    pools_u: dict[str, list[Array]] = {k: [] for k in params.group_dims}
-    pools_d: dict[str, list[Array]] = {k: [] for k in params.group_dims}
-    count = 0
-    for rec in edit_records:
-        count += 1
-        _, trace = forward(model, rec.x_e)
-        _, factors, _, _ = backward_nll(model, trace, np.array([rec.y_e]))
-        for l in params.editable_layers:
-            key = params.layer_group[l]
-            pools_u[key].append(factors[l].u[0])
-            pools_d[key].append(factors[l].delta[0])
-    if count == 0:
+    """One factor pass over the stacked edit train set with the un-edited
+    model, pooling the per-dimension stats of u and delta over all member
+    layers of a group."""
+    records = list(edit_records)
+    if not records:
         raise DataError("cannot fit normalizer on an empty edit set")
+    _, trace = forward(model, np.stack([rec.x_e for rec in records]))
+    _, factors, _, _ = backward_nll(model, trace, np.array([rec.y_e for rec in records]))
     mean_u, var_u, mean_d, var_d = {}, {}, {}, {}
     for key in params.group_dims:
-        us = np.stack(pools_u[key])
-        ds = np.stack(pools_d[key])
+        members = [l for l in params.editable_layers if params.layer_group[l] == key]
+        us = np.concatenate([factors[l].u for l in members])
+        ds = np.concatenate([factors[l].delta for l in members])
         mean_u[key] = us.mean(axis=0)
         var_u[key] = np.maximum(us.var(axis=0), eps)
         mean_d[key] = ds.mean(axis=0)
@@ -406,16 +420,27 @@ def save_editor(
         if normalizer is None
         else {
             "eps": normalizer.eps,
-            "mean_u": {k: v.tolist() for k, v in normalizer.mean_u.items()},
-            "var_u": {k: v.tolist() for k, v in normalizer.var_u.items()},
-            "mean_d": {k: v.tolist() for k, v in normalizer.mean_d.items()},
-            "var_d": {k: v.tolist() for k, v in normalizer.var_d.items()},
+            **{
+                stat: {k: v.tolist() for k, v in getattr(normalizer, stat).items()}
+                for stat in _NORM_STATS
+            },
         },
     }
     Path(path).write_text(json.dumps(payload))
 
 
+def _check_tensors(tensors: dict[str, Array], shapes: dict, what: str) -> None:
+    missing, extra = sorted(set(shapes) - set(tensors)), sorted(set(tensors) - set(shapes))
+    if missing or extra:
+        raise DataError(f"{what}: missing tensors {missing}, unexpected tensors {extra}")
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise DataError(f"{what}: tensor {name} has shape {tensors[name].shape}, want {shape}")
+
+
 def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
+    """Read a `save_editor` checkpoint; the tensor names and shapes must be
+    those its header (rank, variant, layers, group dims) implies."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -425,26 +450,32 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
             f"editor checkpoint version {payload.get('format_version')} "
             f"unsupported (want {EDITOR_FORMAT_VERSION})"
         )
-    variant = VariantConfig(**payload["variant"])
-    params = EditorParams(
-        rank=payload["rank"],
-        variant=variant,
-        editable_layers=list(payload["editable_layers"]),
-        layer_group={int(k): v for k, v in payload["layer_group"].items()},
-        group_dims={k: tuple(v) for k, v in payload["group_dims"].items()},
-        values={k: np.array(v, dtype=np.float64) for k, v in payload["values"].items()},
-    )
-    # 0-d arrays round-trip through json as python floats
-    for l in params.editable_layers:
-        params.values[f"l:{l}:alpha"] = np.array(float(params.values[f"l:{l}:alpha"]))
-    norm = None
-    if payload["normalizer"] is not None:
-        nz = payload["normalizer"]
-        norm = Normalizer(
-            eps=nz["eps"],
-            mean_u={k: np.array(v) for k, v in nz["mean_u"].items()},
-            var_u={k: np.array(v) for k, v in nz["var_u"].items()},
-            mean_d={k: np.array(v) for k, v in nz["mean_d"].items()},
-            var_d={k: np.array(v) for k, v in nz["var_d"].items()},
+    try:
+        layers = [int(l) for l in payload["editable_layers"]]
+        params = EditorParams(
+            rank=int(payload["rank"]),
+            variant=VariantConfig(**payload["variant"]),
+            editable_layers=layers,
+            layer_group={l: payload["layer_group"][str(l)] for l in layers},
+            group_dims={k: (int(m), int(n)) for k, (m, n) in payload["group_dims"].items()},
+            values={k: np.array(v, dtype=np.float64) for k, v in payload["values"].items()},
         )
+        shapes = _tensor_shapes(params.rank, params.variant, params.layer_group, params.group_dims)
+        nz = payload["normalizer"]
+        norm = None if nz is None else Normalizer(
+            eps=float(nz["eps"]),
+            **{stat: {k: np.array(v, dtype=np.float64) for k, v in nz[stat].items()}
+               for stat in _NORM_STATS},
+        )
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
+        raise DataError(f"malformed editor checkpoint {path}: {e!r}") from e
+    what = f"editor checkpoint {path}"
+    _check_tensors(params.values, shapes, what)
+    if norm is not None:
+        for stat in _NORM_STATS:
+            dim = 0 if stat.endswith("_u") else 1
+            shapes = {k: (mn[dim],) for k, mn in params.group_dims.items()}
+            _check_tensors(getattr(norm, stat), shapes, f"{what}, normalizer {stat}")
+    elif params.variant.normalize:
+        raise DataError(f"{what}: a normalizing editor needs its normalizer")
     return params, norm

@@ -21,9 +21,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .bench import EditRecord, World, interleave_by_fact
+from .bench import EditRecord, World, fact_groups, holdout_split
 from .editor import EditorParams, Normalizer, VariantConfig, apply_edit
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .mlp import Mlp, forward
 from .ndops import Array, kl_divergence, make_rng
 from .training import TrainConfig, finetune_edit, finetune_kl_edit, train_editor
@@ -60,12 +60,8 @@ class FtEditor:
     name: str = "ft"
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
-        xs = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
-        edited, _ = finetune_edit(
-            model, np.stack(xs), ys, self.editable_layers, self.lr, self.max_steps
-        )
-        return edited
+        xs, ys = zip(*pairs)
+        return finetune_edit(model, xs, ys, self.editable_layers, self.lr, self.max_steps)[0]
 
     def param_count(self) -> int:
         return 0
@@ -84,19 +80,10 @@ class FtKlEditor:
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
         rng = make_rng(self.seed)
         sampler = lambda: self.loc_pool[int(rng.integers(len(self.loc_pool)))]
-        xs = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
-        edited, _ = finetune_kl_edit(
-            model,
-            np.stack(xs),
-            ys,
-            sampler,
-            self.c_edit,
-            self.editable_layers,
-            self.lr,
-            self.max_steps,
-        )
-        return edited
+        xs, ys = zip(*pairs)
+        return finetune_kl_edit(
+            model, xs, ys, sampler, self.c_edit, self.editable_layers, self.lr, self.max_steps
+        )[0]
 
     def param_count(self) -> int:
         return 0
@@ -152,38 +139,27 @@ def evaluate_editor(
     Records are interleaved by fact id before grouping, so a group of k
     simultaneous edits targets k distinct facts instead of asking for
     contradictory rewrites of the same fact."""
-    if k_edits < 1:
-        raise ConfigError("k_edits must be >= 1")
-    if k_edits > len(records):
-        raise ConfigError(f"k_edits={k_edits} exceeds test set size {len(records)}")
-    records = interleave_by_fact(records)
+    groups = fact_groups(records, k_edits)
     pristine = [w.copy() for w in model.weights]
     start = time.perf_counter()
-    num_groups = len(records) // k_edits
     rows: list[dict] = []
-    es_values: list[float] = []
-    dd_accs: list[float] = []
-    dd_kls: list[float] = []
-    for g in range(num_groups):
-        group = records[g * k_edits : (g + 1) * k_edits]
+    drawdowns: list[tuple[float, float]] = []
+    for g, group in enumerate(groups):
         edited = editor.edit(model, [(r.x_e, r.y_e) for r in group])
         loc_x = np.stack([r.x_loc for r in group])
         loc_y = np.array([r.y_loc for r in group])
         dd_acc, dd_kl = drawdown(model, edited, loc_x, loc_y)
-        dd_accs.append(dd_acc)
-        dd_kls.append(dd_kl)
-        for r in group:
-            es = edit_success(edited, r)
-            es_values.append(es)
-            rows.append(
-                {
-                    "fact_id": r.fact_id,
-                    "es": es,
-                    "group": g,
-                    "group_dd_acc": dd_acc,
-                    "group_dd_kl": dd_kl,
-                }
-            )
+        drawdowns.append((dd_acc, dd_kl))
+        rows.extend(
+            {
+                "fact_id": r.fact_id,
+                "es": edit_success(edited, r),
+                "group": g,
+                "group_dd_acc": dd_acc,
+                "group_dd_kl": dd_kl,
+            }
+            for r in group
+        )
     wall = time.perf_counter() - start
     for w_before, w_after in zip(pristine, model.weights):
         if not np.array_equal(w_before, w_after):
@@ -191,10 +167,10 @@ def evaluate_editor(
     return EditReport(
         name=editor.name,
         k_edits=k_edits,
-        num_records=num_groups * k_edits,
-        es=float(np.mean(es_values)),
-        dd_acc=float(np.mean(dd_accs)),
-        dd_kl=float(np.mean(dd_kls)),
+        num_records=len(groups) * k_edits,
+        es=float(np.mean([row["es"] for row in rows])),
+        dd_acc=float(np.mean([acc for acc, _ in drawdowns])),
+        dd_kl=float(np.mean([kl for _, kl in drawdowns])),
         param_count=editor.param_count(),
         wall_time_s=wall,
         rows=rows,
@@ -220,9 +196,7 @@ def run_ablations(
 ) -> list[EditReport]:
     """Train and evaluate every ablation variant under identical seeds, step
     budgets, and data; one report per variant."""
-    n_val = max(1, len(world.edit_train) // 10)
-    train_recs = world.edit_train[:-n_val]
-    val_recs = world.edit_train[-n_val:]
+    train_recs, val_recs = holdout_split(world.edit_train)
     reports = []
     for name, variant in ABLATION_VARIANTS.items():
         t0 = time.perf_counter()

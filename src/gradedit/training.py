@@ -11,12 +11,12 @@ itself is never updated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bench import EditRecord, World, interleave_by_fact
+from .bench import EditRecord, World, fact_groups
 from .editor import (
     EditorParams,
     Normalizer,
@@ -152,18 +152,12 @@ def validation_loss(
     seed: int,
     edits_per_step: int = 1,
 ) -> float:
+    groups = fact_groups(records, edits_per_step)
     rng = make_rng(seed)
-    records = interleave_by_fact(records)
-    groups = [
-        records[i : i + edits_per_step]
-        for i in range(0, len(records) - edits_per_step + 1, edits_per_step)
-    ]
-    total = 0.0
-    for group in groups:
-        losses, _ = group_losses_and_grads(
-            model, params, normalizer, group, c_e, rng, want_grads=False
-        )
-        total += losses.l_total
+    total = sum(
+        group_losses_and_grads(model, params, normalizer, g, c_e, rng, want_grads=False)[0].l_total
+        for g in groups
+    )
     return total / len(groups)
 
 
@@ -237,12 +231,6 @@ def train_editor(
     return best, normalizer, log
 
 
-def _as_pairs(x_e, y_e) -> list[tuple[Array, int]]:
-    if isinstance(x_e, np.ndarray) and x_e.ndim == 1:
-        return [(x_e, int(y_e))]
-    return list(zip(x_e, [int(y) for y in y_e]))
-
-
 def finetune_edit(
     model: Mlp,
     x_e,
@@ -251,57 +239,45 @@ def finetune_edit(
     lr: float = 0.1,
     max_steps: int = 100,
 ) -> tuple[Mlp, int]:
-    """Plain fine-tuning baseline: gradient descent on the edit example(s)
-    over the editable weight matrices, stopping once every edit label is the
-    argmax prediction; capped at `max_steps` (100 per convention)."""
-    pairs = _as_pairs(x_e, y_e)
-    editable = list(editable_layers) if editable_layers is not None else list(range(model.num_layers))
-    xs = np.stack([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs], dtype=np.int64)
-    current = model
-    for step in range(max_steps):
-        logits, trace = forward(current, xs)
-        if np.all(np.argmax(logits, axis=1) == ys):
-            return current, step
-        _, _, wgrads, _ = backward_nll(current, trace, ys)
-        replacements = {l: current.weights[l] - (lr / len(pairs)) * wgrads[l] for l in editable}
-        current = clone_with_weights(current, replacements)
-    return current, max_steps
+    """Plain fine-tuning baseline: `finetune_kl_edit` without the locality
+    term."""
+    return finetune_kl_edit(model, x_e, y_e, None, 1.0, editable_layers, lr, max_steps)
 
 
 def finetune_kl_edit(
     model: Mlp,
     x_e,
     y_e,
-    loc_sampler: Callable[[], Array],
+    loc_sampler: Callable[[], Array] | None,
     c_edit: float = 0.5,
     editable_layers: Sequence[int] | None = None,
     lr: float = 0.1,
     max_steps: int = 100,
 ) -> tuple[Mlp, int]:
-    """Fine-tuning with a locality regularizer: each step descends
-    c_edit * NLL(edit examples) + KL(pre || current) at one fresh locality
-    input; stopping rule as in `finetune_edit`."""
-    pairs = _as_pairs(x_e, y_e)
+    """Fine-tuning on the edit example(s) over the editable weight matrices:
+    each step descends c_edit * NLL(edit examples) + KL(pre || current) at
+    one fresh locality input from `loc_sampler` (no KL term when it is None),
+    stopping once every edit label is the argmax prediction; capped at
+    `max_steps` (100 per convention)."""
     editable = list(editable_layers) if editable_layers is not None else list(range(model.num_layers))
-    xs = np.stack([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs], dtype=np.int64)
+    xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
+    ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
     current = model
     for step in range(max_steps):
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
-        _, _, wgrads_e, _ = backward_nll(current, trace, ys)
-        x_loc = loc_sampler()
-        pre_logits, _ = forward(model, x_loc)
-        cur_logits, trace_loc = forward(current, x_loc)
-        dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-        _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
-        replacements = {
-            l: current.weights[l]
-            - lr * ((c_edit / len(pairs)) * wgrads_e[l] + wgrads_kl[l])
-            for l in editable
-        }
+        _, _, wgrads, _ = backward_nll(current, trace, ys)
+        grads = {l: (c_edit / len(ys)) * wgrads[l] for l in editable}
+        if loc_sampler is not None:
+            x_loc = loc_sampler()
+            pre_logits, _ = forward(model, x_loc)
+            cur_logits, trace_loc = forward(current, x_loc)
+            dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
+            _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
+            for l in editable:
+                grads[l] += wgrads_kl[l]
+        replacements = {l: current.weights[l] - lr * grads[l] for l in editable}
         current = clone_with_weights(current, replacements)
     return current, max_steps
 

@@ -1,6 +1,8 @@
 """Benchmark generator tests: encoding structure, record invariants, fact
 splits, interleaving, and the dataset file format."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from gradedit.bench import (
     EditRecord,
     WorldConfig,
+    fact_groups,
     generate_world,
+    holdout_split,
     interleave_by_fact,
     load_dataset,
     save_dataset,
@@ -121,6 +125,26 @@ def test_interleave_by_fact_empty():
     assert interleave_by_fact([]) == []
 
 
+def test_fact_groups_cut_the_interleaved_order():
+    world = generate_world(_tiny_cfg(records_per_fact=3))
+    records = world.edit_test
+    order = interleave_by_fact(records)
+    for k in (1, 2, 5, len(records)):
+        groups = fact_groups(records, k)
+        assert len(groups) == len(records) // k
+        assert [r for g in groups for r in g] == order[: len(groups) * k]
+        assert all(len(g) == k for g in groups)
+    for k in (0, len(records) + 1):
+        with pytest.raises(ConfigError):
+            fact_groups(records, k)
+
+
+def test_holdout_split_keeps_the_last_tenth():
+    records = list(range(25))
+    assert holdout_split(records) == (records[:-2], records[-2:])
+    assert holdout_split(records[:5]) == (records[:4], records[4:5])
+
+
 def test_dataset_round_trip(tmp_path):
     world = generate_world(_tiny_cfg())
     path = tmp_path / "dataset.jsonl"
@@ -171,6 +195,46 @@ def test_load_dataset_rejects_unknown_split(tmp_path):
         fh.write('{"split": "mystery", "x": [0], "y": 0}\n')
     with pytest.raises(DataError, match="unknown split"):
         load_dataset(path)
+
+
+def _rewrite_dataset(tmp_path, edit):
+    world = generate_world(_tiny_cfg())
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(world, path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(lines)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    return path
+
+
+def _first(split):
+    return lambda lines: next(obj for obj in lines[1:] if obj["split"] == split)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[0]["config"].__setitem__("bogus", 1),
+        lambda lines: lines[0]["config"].__setitem__("num_classes", 1),
+        lambda lines: lines[0].pop("config"),
+        lambda lines: _first("pretrain")(lines).__setitem__("y", 5),
+        lambda lines: _first("pretrain")(lines).__setitem__("x", [0.0]),
+        lambda lines: _first("pretrain")(lines).pop("x"),
+        lambda lines: _first("edit_test")(lines).__setitem__("y", 99),
+        lambda lines: _first("edit_train")(lines).__setitem__("y_loc", -1),
+        lambda lines: _first("edit_train")(lines)["neighborhood"][1].__setitem__("y", 5),
+        lambda lines: _first("edit_test")(lines).__setitem__("x_loc", [0.0, 1.0]),
+        lambda lines: _first("edit_test")(lines).__setitem__("fact_id", "one"),
+    ],
+    ids=[
+        "unknown_config_key", "invalid_config", "missing_config", "pretrain_label",
+        "pretrain_shape", "pretrain_missing_x", "edit_label", "locality_label",
+        "neighborhood_label", "locality_shape", "bad_fact_id",
+    ],
+)
+def test_load_dataset_rejects_bad_config_labels_and_shapes(tmp_path, edit):
+    with pytest.raises(DataError):
+        load_dataset(_rewrite_dataset(tmp_path, edit))
 
 
 @settings(max_examples=15, deadline=None)

@@ -12,6 +12,7 @@ import pytest
 
 import gradedit
 from gradedit.cli import main
+from gradedit.mlp import forward, load_model
 
 WORLD_CFG = {
     "num_entities": 6,
@@ -242,3 +243,92 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "dataset.jsonl" in proc.stdout
+
+
+def test_train_editor_k_above_validation_set_exit_code(pipeline, tmp_path):
+    # the miniature world holds out one validation record; groups of two
+    # cannot be cut from it
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"edits_per_step": 2, "max_steps": 3, "eval_every": 1}))
+    assert main([
+        "train-editor", "--config", str(cfg),
+        "--dataset", str(pipeline / "dataset.jsonl"),
+        "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path),
+    ]) == 2
+    assert not (tmp_path / "editor.json").exists()
+
+
+@pytest.mark.parametrize("corrupt", ["missing", "short"])
+def test_edit_bad_editor_tensor_exit_code(pipeline, tmp_path, corrupt):
+    payload = json.loads((pipeline / "editor.json").read_text())
+    if corrupt == "missing":
+        del payload["values"]["l:0:alpha"]
+    else:
+        payload["values"]["l:0:s1"] = payload["values"]["l:0:s1"][:-1]
+    editor = tmp_path / "editor.json"
+    editor.write_text(json.dumps(payload))
+    assert main([
+        "edit", "--model", str(pipeline / "model.json"), "--editor", str(editor),
+        "--edit-input", str(_edit_input(pipeline, tmp_path)), "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()
+
+
+def test_edit_ragged_inputs_exit_code(pipeline, tmp_path):
+    x = json.loads(_edit_input(pipeline, tmp_path).read_text())["x"]
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"edits": [{"x": x, "y": 1}, {"x": x[:-1], "y": 2}]}))
+    assert main([
+        "edit", "--model", str(pipeline / "model.json"),
+        "--editor", str(pipeline / "editor.json"),
+        "--edit-input", str(path), "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()
+
+
+def test_edit_batch_predictions(pipeline, tmp_path):
+    dataset = [json.loads(line) for line in (pipeline / "dataset.jsonl").read_text().splitlines()]
+    records = [obj for obj in dataset[1:] if obj["split"] == "edit_test"][:3:2]
+    path = tmp_path / "edits.json"
+    path.write_text(json.dumps({"edits": [{"x": r["x"], "y": r["y"]} for r in records]}))
+    assert main([
+        "edit", "--model", str(pipeline / "model.json"),
+        "--editor", str(pipeline / "editor.json"),
+        "--edit-input", str(path), "--out-dir", str(tmp_path),
+    ]) == 0
+    preds = json.loads((tmp_path / "edit_predictions.json").read_text())
+    model = load_model(pipeline / "model.json")
+    edited = load_model(tmp_path / "edited_model.json")
+    for rec, pred in zip(records, preds, strict=True):
+        assert pred["target"] == rec["y"]
+        assert pred["argmax_pre"] == int(np.argmax(forward(model, np.array(rec["x"]))[0]))
+        assert pred["argmax_post"] == int(np.argmax(forward(edited, np.array(rec["x"]))[0]))
+
+
+def _rewritten_dataset(pipeline, tmp_path, edit):
+    lines = [json.loads(line) for line in (pipeline / "dataset.jsonl").read_text().splitlines()]
+    edit(lines)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    return path
+
+
+def test_dataset_unknown_config_key_exit_code(pipeline, tmp_path):
+    dataset = _rewritten_dataset(
+        pipeline, tmp_path, lambda lines: lines[0]["config"].__setitem__("bogus", 1))
+    assert main(["pretrain", "--dataset", str(dataset), "--out-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_dataset_label_outside_classes_exit_code(pipeline, tmp_path):
+    def edit(lines):
+        rec = next(obj for obj in lines[1:] if obj["split"] == "edit_test")
+        rec["y"] = rec["neighborhood"][0]["y"] = 99
+
+    dataset = _rewritten_dataset(pipeline, tmp_path, edit)
+    assert main([
+        "eval", "--dataset", str(dataset), "--model", str(pipeline / "model.json"),
+        "--editor", str(pipeline / "editor.json"), "--k-edits", "1",
+        "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "report.csv").exists()

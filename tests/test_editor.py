@@ -3,6 +3,9 @@ sharing, normalization statistics, the outer-product edit rule, the
 hand-rolled reverse pass against the finite-difference oracle, and the
 row-batched edit path against a per-row reference loop."""
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,20 +116,51 @@ def test_normalizer_hand_statistics():
     assert np.allclose(norm.norm_d("k", np.array([6.0])), [3.0])
 
 
-def test_fit_normalizer_matches_manual_stats(small_world, small_model):
-    records = small_world.edit_train[:20]
-    params = _editor_for(small_model)
-    norm = fit_normalizer(small_model, records, params)
-    # recompute layer-0 u stats by hand from the raw factors
-    us = []
+def _per_record_normalizer_stats(model, records, params, eps=1e-6):
+    """The per-record factor loop that `fit_normalizer` replaced."""
+    pools_u = {k: [] for k in params.group_dims}
+    pools_d = {k: [] for k in params.group_dims}
     for rec in records:
-        _, trace = forward(small_model, rec.x_e)
-        _, factors, _, _ = backward_nll(small_model, trace, np.array([rec.y_e]))
-        us.append(factors[0].u[0])
-    us = np.stack(us)
-    key = params.layer_group[0]
-    assert np.allclose(norm.mean_u[key], us.mean(axis=0), atol=1e-12)
-    assert np.allclose(norm.var_u[key], np.maximum(us.var(axis=0), 1e-6), atol=1e-12)
+        _, trace = forward(model, rec.x_e)
+        _, factors, _, _ = backward_nll(model, trace, np.array([rec.y_e]))
+        for l in params.editable_layers:
+            pools_u[params.layer_group[l]].append(factors[l].u[0])
+            pools_d[params.layer_group[l]].append(factors[l].delta[0])
+    stats = {}
+    for key in params.group_dims:
+        us, ds = np.stack(pools_u[key]), np.stack(pools_d[key])
+        stats[key] = (us.mean(axis=0), np.maximum(us.var(axis=0), eps),
+                      ds.mean(axis=0), np.maximum(ds.var(axis=0), eps))
+    return stats
+
+
+def _assert_normalizer_matches_loop(model, records, params):
+    norm = fit_normalizer(model, records, params)
+    want = _per_record_normalizer_stats(model, records, params)
+    assert set(norm.mean_u) == set(want)
+    for key, stats in want.items():
+        got = (norm.mean_u[key], norm.var_u[key], norm.mean_d[key], norm.var_d[key])
+        for g, w in zip(got, stats):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * max(np.max(np.abs(w)), 1e-300), key
+
+
+def test_fit_normalizer_matches_manual_stats(small_world, small_model):
+    for variant in (VariantConfig(), VariantConfig(share_params=False)):
+        params = _editor_for(small_model, variant=variant)
+        _assert_normalizer_matches_loop(small_model, small_world.edit_train[:20], params)
+    # layers 0 and 1 are both 6x6 and share one editor group, whose stats
+    # pool the factor rows of both layers
+    model = init_mlp([6, 6, 6, 4], make_rng(3))
+    rng = make_rng(4)
+    records = [
+        SimpleNamespace(x_e=rng.standard_normal(6), y_e=int(rng.integers(4)))
+        for _ in range(25)
+    ]
+    params = _editor_for(model)
+    assert params.layer_group[0] == params.layer_group[1] != params.layer_group[2]
+    _assert_normalizer_matches_loop(model, records, params)
+    _assert_normalizer_matches_loop(model, records, _editor_for(model, layers=[1, 2]))
 
 
 def test_fit_normalizer_rejects_empty():
@@ -446,5 +480,46 @@ def test_editor_checkpoint_without_normalizer(tmp_path):
 def test_load_editor_rejects_garbage(tmp_path):
     path = tmp_path / "editor.json"
     path.write_text("nope")
+    with pytest.raises(DataError):
+        load_editor(path)
+
+
+def _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt):
+    params = _editor_for(small_model)
+    norm = fit_normalizer(small_model, small_world.edit_train[:10], params)
+    path = tmp_path / "editor.json"
+    save_editor(params, norm, path)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p["values"].pop("l:0:alpha"),
+        lambda p: p["values"].__setitem__("g:extra:b1", [0.0]),
+        lambda p: p["values"].__setitem__("l:0:s1", p["values"]["l:0:s1"][:-1]),
+        lambda p: p["values"].__setitem__("l:1:alpha", [0.01]),
+        lambda p: p["values"].__setitem__("l:1:o2", ["x"] * len(p["values"]["l:1:o2"])),
+        lambda p: p.__setitem__("rank", p["rank"] + 1),
+        lambda p: p.__setitem__("editable_layers", [0]),
+        lambda p: p.pop("group_dims"),
+        lambda p: p["variant"].__setitem__("transform", "everything"),
+        lambda p: p["normalizer"]["var_d"].popitem(),
+        lambda p: p["normalizer"]["mean_u"].__setitem__(
+            next(iter(p["normalizer"]["mean_u"])), [0.0]),
+        lambda p: p.__setitem__("normalizer", None),
+    ],
+    ids=[
+        "missing_tensor", "extra_tensor", "short_tensor", "alpha_not_scalar",
+        "non_numeric", "rank_mismatch", "layer_list_mismatch", "missing_header_key",
+        "bad_variant", "missing_normalizer_group", "short_normalizer_stat",
+        "normalizer_dropped",
+    ],
+)
+def test_load_editor_checks_tensor_names_and_shapes(tmp_path, small_world, small_model, corrupt):
+    path = _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt)
     with pytest.raises(DataError):
         load_editor(path)

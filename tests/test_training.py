@@ -7,8 +7,9 @@ import pytest
 
 from gradedit.bench import WorldConfig, generate_world
 from gradedit.editor import VariantConfig, fit_normalizer, init_editor
-from gradedit.errors import DataError
-from gradedit.mlp import forward
+from gradedit.errors import ConfigError, DataError
+from gradedit.mlp import backward, backward_nll, clone_with_weights, forward
+from gradedit.ndops import softmax
 from gradedit.ndops import finite_diff_grad, make_rng
 from gradedit.training import (
     TrainConfig,
@@ -161,6 +162,77 @@ def test_validation_loss_is_deterministic(small_world, small_model):
     a = validation_loss(small_model, params, norm, recs, 0.1, seed=3)
     b = validation_loss(small_model, params, norm, recs, 0.1, seed=3)
     assert a == b
+
+
+def test_validation_loss_rejects_k_above_records(small_world, small_model):
+    params, norm = _fresh_editor(small_model, small_world.edit_train[:20])
+    recs = small_world.edit_train[:3]
+    with pytest.raises(ConfigError):
+        validation_loss(small_model, params, norm, recs, 0.1, seed=3, edits_per_step=4)
+
+
+def _reference_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
+    """The separate plain fine-tuning loop that `finetune_edit` replaced."""
+    current = model
+    for step in range(max_steps):
+        logits, trace = forward(current, xs)
+        if np.all(np.argmax(logits, axis=1) == ys):
+            return current, step
+        _, _, wgrads, _ = backward_nll(current, trace, ys)
+        replacements = {l: current.weights[l] - (lr / len(ys)) * wgrads[l] for l in editable}
+        current = clone_with_weights(current, replacements)
+    return current, max_steps
+
+
+def _reference_finetune_kl(model, xs, ys, loc_sampler, c_edit, editable, lr=0.1, max_steps=100):
+    """The fine-tuning + KL loop as it stood beside `_reference_finetune`."""
+    current = model
+    for step in range(max_steps):
+        logits, trace = forward(current, xs)
+        if np.all(np.argmax(logits, axis=1) == ys):
+            return current, step
+        _, _, wgrads_e, _ = backward_nll(current, trace, ys)
+        x_loc = loc_sampler()
+        pre_logits, _ = forward(model, x_loc)
+        cur_logits, trace_loc = forward(current, x_loc)
+        dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
+        _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
+        replacements = {
+            l: current.weights[l] - lr * ((c_edit / len(ys)) * wgrads_e[l] + wgrads_kl[l])
+            for l in editable
+        }
+        current = clone_with_weights(current, replacements)
+    return current, max_steps
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("editable", [[0, 1], [1]])
+def test_finetune_loops_match_reference_loops(small_world, small_model, batch, editable):
+    recs = small_world.edit_test[: 4 * batch : 4]
+    xs = np.stack([r.x_e for r in recs])
+    ys = np.array([r.y_e for r in recs])
+    pool = [r.x_loc for r in small_world.edit_train[:20]]
+
+    def sampler(seed):
+        rng = make_rng(seed)
+        return lambda: pool[int(rng.integers(len(pool)))]
+
+    x_arg, y_arg = (xs[0], int(ys[0])) if batch == 1 else (xs, ys)
+    runs = [
+        (finetune_edit(small_model, x_arg, y_arg, editable),
+         _reference_finetune(small_model, xs, ys, editable)),
+        (finetune_kl_edit(small_model, x_arg, y_arg, sampler(4), 0.5, editable),
+         _reference_finetune_kl(small_model, xs, ys, sampler(4), 0.5, editable)),
+    ]
+    # one edit repeats the reference arithmetic to the last bit; a batch
+    # scales the gradient before lr, which moves the weights by a few ulps
+    for (got, steps), (want, want_steps) in runs:
+        assert steps == want_steps > 0
+        for a, b in zip(got.weights, want.weights):
+            if batch == 1:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_finetune_edit_flips_argmax(small_world, small_model):
