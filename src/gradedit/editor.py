@@ -11,10 +11,12 @@ a per-layer scalar step size allow specialization under shape sharing.
 Each layer's editor maps all B edits of a batch at once, as row-wise matrix
 products over the (B, m) u rows and (B, n) delta rows.
 
-The reverse pass needed for meta-training is implemented structurally in
-`backprop_edit`: gradients w.r.t. the edited weights are chained through the
-outer-product sum and the editor blocks into the editor parameters, treating
-the raw factors as constants (no higher-order gradients).
+An edit of k examples has rank <= k, so meta-training keeps each edited layer
+as its factors (W, alpha, U~, D~) in an `EditTape`: `edited_forward` computes
+x W^T + b - alpha (x U~^T) D~, and `backprop_edit` chains logit gradients
+through those products and the editor blocks into the editor parameters,
+treating the raw factors as constants (no higher-order gradients). Neither
+forms an (n, m) matrix; only `apply_edit` materializes W~.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .mlp import Mlp, backward_nll, clone_with_weights, forward
-from .ndops import Array, relu, relu_grad, xavier_uniform
+from .mlp import Mlp, backward_factors, clone_with_weights, forward, nll_grad
+from .ndops import Array, check_finite, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
 
@@ -189,7 +191,8 @@ def fit_normalizer(
     if not records:
         raise DataError("cannot fit normalizer on an empty edit set")
     _, trace = forward(model, np.stack([rec.x_e for rec in records]))
-    _, factors, _, _ = backward_nll(model, trace, np.array([rec.y_e for rec in records]))
+    _, dlogits = nll_grad(model, trace, [rec.y_e for rec in records])
+    factors = backward_factors(model, trace, dlogits)
     mean_u, var_u, mean_d, var_d = {}, {}, {}, {}
     for key in params.group_dims:
         members = [l for l in params.editable_layers if params.layer_group[l] == key]
@@ -318,13 +321,14 @@ def _editor_backward(
 
 @dataclass
 class EditTape:
-    """Everything needed to push dL/dW~ back into the editor parameters."""
+    """An edited model in factored form, W~_l = W_l - alpha_l * D~_l^T U~_l
+    at each editable layer, with what the reverse pass needs."""
 
-    edited: Mlp
-    pseudo_u: dict[int, Array]  # layer -> (B, m) rows u~
-    pseudo_d: dict[int, Array]  # layer -> (B, n) rows delta~
+    model: Mlp
+    alpha: dict[int, float]
+    pseudo_u: dict[int, Array]  # layer -> (k, m) rows u~
+    pseudo_d: dict[int, Array]  # layer -> (k, n) rows delta~
     editor_tapes: dict[int, _EditorTape]
-    pseudograds: dict[int, Array]  # layer -> (n, m) sum_i outer(delta~_i, u~_i)
 
 
 def apply_edit_with_tape(
@@ -333,29 +337,24 @@ def apply_edit_with_tape(
     normalizer: Normalizer | None,
     edit_batch: Sequence[tuple[Array, int]],
 ) -> EditTape:
-    """Compute factors on the un-edited model over the whole edit batch,
-    transform them, and return the edited model plus the reverse-pass tape."""
+    """Compute factors on the un-edited model over the whole edit batch and
+    transform them; returns the edited model as factors plus the reverse-pass
+    tape. No (n, m) matrix is formed."""
     if not edit_batch:
         raise DataError("edit batch is empty")
     xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in edit_batch])
     ys = np.array([y for _, y in edit_batch], dtype=np.int64)
     _, trace = forward(model, xs)
-    _, factors, _, _ = backward_nll(model, trace, ys)
+    _, dlogits = nll_grad(model, trace, ys)
+    factors = backward_factors(model, trace, dlogits)
 
-    replacements: dict[int, Array] = {}
-    pseudo_u: dict[int, Array] = {}
-    pseudo_d: dict[int, Array] = {}
-    tapes: dict[int, _EditorTape] = {}
-    pgs: dict[int, Array] = {}
+    tape = EditTape(model, {}, {}, {}, {})
     for l in params.editable_layers:
-        pseudo_u[l], pseudo_d[l], tapes[l] = _editor_apply(
+        tape.alpha[l] = float(params.values[f"l:{l}:alpha"])
+        tape.pseudo_u[l], tape.pseudo_d[l], tape.editor_tapes[l] = _editor_apply(
             params, l, factors[l].u, factors[l].delta, normalizer
         )
-        pgs[l] = pseudo_d[l].T @ pseudo_u[l]
-        alpha = float(params.values[f"l:{l}:alpha"])
-        replacements[l] = model.weights[l] - alpha * pgs[l]
-    edited = clone_with_weights(model, replacements)
-    return EditTape(edited, pseudo_u, pseudo_d, tapes, pgs)
+    return tape
 
 
 def apply_edit(
@@ -365,38 +364,83 @@ def apply_edit(
     edit_batch: Sequence[tuple[Array, int]],
 ) -> Mlp:
     """One-shot edit: W~_l = W_l - alpha_l * pseudograd_l for each editable
-    layer. Biases and non-editable layers are untouched; `model` is not
-    modified."""
-    return apply_edit_with_tape(model, params, normalizer, edit_batch).edited
+    layer, with pseudograd_l = sum_i outer(delta~_i, u~_i). Biases and
+    non-editable layers are untouched; `model` is not modified. The only
+    place where the edited weights are formed."""
+    tape = apply_edit_with_tape(model, params, normalizer, edit_batch)
+    return clone_with_weights(model, {
+        l: model.weights[l] - a * (tape.pseudo_d[l].T @ tape.pseudo_u[l])
+        for l, a in tape.alpha.items()
+    })
+
+
+@dataclass
+class EditedTrace:
+    """Cached rows of one `edited_forward` call, kept for `backprop_edit`."""
+
+    tape: EditTape
+    inputs: list[Array]  # inputs[l]: (B, m_l)
+    preacts: list[Array]  # preacts[l]: (B, n_l)
+    proj: dict[int, Array]  # editable layer -> P = x U~^T, (B, k)
+
+
+def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
+    """Forward a (B, input_dim) batch through the edited model without forming
+    W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer."""
+    model = tape.model
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    if batch.shape[1] != model.input_dim:
+        raise ShapeError(f"input dim {batch.shape[1]} != model input dim {model.input_dim}")
+    inputs, preacts, proj = [], [], {}
+    act = batch
+    for l in range(model.num_layers):
+        inputs.append(act)
+        z = act @ model.weights[l].T + model.biases[l]
+        if l in tape.alpha:
+            proj[l] = act @ tape.pseudo_u[l].T
+            z -= tape.alpha[l] * (proj[l] @ tape.pseudo_d[l])
+        preacts.append(z)
+        act = z if l == model.num_layers - 1 else relu(z)
+    check_finite(act, "logits")
+    return act, EditedTrace(tape, inputs, preacts, proj)
 
 
 def zero_grads(params: EditorParams) -> dict[str, Array]:
     return {k: np.zeros_like(v) for k, v in params.values.items()}
 
 
-def backprop_edit(
-    params: EditorParams, tape: EditTape, weight_grads: dict[int, Array]
-) -> dict[str, Array]:
-    """Chain dL/dW~ (per editable layer) into editor-parameter gradients.
+def backprop_edit(params: EditorParams, trace: EditedTrace, dlogits: Array) -> dict[str, Array]:
+    """Chain per-example logit gradients of an `edited_forward` batch into
+    editor-parameter gradients, one pass down to the lowest editable layer.
 
-    W~ = W - alpha * pg with pg = D~^T U~ (rows u~_i, delta~_i), so
-    dL/dalpha = -<dL/dW~, pg> and, with dL/dpg = -alpha * dL/dW~, the output
-    gradients are dL/dD~ = U~ (dL/dpg)^T and dL/dU~ = D~ (dL/dpg); they then
-    flow through the editor blocks. Raw factors are constants, so nothing
-    propagates into the base model.
+    With X the layer's input rows, Delta = dL/dz, P = X U~^T and
+    Q = Delta D~^T: dL/dalpha = -sum(P * Q), dL/dD~ = -alpha P^T Delta and
+    dL/dU~ = -alpha Q^T X, which then flow through the editor blocks; Delta
+    moves down through W~ as Delta W - alpha Q U~. Raw factors are constants,
+    so nothing propagates into the base model.
     """
+    tape = trace.tape
+    model = tape.model
+    delta = np.asarray(dlogits, dtype=np.float64)
+    logits_shape = trace.preacts[-1].shape
+    if delta.shape != logits_shape:
+        raise ShapeError(f"logit grad shape {delta.shape} != logits shape {logits_shape}")
     grads = zero_grads(params)
-    for l in params.editable_layers:
-        G = weight_grads[l]
-        pg = tape.pseudograds[l]
-        if G.shape != pg.shape:
-            raise ShapeError(f"weight grad shape {G.shape} != pseudograd shape {pg.shape}")
-        alpha = float(params.values[f"l:{l}:alpha"])
-        grads[f"l:{l}:alpha"] += np.array(-float(np.sum(G * pg)))
-        d_pg = -alpha * G
-        g_d = tape.pseudo_u[l] @ d_pg.T
-        g_u = tape.pseudo_d[l] @ d_pg
-        _editor_backward(params, l, tape.editor_tapes[l], g_u, g_d, grads)
+    lowest = min(tape.alpha)
+    for l in range(model.num_layers - 1, lowest - 1, -1):
+        edited = l in tape.alpha
+        if edited:
+            alpha, P, Q = tape.alpha[l], trace.proj[l], delta @ tape.pseudo_d[l].T
+            grads[f"l:{l}:alpha"] += np.array(-float(np.sum(P * Q)))
+            g_d = -alpha * (P.T @ delta)
+            g_u = -alpha * (Q.T @ trace.inputs[l])
+            _editor_backward(params, l, tape.editor_tapes[l], g_u, g_d, grads)
+        if l == lowest:
+            break
+        d_x = delta @ model.weights[l]
+        if edited:
+            d_x -= alpha * (Q @ tape.pseudo_u[l])
+        delta = d_x * relu_grad(trace.preacts[l - 1])
     return grads
 
 
@@ -440,11 +484,14 @@ def _check_tensors(tensors: dict[str, Array], shapes: dict, what: str) -> None:
 
 def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
     """Read a `save_editor` checkpoint; the tensor names and shapes must be
-    those its header (rank, variant, layers, group dims) implies."""
+    those its header (rank, variant, layers, group dims) implies, and every
+    tensor and normalizer value must be finite."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"malformed editor checkpoint {path}: {e}") from e
+    if not isinstance(payload, dict):
+        raise DataError(f"editor checkpoint {path} must hold a JSON object")
     if payload.get("format_version") != EDITOR_FORMAT_VERSION:
         raise DataError(
             f"editor checkpoint version {payload.get('format_version')} "
@@ -478,4 +525,10 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
             _check_tensors(getattr(norm, stat), shapes, f"{what}, normalizer {stat}")
     elif params.variant.normalize:
         raise DataError(f"{what}: a normalizing editor needs its normalizer")
+    arrays = list(params.values.values())
+    if norm is not None:
+        arrays += [np.array(norm.eps)] + [a for stat in _NORM_STATS
+                                          for a in getattr(norm, stat).values()]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError(f"{what} holds non-finite values")
     return params, norm

@@ -20,6 +20,7 @@ from .errors import ContractError, DataError, ShapeError
 from .ndops import Array, check_finite, log_softmax, relu, relu_grad, xavier_uniform
 
 MODEL_FORMAT_VERSION = 1
+_MODEL_KEYS = {"format_version", "layer_dims", "weights", "biases"}
 
 
 @dataclass
@@ -109,39 +110,38 @@ def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
     return act, ForwardTrace(model, inputs, preacts, act)
 
 
+def backward_factors(model: Mlp, trace: ForwardTrace, dlogits: Array) -> list[GradFactors]:
+    """Backprop arbitrary per-example logit gradients through the trace and
+    return every layer's per-example factors; no dense gradient is formed."""
+    if trace.model is not model:
+        raise ContractError("trace was produced by a different model")
+    factors: list[GradFactors] = [None] * model.num_layers  # type: ignore[list-item]
+    delta = np.asarray(dlogits, dtype=np.float64)
+    for l in range(model.num_layers - 1, -1, -1):
+        factors[l] = GradFactors(l, trace.inputs[l], delta)
+        if l > 0:
+            delta = (delta @ model.weights[l]) * relu_grad(trace.preacts[l - 1])
+    return factors
+
+
 def backward(
     model: Mlp, trace: ForwardTrace, dlogits: Array
 ) -> tuple[list[GradFactors], list[Array], list[Array]]:
-    """Backprop arbitrary per-example logit gradients through the trace.
+    """`backward_factors` plus the dense gradients.
 
     Returns (factors per layer, dense weight grads, dense bias grads); the
     dense grads are the unaveraged sum over the batch, i.e. gradients of the
     summed per-example loss, matching the factor sum exactly.
     """
-    if trace.model is not model:
-        raise ContractError("trace was produced by a different model")
-    factors: list[GradFactors] = [None] * model.num_layers  # type: ignore[list-item]
-    wgrads: list[Array] = [None] * model.num_layers  # type: ignore[list-item]
-    bgrads: list[Array] = [None] * model.num_layers  # type: ignore[list-item]
-    delta = np.asarray(dlogits, dtype=np.float64)
-    for l in range(model.num_layers - 1, -1, -1):
-        u = trace.inputs[l]
-        factors[l] = GradFactors(l, u, delta)
-        wgrads[l] = delta.T @ u
-        bgrads[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ model.weights[l]) * relu_grad(trace.preacts[l - 1])
+    factors = backward_factors(model, trace, dlogits)
+    wgrads = [f.delta.T @ f.u for f in factors]
+    bgrads = [f.delta.sum(axis=0) for f in factors]
     return factors, wgrads, bgrads
 
 
-def backward_nll(
-    model: Mlp, trace: ForwardTrace, labels: np.ndarray
-) -> tuple[float, list[GradFactors], list[Array], list[Array]]:
-    """Mean NLL loss and its per-example factorized / dense gradients.
-
-    Factors and dense grads correspond to the *summed* per-example NLL; the
-    caller divides by B where a mean-loss gradient is wanted.
-    """
+def nll_grad(model: Mlp, trace: ForwardTrace, labels: np.ndarray) -> tuple[float, Array]:
+    """Mean NLL loss of the trace's logits and the per-example logit gradient
+    of the *summed* NLL."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     logits = trace.logits
     if labels.shape[0] != logits.shape[0]:
@@ -152,6 +152,18 @@ def backward_nll(
     loss = -float(np.mean(logp[np.arange(labels.size), labels]))
     dlogits = np.exp(logp)
     dlogits[np.arange(labels.size), labels] -= 1.0
+    return loss, dlogits
+
+
+def backward_nll(
+    model: Mlp, trace: ForwardTrace, labels: np.ndarray
+) -> tuple[float, list[GradFactors], list[Array], list[Array]]:
+    """Mean NLL loss and its per-example factorized / dense gradients.
+
+    Factors and dense grads correspond to the *summed* per-example NLL; the
+    caller divides by B where a mean-loss gradient is wanted.
+    """
+    loss, dlogits = nll_grad(model, trace, labels)
     factors, wgrads, bgrads = backward(model, trace, dlogits)
     return loss, factors, wgrads, bgrads
 
@@ -192,15 +204,41 @@ def save_model(model: Mlp, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Mlp:
+    """Read a `save_model` checkpoint. A malformed file or a non-finite value
+    raises DataError; arrays whose shapes disagree with the checkpoint's
+    `layer_dims` raise ShapeError."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"malformed model checkpoint {path}: {e}") from e
+    if not isinstance(payload, dict):
+        raise DataError(f"model checkpoint {path} must hold a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"model checkpoint version {payload.get('format_version')} "
             f"unsupported (want {MODEL_FORMAT_VERSION})"
         )
-    weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
+    if set(payload) != _MODEL_KEYS:
+        raise DataError(
+            f"model checkpoint {path}: missing keys {sorted(_MODEL_KEYS - set(payload))}, "
+            f"unexpected keys {sorted(set(payload) - _MODEL_KEYS)}"
+        )
+    dims = payload["layer_dims"]
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d >= 1 for d in dims)):
+        raise DataError(f"model checkpoint {path}: bad layer_dims {dims!r}")
+    try:
+        weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
+        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
+    except (TypeError, ValueError) as e:
+        raise DataError(f"malformed model checkpoint {path}: {e!r}") from e
+    want_w = [(n, m) for m, n in zip(dims, dims[1:])]
+    got_w, got_b = [w.shape for w in weights], [b.shape for b in biases]
+    if got_w != want_w or got_b != [(n,) for n, _ in want_w]:
+        raise ShapeError(
+            f"model checkpoint {path}: weight shapes {got_w} and bias shapes {got_b} "
+            f"do not match layer_dims {dims}"
+        )
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise DataError(f"model checkpoint {path} holds non-finite values")
     return Mlp(weights, biases)

@@ -6,7 +6,8 @@ loss) and on the records' locality inputs (exact KL against the pre-edit
 model), and pushes the gradient of c_e * L_e + L_loc into the editor
 parameters only. The raw gradient factors are treated as constants, so no
 higher-order gradients of the base model are ever formed, and the base model
-itself is never updated.
+itself is never updated. The edited model stays in factored form (see
+`editor.edited_forward`), so a step forms no (n, m) weight or gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .editor import (
     VariantConfig,
     apply_edit_with_tape,
     backprop_edit,
+    edited_forward,
     fit_normalizer,
     init_editor,
     zero_grads,
@@ -95,30 +97,26 @@ def group_losses_and_grads(
     tape = apply_edit_with_tape(
         model, params, normalizer, [(rec.x_e, rec.y_e) for rec in records]
     )
-    edited = tape.edited
-
     xs_eq = np.stack([x for x, _ in eq_pairs])
     ys_eq = np.array([y for _, y in eq_pairs], dtype=np.int64)
-    logits_e, trace_e = forward(edited, xs_eq)
-    logp = log_softmax(logits_e)
-    l_e = -float(np.mean(logp[np.arange(k), ys_eq]))
-    dlogits_e = np.exp(logp)
-    dlogits_e[np.arange(k), ys_eq] -= 1.0
-
     xs_loc = np.stack([rec.x_loc for rec in records])
+    # one edited forward over the paraphrases, then the locality inputs
+    logits, trace = edited_forward(tape, np.concatenate([xs_eq, xs_loc]))
+    logp = log_softmax(logits[:k])
+    l_e = -float(np.mean(logp[np.arange(k), ys_eq]))
+
+    post_logits = logits[k:]
     pre_logits, _ = forward(model, xs_loc)
-    post_logits, trace_loc = forward(edited, xs_loc)
     l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
     losses = StepLosses(l_e, l_loc, c_e * l_e + l_loc)
     if not want_grads:
         return losses, None
 
+    dlogits_e = np.exp(logp)
+    dlogits_e[np.arange(k), ys_eq] -= 1.0
     dlogits_loc = softmax(post_logits) - softmax(pre_logits)
-    _, wgrads_e, _ = backward(edited, trace_e, (c_e / k) * dlogits_e)
-    _, wgrads_loc, _ = backward(edited, trace_loc, dlogits_loc / k)
-    weight_grads = {l: wgrads_e[l] + wgrads_loc[l] for l in params.editable_layers}
-    grads = backprop_edit(params, tape, weight_grads)
-    return losses, grads
+    dlogits = np.concatenate([(c_e / k) * dlogits_e, dlogits_loc / k])
+    return losses, backprop_edit(params, trace, dlogits)
 
 
 def _batched_grads(
@@ -172,6 +170,9 @@ def train_editor(
     training log). The base model is never modified."""
     if not train_records:
         raise DataError("empty edit train set")
+    k = config.edits_per_step
+    if val_records and 0 < config.eval_every <= config.max_steps:
+        fact_groups(val_records, k)  # raises ConfigError before any step runs
     variant = variant or VariantConfig()
     rng = make_rng(config.seed)
     editable = config.editable_layers or list(range(model.num_layers))
@@ -184,7 +185,6 @@ def train_editor(
     best = params.copy()
     best_val = float("inf")
     evals_since_best = 0
-    k = config.edits_per_step
     # bucket records by fact so a sampled group edits k distinct facts
     # (two conflicting rewrites of one fact in a single update are ill-posed)
     fact_buckets: dict[int, list[EditRecord]] = {}

@@ -258,13 +258,17 @@ def test_train_editor_k_above_validation_set_exit_code(pipeline, tmp_path):
     assert not (tmp_path / "editor.json").exists()
 
 
-@pytest.mark.parametrize("corrupt", ["missing", "short"])
+@pytest.mark.parametrize("corrupt", ["missing", "short", "nan", "inf_normalizer_stat"])
 def test_edit_bad_editor_tensor_exit_code(pipeline, tmp_path, corrupt):
     payload = json.loads((pipeline / "editor.json").read_text())
     if corrupt == "missing":
         del payload["values"]["l:0:alpha"]
-    else:
+    elif corrupt == "short":
         payload["values"]["l:0:s1"] = payload["values"]["l:0:s1"][:-1]
+    elif corrupt == "nan":
+        payload["values"]["l:0:s1"][0] = float("nan")
+    else:
+        next(iter(payload["normalizer"]["var_u"].values()))[0] = float("inf")
     editor = tmp_path / "editor.json"
     editor.write_text(json.dumps(payload))
     assert main([
@@ -332,3 +336,30 @@ def test_dataset_label_outside_classes_exit_code(pipeline, tmp_path):
         "--out-dir", str(tmp_path),
     ]) == 3
     assert not (tmp_path / "report.csv").exists()
+
+
+def _nan_weight(payload):
+    payload["weights"][0][0][0] = float("nan")
+    return payload
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("model.json", _nan_weight),
+        ("model.json", lambda p: p.pop("weights") and p),
+        ("model.json", lambda p: []),
+        ("editor.json", lambda p: []),
+    ],
+    ids=["model_nan_weight", "model_without_weights", "model_list", "editor_list"],
+)
+def test_edit_malformed_checkpoint_exit_code(pipeline, tmp_path, name, corrupt):
+    path = tmp_path / name
+    path.write_text(json.dumps(corrupt(json.loads((pipeline / name).read_text()))))
+    files = {"model.json": pipeline / "model.json", "editor.json": pipeline / "editor.json"}
+    files[name] = path
+    assert main([
+        "edit", "--model", str(files["model.json"]), "--editor", str(files["editor.json"]),
+        "--edit-input", str(_edit_input(pipeline, tmp_path)), "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()

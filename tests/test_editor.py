@@ -1,7 +1,8 @@
 """Editor-network tests: identity initialization, variant switches, shape
-sharing, normalization statistics, the outer-product edit rule, the
-hand-rolled reverse pass against the finite-difference oracle, and the
-row-batched edit path against a per-row reference loop."""
+sharing, normalization statistics, the outer-product edit rule, the factored
+edited forward against the materialized edit, the hand-rolled reverse pass
+against the finite-difference oracle, and the row-batched edit path against
+a per-row reference loop."""
 
 import json
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from gradedit.editor import (
     apply_edit,
     apply_edit_with_tape,
     backprop_edit,
+    edited_forward,
     editor_forward,
     fit_normalizer,
     init_editor,
@@ -25,7 +27,7 @@ from gradedit.editor import (
 )
 from gradedit.errors import ConfigError, DataError, ShapeError
 from gradedit.evaluation import ABLATION_VARIANTS
-from gradedit.mlp import backward_nll, forward, init_mlp
+from gradedit.mlp import backward, backward_nll, forward, init_mlp
 from gradedit.ndops import finite_diff_grad, make_rng, relu, relu_grad
 
 
@@ -239,7 +241,7 @@ def test_apply_edit_rule_and_isolation():
     before = [w.copy() for w in model.weights]
     rng = make_rng(6)
     pairs = [(rng.standard_normal(6), 2)]
-    tape = apply_edit_with_tape(model, params, None, pairs)
+    edited = apply_edit(model, params, None, pairs)
     # the edit is exactly W - alpha * sum_i outer(delta~_i, u~_i), with each
     # row mapped by editor_forward; biases untouched
     for l in params.editable_layers:
@@ -248,8 +250,8 @@ def test_apply_edit_rule_and_isolation():
         rows = [editor_forward(params, l, u, d) for u, d in zip(factors[l].u, factors[l].delta)]
         pg = sum(np.outer(d_t, u_t) for u_t, d_t in rows)
         alpha = float(params.values[f"l:{l}:alpha"])
-        assert np.allclose(tape.edited.weights[l], model.weights[l] - alpha * pg, atol=1e-12)
-        assert np.array_equal(tape.edited.biases[l], model.biases[l])
+        assert np.allclose(edited.weights[l], model.weights[l] - alpha * pg, atol=1e-12)
+        assert np.array_equal(edited.biases[l], model.biases[l])
     for w0, w1 in zip(before, model.weights):
         assert np.array_equal(w0, w1)
 
@@ -288,35 +290,53 @@ def test_editor_forward_shape_check():
 
 
 def test_backprop_edit_matches_finite_differences():
-    # loss = <R_l, edited W_l> summed over layers has dL/dW~ = R_l exactly,
-    # isolating the editor reverse pass from any model loss
+    # loss = <R, logits of the edited model at xs> has dL/dlogits = R exactly,
+    # isolating the editor reverse pass from any model loss; the loss is
+    # taken on the materialized W~ of `apply_edit`, so the factored forward
+    # is checked too
     model = init_mlp([5, 4, 3], make_rng(2))
     variant = VariantConfig(normalize=False, identity_init=False)
     params = _editor_for(model, variant=variant, seed=3)
     rng = make_rng(8)
     pairs = [(rng.standard_normal(5), int(rng.integers(3))) for _ in range(2)]
-    R = {l: rng.standard_normal(model.weights[l].shape) for l in params.editable_layers}
+    xs = rng.standard_normal((4, 5))
+    R = rng.standard_normal((4, 3))
 
     def loss_of(values):
         p = params.copy()
         p.values = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
         edited = apply_edit(model, p, None, pairs)
-        return sum(float(np.sum(R[l] * edited.weights[l])) for l in p.editable_layers)
+        return float(np.sum(R * forward(edited, xs)[0]))
 
-    tape = apply_edit_with_tape(model, params, None, pairs)
-    grads = backprop_edit(params, tape, R)
+    _, trace = edited_forward(apply_edit_with_tape(model, params, None, pairs), xs)
+    grads = backprop_edit(params, trace, R)
     fd = finite_diff_grad(loss_of, params.values)
     for key in grads:
         denom = max(np.max(np.abs(fd[key])), np.max(np.abs(grads[key])), 1e-4)
         assert np.max(np.abs(grads[key] - fd[key])) / denom < 1e-6, key
 
 
+def test_edited_forward_matches_materialized_edit():
+    model = init_mlp([5, 4, 4, 3], make_rng(2))
+    params = _editor_for(model, variant=VariantConfig(normalize=False, identity_init=False),
+                         layers=[0, 2])
+    rng = make_rng(8)
+    pairs = [(rng.standard_normal(5), int(rng.integers(3))) for _ in range(3)]
+    xs = rng.standard_normal((6, 5))
+    got, _ = edited_forward(apply_edit_with_tape(model, params, None, pairs), xs)
+    want, _ = forward(apply_edit(model, params, None, pairs), xs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ShapeError):
+        edited_forward(apply_edit_with_tape(model, params, None, pairs), xs[:, :4])
+
+
 def test_backprop_edit_shape_check():
     model = init_mlp([5, 4], make_rng(2))
     params = _editor_for(model, variant=VariantConfig(normalize=False))
-    tape = apply_edit_with_tape(model, params, None, [(np.zeros(5), 0)])
+    _, trace = edited_forward(apply_edit_with_tape(model, params, None, [(np.zeros(5), 0)]),
+                              np.zeros((3, 5)))
     with pytest.raises(ShapeError):
-        backprop_edit(params, tape, {0: np.zeros((2, 2))})
+        backprop_edit(params, trace, np.zeros((2, 4)))
 
 
 # ------------------------------------- row-batched path vs per-row reference
@@ -420,17 +440,22 @@ def test_row_batched_edit_matches_per_row_loop(name):
             {k: rng.standard_normal(n) for k, (m, n) in dims.items()},
             {k: rng.uniform(0.5, 2.0, n) for k, (m, n) in dims.items()},
         )
-    R = {l: rng.standard_normal(model.weights[l].shape) for l in params.editable_layers}
+    xs = rng.standard_normal((7, 5))
+    R = rng.standard_normal((7, 4))
     for batch in (1, 5, 25):
         pairs = [(rng.standard_normal(5), int(rng.integers(4))) for _ in range(batch)]
-        tape = apply_edit_with_tape(model, params, normalizer, pairs)
-        got = {f"W{l}": tape.edited.weights[l] for l in params.editable_layers}
-        got.update(backprop_edit(params, tape, R))
-        ref_weights, want = _ref_edit(model, params, normalizer, pairs, R)
+        edited = apply_edit(model, params, normalizer, pairs)
+        got = {f"W{l}": edited.weights[l] for l in params.editable_layers}
+        _, trace = edited_forward(apply_edit_with_tape(model, params, normalizer, pairs), xs)
+        got.update(backprop_edit(params, trace, R))
+        # the per-row reference takes dL/dW~ from a dense backward through W~
+        _, dense_trace = forward(edited, xs)
+        _, G, _ = backward(edited, dense_trace, R)
+        ref_weights, want = _ref_edit(model, params, normalizer, pairs, G)
         want.update({f"W{l}": w for l, w in ref_weights.items()})
         assert set(got) == set(want)
         for key in want:
-            if batch == 1:
+            if batch == 1 and key.startswith("W"):
                 assert np.array_equal(got[key], want[key]), key
             else:
                 scale = max(float(np.max(np.abs(want[key]))), 1e-300)
@@ -479,9 +504,10 @@ def test_editor_checkpoint_without_normalizer(tmp_path):
 
 def test_load_editor_rejects_garbage(tmp_path):
     path = tmp_path / "editor.json"
-    path.write_text("nope")
-    with pytest.raises(DataError):
-        load_editor(path)
+    for text in ("nope", "[]"):
+        path.write_text(text)
+        with pytest.raises(DataError):
+            load_editor(path)
 
 
 def _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt):
@@ -511,12 +537,16 @@ def _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt):
         lambda p: p["normalizer"]["mean_u"].__setitem__(
             next(iter(p["normalizer"]["mean_u"])), [0.0]),
         lambda p: p.__setitem__("normalizer", None),
+        lambda p: p["values"]["l:0:s1"].__setitem__(0, float("nan")),
+        lambda p: p["normalizer"]["var_u"][next(iter(p["normalizer"]["var_u"]))]
+        .__setitem__(0, float("inf")),
+        lambda p: p["normalizer"].__setitem__("eps", float("nan")),
     ],
     ids=[
         "missing_tensor", "extra_tensor", "short_tensor", "alpha_not_scalar",
         "non_numeric", "rank_mismatch", "layer_list_mismatch", "missing_header_key",
         "bad_variant", "missing_normalizer_group", "short_normalizer_stat",
-        "normalizer_dropped",
+        "normalizer_dropped", "nan_tensor", "inf_normalizer_stat", "nan_eps",
     ],
 )
 def test_load_editor_checks_tensor_names_and_shapes(tmp_path, small_world, small_model, corrupt):

@@ -1,6 +1,8 @@
 """Classifier forward/backward tests: dense gradients against finite
 differences, rank-1 factorization identities, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from gradedit.errors import ContractError, DataError, ShapeError
 from gradedit.mlp import (
     Mlp,
     backward,
+    backward_factors,
     backward_nll,
     clone_with_weights,
     forward,
     init_mlp,
     load_model,
+    nll_grad,
     reconstruct_gradient,
     save_model,
 )
@@ -123,6 +127,20 @@ def test_per_example_factor_is_that_examples_gradient(rng):
             assert np.allclose(got, wgrads_i[l], atol=1e-12)
 
 
+def test_factor_pass_matches_dense_backward(rng):
+    # the factor-only pass forms no dense gradient but yields the same factors
+    model = init_mlp([4, 5, 5, 3], make_rng(3))
+    xs = rng.standard_normal((4, 4))
+    ys = rng.integers(3, size=4)
+    _, trace = forward(model, xs)
+    loss, factors, _, _ = backward_nll(model, trace, ys)
+    got_loss, dlogits = nll_grad(model, trace, ys)
+    assert got_loss == loss
+    for got, want in zip(backward_factors(model, trace, dlogits), factors, strict=True):
+        assert got.layer == want.layer
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.delta, want.delta)
+
+
 def test_backward_rejects_stale_trace(rng):
     model = init_mlp([3, 2], make_rng(0))
     other = init_mlp([3, 2], make_rng(1))
@@ -191,4 +209,31 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
     path.write_text('{"format_version": 99}')
     with pytest.raises(DataError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        (lambda p: [p], DataError),
+        (lambda p: p.pop("weights") and p, DataError),
+        (lambda p: p.update(extra=1) or p, DataError),
+        (lambda p: p.update(layer_dims=[3, 0, 2]) or p, DataError),
+        (lambda p: p["weights"][1][0].__setitem__(0, "x") or p, DataError),
+        (lambda p: p["weights"][0][1].__setitem__(2, float("nan")) or p, DataError),
+        (lambda p: p["biases"][1].__setitem__(0, float("inf")) or p, DataError),
+        (lambda p: p.update(layer_dims=[3, 5, 3]) or p, ShapeError),
+        (lambda p: p["weights"].__setitem__(1, p["weights"][1][0]) or p, ShapeError),
+        (lambda p: p["biases"].pop() and p, ShapeError),
+    ],
+    ids=[
+        "not_an_object", "missing_key", "extra_key", "bad_layer_dims", "non_numeric",
+        "nan_weight", "inf_bias", "dims_mismatch", "one_dim_weight", "missing_bias",
+    ],
+)
+def test_load_model_checks_keys_shapes_and_values(tmp_path, corrupt, error):
+    path = tmp_path / "model.json"
+    save_model(init_mlp([3, 5, 2], make_rng(4)), path)
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    with pytest.raises(error):
         load_model(path)

@@ -1,16 +1,25 @@
 """Training-loop tests: loss composition, the structural meta-gradient
-against finite differences, determinism, early stopping, and the
-fine-tuning baselines."""
+against finite differences, the factored meta-step against the dense one it
+replaced, determinism, early stopping, and the fine-tuning baselines."""
+
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from gradedit.bench import WorldConfig, generate_world
-from gradedit.editor import VariantConfig, fit_normalizer, init_editor
+from gradedit.editor import (
+    VariantConfig,
+    _editor_backward,
+    apply_edit_with_tape,
+    fit_normalizer,
+    init_editor,
+    zero_grads,
+)
 from gradedit.errors import ConfigError, DataError
-from gradedit.mlp import backward, backward_nll, clone_with_weights, forward
-from gradedit.ndops import softmax
-from gradedit.ndops import finite_diff_grad, make_rng
+from gradedit.evaluation import ABLATION_VARIANTS
+from gradedit.mlp import backward, backward_nll, clone_with_weights, forward, init_mlp
+from gradedit.ndops import finite_diff_grad, kl_divergence, log_softmax, make_rng, softmax
 from gradedit.training import (
     TrainConfig,
     accuracy,
@@ -92,6 +101,74 @@ def test_meta_gradient_matches_finite_differences(small_world, small_model):
         assert rel < 1e-4, f"{key}: rel err {rel}"
 
 
+def _dense_group_losses_and_grads(model, params, normalizer, records, c_e, rng):
+    """The dense meta-step that the factored one replaced: materialize W~,
+    backprop the two losses through it into dense dL/dW~, then chain those
+    through W~ = W - alpha * D~^T U~ into the editor."""
+    k = len(records)
+    eq_pairs = [rec.neighborhood[int(rng.integers(len(rec.neighborhood)))] for rec in records]
+    tape = apply_edit_with_tape(model, params, normalizer, [(r.x_e, r.y_e) for r in records])
+    pgs = {l: tape.pseudo_d[l].T @ tape.pseudo_u[l] for l in tape.alpha}
+    edited = clone_with_weights(
+        model, {l: model.weights[l] - tape.alpha[l] * pg for l, pg in pgs.items()})
+
+    xs_eq = np.stack([x for x, _ in eq_pairs])
+    ys_eq = np.array([y for _, y in eq_pairs], dtype=np.int64)
+    logits_e, trace_e = forward(edited, xs_eq)
+    logp = log_softmax(logits_e)
+    l_e = -float(np.mean(logp[np.arange(k), ys_eq]))
+    dlogits_e = np.exp(logp)
+    dlogits_e[np.arange(k), ys_eq] -= 1.0
+    xs_loc = np.stack([rec.x_loc for rec in records])
+    pre_logits, _ = forward(model, xs_loc)
+    post_logits, trace_loc = forward(edited, xs_loc)
+    l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
+    dlogits_loc = softmax(post_logits) - softmax(pre_logits)
+    _, wgrads_e, _ = backward(edited, trace_e, (c_e / k) * dlogits_e)
+    _, wgrads_loc, _ = backward(edited, trace_loc, dlogits_loc / k)
+
+    grads = zero_grads(params)
+    for l, pg in pgs.items():
+        G = wgrads_e[l] + wgrads_loc[l]
+        grads[f"l:{l}:alpha"] += np.array(-float(np.sum(G * pg)))
+        d_pg = -tape.alpha[l] * G
+        g_d = tape.pseudo_u[l] @ d_pg.T
+        g_u = tape.pseudo_d[l] @ d_pg
+        _editor_backward(params, l, tape.editor_tapes[l], g_u, g_d, grads)
+    return {"l_e": l_e, "l_loc": l_loc, **grads}
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
+@pytest.mark.parametrize("layers", [[0, 1, 2], [1], [0, 2], [2]])
+def test_factored_meta_step_matches_dense_reference(small_world, name, layers):
+    # layers 1 and 2 share the 6x6 shape, layer 0 (16 -> 6) has its own
+    variant = ABLATION_VARIANTS[name]
+    model = init_mlp([16, 6, 6, 6], make_rng(2))
+    rng = make_rng(3)
+    params = init_editor(model, layers, 2, variant, rng)
+    # move off the identity init so every editor block is exercised
+    params.values = {
+        k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
+    }
+    records = (small_world.edit_train + small_world.edit_test)[:40]
+    norm = fit_normalizer(model, records, params) if variant.normalize else None
+    for k in (1, 5, 25):
+        group = records[-k:]
+        losses, grads = group_losses_and_grads(model, params, norm, group, 0.1, make_rng(k))
+        got = {"l_e": losses.l_e, "l_loc": losses.l_loc, **grads}
+        want = _dense_group_losses_and_grads(model, params, norm, group, 0.1, make_rng(k))
+        assert set(got) == set(want)
+        for key in want:
+            # the KL of two nearly equal distributions keeps the absolute
+            # rounding error of its O(1) logits, so the losses are compared
+            # on a scale of at least one nat
+            floor = 1.0 if key.startswith("l_") else 1e-300
+            scale = max(float(np.max(np.abs(want[key]))), floor)
+            rel = float(np.max(np.abs(np.asarray(got[key]) - want[key]))) / scale
+            # observed <= 7e-15; tight enough that a 1e-13 change fails
+            assert rel <= 5e-14, (k, key, rel)
+
+
 def test_train_editor_zero_steps_returns_fresh_editor(small_world, small_model):
     cfg = TrainConfig(max_steps=0)
     params, norm, log = train_editor(
@@ -169,6 +246,16 @@ def test_validation_loss_rejects_k_above_records(small_world, small_model):
     recs = small_world.edit_train[:3]
     with pytest.raises(ConfigError):
         validation_loss(small_model, params, norm, recs, 0.1, seed=3, edits_per_step=4)
+
+
+def test_train_editor_rejects_k_above_validation_set_before_any_step(small_world, small_model):
+    val = small_world.edit_train[-3:]
+    cfg = TrainConfig(max_steps=200, edits_per_step=4, batch_size=1, eval_every=50)
+    calls = []
+    with patch("gradedit.training._batched_grads", side_effect=lambda *a: calls.append(a)):
+        with pytest.raises(ConfigError):
+            train_editor(small_model, small_world.edit_train[:-3], val, cfg)
+    assert calls == []
 
 
 def _reference_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
