@@ -173,13 +173,15 @@ def _example(
     cfg: WorldConfig, obj: dict, lineno: int, x: str = "x", y: str = "y"
 ) -> tuple[Array, int]:
     """The (input, label) pair under keys `x`, `y` of a dataset line, checked
-    against the world's feature dim and classes."""
+    against the world's feature dim and classes; the input must be finite."""
     try:
         pair = np.array(obj[x], dtype=np.float64), int(obj[y])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
     if pair[0].shape != (cfg.feature_dim,):
         raise DataError(f"line {lineno}: input shape {pair[0].shape} != ({cfg.feature_dim},)")
+    if not np.isfinite(pair[0]).all():
+        raise DataError(f"line {lineno}: input {x!r} holds a non-finite value")
     if not 0 <= pair[1] < cfg.num_classes:
         raise DataError(f"line {lineno}: label {pair[1]} is outside the {cfg.num_classes} classes")
     return pair

@@ -157,6 +157,8 @@ def _load_edit_inputs(path: Path, model: Mlp) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"edit input file {path} lists no edits")
     if any(x.shape != (model.input_dim,) for x in xs):
         raise DataError(f"every edit input 'x' must be a list of {model.input_dim} numbers")
+    if not all(np.isfinite(x).all() for x in xs):
+        raise DataError(f"edit input file {path} holds a non-finite 'x' value")
     bad = ys[(ys < 0) | (ys >= model.num_classes)]
     if bad.size:
         raise DataError(f"edit label {bad[0]} is outside the model's {model.num_classes} classes")

@@ -379,30 +379,50 @@ class EditedTrace:
     """Cached rows of one `edited_forward` call, kept for `backprop_edit`."""
 
     tape: EditTape
-    inputs: list[Array]  # inputs[l]: (B, m_l)
-    preacts: list[Array]  # preacts[l]: (B, n_l)
-    proj: dict[int, Array]  # editable layer -> P = x U~^T, (B, k)
+    logits_shape: tuple[int, ...]  # (B, C), or (G, B, C) for G groups
+    inputs: list[Array]  # inputs[l]: (G*B, m_l)
+    preacts: list[Array]  # preacts[l]: (G*B, n_l)
+    proj: dict[int, Array]  # editable layer -> P = x U~^T, (G, B, k)
+
+
+def _group_factors(tape: EditTape, layer: int, groups: int) -> tuple[Array, Array]:
+    """`layer`'s U~ and D~ as (G, k, m) / (G, k, n) stacks: group g holds
+    tape rows g*k:(g+1)*k."""
+    u, d = tape.pseudo_u[layer], tape.pseudo_d[layer]
+    return u.reshape(groups, -1, u.shape[1]), d.reshape(groups, -1, d.shape[1])
 
 
 def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
     """Forward a (B, input_dim) batch through the edited model without forming
-    W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer."""
+    W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer.
+
+    A (G, B, input_dim) batch holds G groups, each under its own edit: with
+    the tape's G*k rows, group g is edited by rows g*k:(g+1)*k. The base
+    product runs over all G*B rows at once; only the rank-k term is stacked
+    per group."""
     model = tape.model
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[1] != model.input_dim:
-        raise ShapeError(f"input dim {batch.shape[1]} != model input dim {model.input_dim}")
+    batch = np.asarray(batch, dtype=np.float64)
+    stacked = batch if batch.ndim == 3 else np.atleast_2d(batch)[None]
+    if stacked.ndim != 3 or stacked.shape[2] != model.input_dim:
+        raise ShapeError(f"batch shape {batch.shape} does not end in input dim {model.input_dim}")
+    groups, rows = stacked.shape[0], tape.pseudo_u[min(tape.alpha)].shape[0]
+    if groups == 0 or rows % groups:
+        raise ShapeError(f"{groups} groups do not divide the tape's {rows} edit rows")
+    width = stacked.shape[1]
     inputs, preacts, proj = [], [], {}
-    act = batch
+    act = stacked.reshape(groups * width, model.input_dim)
     for l in range(model.num_layers):
         inputs.append(act)
         z = act @ model.weights[l].T + model.biases[l]
         if l in tape.alpha:
-            proj[l] = act @ tape.pseudo_u[l].T
-            z -= tape.alpha[l] * (proj[l] @ tape.pseudo_d[l])
+            u, d = _group_factors(tape, l, groups)
+            proj[l] = act.reshape(groups, width, act.shape[1]) @ u.transpose(0, 2, 1)
+            z -= tape.alpha[l] * (proj[l] @ d).reshape(z.shape)
         preacts.append(z)
         act = z if l == model.num_layers - 1 else relu(z)
     check_finite(act, "logits")
-    return act, EditedTrace(tape, inputs, preacts, proj)
+    logits = act.reshape(groups, width, act.shape[1]) if batch.ndim == 3 else act
+    return logits, EditedTrace(tape, logits.shape, inputs, preacts, proj)
 
 
 def zero_grads(params: EditorParams) -> dict[str, Array]:
@@ -411,35 +431,44 @@ def zero_grads(params: EditorParams) -> dict[str, Array]:
 
 def backprop_edit(params: EditorParams, trace: EditedTrace, dlogits: Array) -> dict[str, Array]:
     """Chain per-example logit gradients of an `edited_forward` batch into
-    editor-parameter gradients, one pass down to the lowest editable layer.
+    editor-parameter gradients, summed over all rows and groups, in one pass
+    down to the lowest editable layer.
 
-    With X the layer's input rows, Delta = dL/dz, P = X U~^T and
+    Per group, with X the layer's input rows, Delta = dL/dz, P = X U~^T and
     Q = Delta D~^T: dL/dalpha = -sum(P * Q), dL/dD~ = -alpha P^T Delta and
-    dL/dU~ = -alpha Q^T X, which then flow through the editor blocks; Delta
-    moves down through W~ as Delta W - alpha Q U~. Raw factors are constants,
-    so nothing propagates into the base model.
+    dL/dU~ = -alpha Q^T X, which then flow through the editor blocks, once
+    over all G*k tape rows; Delta moves down through W~ as
+    Delta W - alpha Q U~. Raw factors are constants, so nothing propagates
+    into the base model.
     """
     tape = trace.tape
     model = tape.model
     delta = np.asarray(dlogits, dtype=np.float64)
-    logits_shape = trace.preacts[-1].shape
-    if delta.shape != logits_shape:
-        raise ShapeError(f"logit grad shape {delta.shape} != logits shape {logits_shape}")
+    if delta.shape != trace.logits_shape:
+        raise ShapeError(f"logit grad shape {delta.shape} != logits shape {trace.logits_shape}")
+    delta = delta.reshape(trace.preacts[-1].shape)
     grads = zero_grads(params)
     lowest = min(tape.alpha)
     for l in range(model.num_layers - 1, lowest - 1, -1):
         edited = l in tape.alpha
         if edited:
-            alpha, P, Q = tape.alpha[l], trace.proj[l], delta @ tape.pseudo_d[l].T
+            alpha, P = tape.alpha[l], trace.proj[l]
+            groups, width, _ = P.shape
+            u, d = _group_factors(tape, l, groups)
+            stacked = delta.reshape(groups, width, delta.shape[1])
+            Q = stacked @ d.transpose(0, 2, 1)
             grads[f"l:{l}:alpha"] += np.array(-float(np.sum(P * Q)))
-            g_d = -alpha * (P.T @ delta)
-            g_u = -alpha * (Q.T @ trace.inputs[l])
-            _editor_backward(params, l, tape.editor_tapes[l], g_u, g_d, grads)
+            g_d = -alpha * (P.transpose(0, 2, 1) @ stacked)
+            x = trace.inputs[l]
+            g_u = -alpha * (Q.transpose(0, 2, 1) @ x.reshape(groups, width, x.shape[1]))
+            _editor_backward(params, l, tape.editor_tapes[l],
+                             g_u.reshape(tape.pseudo_u[l].shape),
+                             g_d.reshape(tape.pseudo_d[l].shape), grads)
         if l == lowest:
             break
         d_x = delta @ model.weights[l]
         if edited:
-            d_x -= alpha * (Q @ tape.pseudo_u[l])
+            d_x -= alpha * (Q @ u).reshape(d_x.shape)
         delta = d_x * relu_grad(trace.preacts[l - 1])
     return grads
 

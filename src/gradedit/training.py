@@ -1,13 +1,15 @@
 """Editor training loop and fine-tuning baselines.
 
-A training step edits the base model with a group of records' edit pairs in
-one update, scores the edited model on a sampled paraphrase per record (edit
-loss) and on the records' locality inputs (exact KL against the pre-edit
-model), and pushes the gradient of c_e * L_e + L_loc into the editor
-parameters only. The raw gradient factors are treated as constants, so no
+A training step edits the base model, separately for each of its groups of
+records, with the group's edit pairs in one update, scores each edited model
+on a sampled paraphrase per record (edit loss) and on the records' locality
+inputs (exact KL against the pre-edit model), and pushes the gradient of
+c_e * L_e + L_loc into the editor parameters only. The raw gradient factors are treated as constants, so no
 higher-order gradients of the base model are ever formed, and the base model
 itself is never updated. The edited model stays in factored form (see
-`editor.edited_forward`), so a step forms no (n, m) weight or gradient.
+`editor.edited_forward`), so a step forms no (n, m) weight or gradient. A
+step's groups, and all groups of a validation, run as one batched pass: one
+factor pass, one edited forward, one base-model forward and one reverse pass.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .editor import (
     edited_forward,
     fit_normalizer,
     init_editor,
-    zero_grads,
 )
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .mlp import Mlp, backward, backward_nll, clone_with_weights, forward, init_mlp
 from .ndops import (
     AdamState,
@@ -79,33 +80,42 @@ def group_losses_and_grads(
     model: Mlp,
     params: EditorParams,
     normalizer: Normalizer | None,
-    records: Sequence[EditRecord],
+    records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]],
     c_e: float,
     rng: np.random.Generator,
     want_grads: bool = True,
 ) -> tuple[StepLosses, dict[str, Array] | None]:
-    """Apply all records' edit pairs in one model update, then score the
-    edited model: L_e is the mean NLL of one paraphrase sampled per record
-    (the neighborhood includes the edit pair itself) and L_loc the mean exact
-    KL against the pre-edit model at the records' locality inputs."""
-    for rec in records:
+    """Apply each group's edit pairs in one model update of its own, then
+    score the edited model: L_e is the mean NLL of one paraphrase sampled per
+    record (the neighborhood includes the edit pair itself) and L_loc the
+    mean exact KL against the pre-edit model at the records' locality inputs.
+
+    `records` is one group or a list of equal-size groups. All G groups of k
+    records run as one pass: one factor pass and editor apply over the G*k
+    edit pairs, one edited forward over a (G, 2k, d) batch, one base-model
+    forward at the locality inputs and one reverse pass. Losses and gradients
+    are means over all G*k records, i.e. over the groups' own means."""
+    groups = [records] if records and isinstance(records[0], EditRecord) else records
+    sizes = sorted({len(g) for g in groups})
+    if len(sizes) > 1:
+        raise ConfigError(f"groups must all have one size, got sizes {sizes}")
+    flat = [rec for g in groups for rec in g]
+    for rec in flat:
         _check_record(rec)
-    k = len(records)
-    eq_pairs = [
-        rec.neighborhood[int(rng.integers(len(rec.neighborhood)))] for rec in records
-    ]
-    tape = apply_edit_with_tape(
-        model, params, normalizer, [(rec.x_e, rec.y_e) for rec in records]
-    )
+    eq_pairs = [rec.neighborhood[int(rng.integers(len(rec.neighborhood)))] for rec in flat]
+    tape = apply_edit_with_tape(model, params, normalizer, [(rec.x_e, rec.y_e) for rec in flat])
+    n = len(flat)
+    n_groups, k = len(groups), n // len(groups)
     xs_eq = np.stack([x for x, _ in eq_pairs])
     ys_eq = np.array([y for _, y in eq_pairs], dtype=np.int64)
-    xs_loc = np.stack([rec.x_loc for rec in records])
-    # one edited forward over the paraphrases, then the locality inputs
-    logits, trace = edited_forward(tape, np.concatenate([xs_eq, xs_loc]))
-    logp = log_softmax(logits[:k])
-    l_e = -float(np.mean(logp[np.arange(k), ys_eq]))
+    xs_loc = np.stack([rec.x_loc for rec in flat])
+    # one edited forward: group g's k paraphrases, then its k locality inputs
+    logits, trace = edited_forward(tape, np.concatenate(
+        [xs_eq.reshape(n_groups, k, -1), xs_loc.reshape(n_groups, k, -1)], axis=1))
+    logp = log_softmax(logits[:, :k].reshape(n, -1))
+    l_e = -float(np.mean(logp[np.arange(n), ys_eq]))
 
-    post_logits = logits[k:]
+    post_logits = logits[:, k:].reshape(n, -1)
     pre_logits, _ = forward(model, xs_loc)
     l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
     losses = StepLosses(l_e, l_loc, c_e * l_e + l_loc)
@@ -113,32 +123,11 @@ def group_losses_and_grads(
         return losses, None
 
     dlogits_e = np.exp(logp)
-    dlogits_e[np.arange(k), ys_eq] -= 1.0
+    dlogits_e[np.arange(n), ys_eq] -= 1.0
     dlogits_loc = softmax(post_logits) - softmax(pre_logits)
-    dlogits = np.concatenate([(c_e / k) * dlogits_e, dlogits_loc / k])
+    dlogits = np.concatenate([((c_e / n) * dlogits_e).reshape(n_groups, k, -1),
+                              (dlogits_loc / n).reshape(n_groups, k, -1)], axis=1)
     return losses, backprop_edit(params, trace, dlogits)
-
-
-def _batched_grads(
-    model: Mlp,
-    params: EditorParams,
-    normalizer: Normalizer | None,
-    groups: Sequence[Sequence[EditRecord]],
-    c_e: float,
-    rng: np.random.Generator,
-) -> tuple[StepLosses, dict[str, Array]]:
-    total = zero_grads(params)
-    le = lloc = 0.0
-    for group in groups:
-        losses, grads = group_losses_and_grads(model, params, normalizer, group, c_e, rng)
-        le += losses.l_e
-        lloc += losses.l_loc
-        for k in total:
-            total[k] += grads[k]
-    b = len(groups)
-    for k in total:
-        total[k] /= b
-    return StepLosses(le / b, lloc / b, (c_e * le + lloc) / b), total
 
 
 def validation_loss(
@@ -150,13 +139,12 @@ def validation_loss(
     seed: int,
     edits_per_step: int = 1,
 ) -> float:
+    """Mean L_total over the `fact_groups` of `records`, in one pass."""
     groups = fact_groups(records, edits_per_step)
-    rng = make_rng(seed)
-    total = sum(
-        group_losses_and_grads(model, params, normalizer, g, c_e, rng, want_grads=False)[0].l_total
-        for g in groups
+    losses, _ = group_losses_and_grads(
+        model, params, normalizer, groups, c_e, make_rng(seed), want_grads=False
     )
-    return total / len(groups)
+    return losses.l_total
 
 
 def train_editor(
@@ -204,7 +192,9 @@ def train_editor(
                 bucket = fact_buckets[fact_ids[fi]]
                 group.append(bucket[int(rng.integers(len(bucket)))])
             groups.append(group)
-        losses, grads = _batched_grads(model, params, normalizer, groups, config.c_e, rng)
+        losses, grads = group_losses_and_grads(
+            model, params, normalizer, groups, config.c_e, rng
+        )
         params.values = adam_step(params.values, grads, adam_state)
         entry = {
             "step": step,

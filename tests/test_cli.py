@@ -338,6 +338,34 @@ def test_dataset_label_outside_classes_exit_code(pipeline, tmp_path):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_edit_non_finite_input_exit_code(pipeline, tmp_path):
+    path = _edit_input(pipeline, tmp_path)
+    payload = json.loads(path.read_text())
+    payload["x"][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    assert main([
+        "edit", "--model", str(pipeline / "model.json"),
+        "--editor", str(pipeline / "editor.json"),
+        "--edit-input", str(path), "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()
+
+
+def _nan_x_loc(lines):
+    next(obj for obj in lines[1:] if obj["split"] == "edit_test")["x_loc"][0] = float("nan")
+
+
+def _nan_pretrain_x(lines):
+    next(obj for obj in lines[1:] if obj["split"] == "pretrain")["x"][0] = float("nan")
+
+
+@pytest.mark.parametrize("edit", [_nan_x_loc, _nan_pretrain_x], ids=["x_loc", "pretrain_x"])
+def test_dataset_non_finite_input_exit_code(pipeline, tmp_path, edit):
+    dataset = _rewritten_dataset(pipeline, tmp_path, edit)
+    assert main(["pretrain", "--dataset", str(dataset), "--out-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "model.json").exists()
+
+
 def _nan_weight(payload):
     payload["weights"][0][0][0] = float("nan")
     return payload

@@ -1,8 +1,8 @@
 """Editor-network tests: identity initialization, variant switches, shape
 sharing, normalization statistics, the outer-product edit rule, the factored
 edited forward against the materialized edit, the hand-rolled reverse pass
-against the finite-difference oracle, and the row-batched edit path against
-a per-row reference loop."""
+against the finite-difference oracle, the row-batched edit path against a
+per-row reference loop, and a batch of groups against separate groups."""
 
 import json
 from types import SimpleNamespace
@@ -333,10 +333,57 @@ def test_edited_forward_matches_materialized_edit():
 def test_backprop_edit_shape_check():
     model = init_mlp([5, 4], make_rng(2))
     params = _editor_for(model, variant=VariantConfig(normalize=False))
-    _, trace = edited_forward(apply_edit_with_tape(model, params, None, [(np.zeros(5), 0)]),
-                              np.zeros((3, 5)))
+    tape = apply_edit_with_tape(model, params, None, [(np.zeros(5), 0), (np.ones(5), 1)])
+    _, trace = edited_forward(tape, np.zeros((3, 5)))
     with pytest.raises(ShapeError):
         backprop_edit(params, trace, np.zeros((2, 4)))
+    # logits of two groups are (2, 3, 4); their flattened rows are not
+    _, trace = edited_forward(tape, np.zeros((2, 3, 5)))
+    with pytest.raises(ShapeError):
+        backprop_edit(params, trace, np.zeros((6, 4)))
+
+
+def test_edited_forward_rejects_groups_that_do_not_divide_the_tape():
+    model = init_mlp([5, 4], make_rng(2))
+    params = _editor_for(model, variant=VariantConfig(normalize=False))
+    pairs = [(np.full(5, float(i)), i) for i in range(3)]
+    tape = apply_edit_with_tape(model, params, None, pairs)
+    for groups in (2, 0):
+        with pytest.raises(ShapeError):
+            edited_forward(tape, np.zeros((groups, 4, 5)))
+    with pytest.raises(ShapeError):
+        edited_forward(tape, np.zeros((1, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
+def test_grouped_edit_matches_separate_groups(name):
+    # group g of a (G, B, d) batch under the tape's rows g*k:(g+1)*k equals
+    # an edit of that group's k pairs alone; gradients sum over the groups
+    model = init_mlp([5, 4, 4, 3], make_rng(2))
+    variant = ABLATION_VARIANTS[name]
+    params = _editor_for(model, variant=variant, seed=3, layers=[0, 2])
+    rng = make_rng(8)
+    params.values = {
+        k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
+    }
+    records = [SimpleNamespace(x_e=rng.standard_normal(5), y_e=int(rng.integers(3)))
+               for _ in range(12)]
+    normalizer = fit_normalizer(model, records, params) if variant.normalize else None
+    n_groups, k = 3, 2
+    pairs = [(rng.standard_normal(5), int(rng.integers(3))) for _ in range(n_groups * k)]
+    xs = rng.standard_normal((n_groups, 4, 5))
+    R = rng.standard_normal((n_groups, 4, 3))
+    logits, trace = edited_forward(apply_edit_with_tape(model, params, normalizer, pairs), xs)
+    got = {"logits": logits, **backprop_edit(params, trace, R)}
+    want = {"logits": np.zeros_like(logits), **zero_grads(params)}
+    for g in range(n_groups):
+        tape = apply_edit_with_tape(model, params, normalizer, pairs[g * k : (g + 1) * k])
+        want["logits"][g], trace = edited_forward(tape, xs[g])
+        for key, v in backprop_edit(params, trace, R[g]).items():
+            want[key] += v
+    for key in want:
+        scale = max(float(np.max(np.abs(want[key]))), 1e-300)
+        assert float(np.max(np.abs(got[key] - want[key]))) <= 1e-13 * scale, key
 
 
 # ------------------------------------- row-batched path vs per-row reference

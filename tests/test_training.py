@@ -1,13 +1,14 @@
 """Training-loop tests: loss composition, the structural meta-gradient
 against finite differences, the factored meta-step against the dense one it
-replaced, determinism, early stopping, and the fine-tuning baselines."""
+replaced, the grouped meta-step and validation against the per-group loops
+they replaced, determinism, early stopping, and the fine-tuning baselines."""
 
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from gradedit.bench import WorldConfig, generate_world
+from gradedit.bench import WorldConfig, fact_groups, generate_world
 from gradedit.editor import (
     VariantConfig,
     _editor_backward,
@@ -138,6 +139,21 @@ def _dense_group_losses_and_grads(model, params, normalizer, records, c_e, rng):
     return {"l_e": l_e, "l_loc": l_loc, **grads}
 
 
+def _assert_close(got, want, tol=5e-14):
+    """Every loss and gradient of `got` within `tol` of `want`, relative to
+    the largest entry of each. Observed <= 7e-15; tight enough that a 1e-13
+    relative change fails."""
+    assert set(got) == set(want)
+    for key in want:
+        # the KL of two nearly equal distributions keeps the absolute rounding
+        # error of its O(1) logits, so losses are compared on a scale of at
+        # least one nat
+        floor = 1.0 if key.startswith(("l_", "val")) else 1e-300
+        scale = max(float(np.max(np.abs(want[key]))), floor)
+        rel = float(np.max(np.abs(np.asarray(got[key]) - want[key]))) / scale
+        assert rel <= tol, (key, rel)
+
+
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
 @pytest.mark.parametrize("layers", [[0, 1, 2], [1], [0, 2], [2]])
 def test_factored_meta_step_matches_dense_reference(small_world, name, layers):
@@ -157,16 +173,68 @@ def test_factored_meta_step_matches_dense_reference(small_world, name, layers):
         losses, grads = group_losses_and_grads(model, params, norm, group, 0.1, make_rng(k))
         got = {"l_e": losses.l_e, "l_loc": losses.l_loc, **grads}
         want = _dense_group_losses_and_grads(model, params, norm, group, 0.1, make_rng(k))
-        assert set(got) == set(want)
-        for key in want:
-            # the KL of two nearly equal distributions keeps the absolute
-            # rounding error of its O(1) logits, so the losses are compared
-            # on a scale of at least one nat
-            floor = 1.0 if key.startswith("l_") else 1e-300
-            scale = max(float(np.max(np.abs(want[key]))), floor)
-            rel = float(np.max(np.abs(np.asarray(got[key]) - want[key]))) / scale
-            # observed <= 7e-15; tight enough that a 1e-13 change fails
-            assert rel <= 5e-14, (k, key, rel)
+        _assert_close(got, want)
+
+
+def _reference_batched_grads(model, params, normalizer, groups, c_e, rng):
+    """The per-group loop that the grouped step replaced: one
+    `group_losses_and_grads` call per group, averaged over the groups."""
+    total = zero_grads(params)
+    le = lloc = 0.0
+    for group in groups:
+        losses, grads = group_losses_and_grads(model, params, normalizer, group, c_e, rng)
+        le += losses.l_e
+        lloc += losses.l_loc
+        for key in total:
+            total[key] += grads[key]
+    b = len(groups)
+    return {"l_e": le / b, "l_loc": lloc / b, "l_total": (c_e * le + lloc) / b,
+            **{key: v / b for key, v in total.items()}}
+
+
+def _reference_validation_loss(model, params, normalizer, records, c_e, seed, k):
+    """The per-group sum that the one-pass `validation_loss` replaced."""
+    groups = fact_groups(records, k)
+    rng = make_rng(seed)
+    total = sum(
+        group_losses_and_grads(model, params, normalizer, g, c_e, rng, want_grads=False)[0].l_total
+        for g in groups
+    )
+    return total / len(groups)
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
+def test_grouped_meta_step_matches_per_group_loop(small_world, name):
+    variant = ABLATION_VARIANTS[name]
+    model = init_mlp([16, 6, 6, 6], make_rng(2))
+    rng = make_rng(3)
+    params = init_editor(model, [0, 1, 2], 2, variant, rng)
+    params.values = {
+        k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
+    }
+    records = small_world.edit_train + small_world.edit_test
+    norm = fit_normalizer(model, records, params) if variant.normalize else None
+    for k in (1, 5, 25):
+        for n_groups in (1, 3, 10):
+            groups = [[records[i] for i in rng.choice(len(records), size=k, replace=False)]
+                      for _ in range(n_groups)]
+            rng_got, rng_want = make_rng(k + n_groups), make_rng(k + n_groups)
+            losses, grads = group_losses_and_grads(model, params, norm, groups, 0.1, rng_got)
+            got = {"l_e": losses.l_e, "l_loc": losses.l_loc, "l_total": losses.l_total, **grads}
+            want = _reference_batched_grads(model, params, norm, groups, 0.1, rng_want)
+            _assert_close(got, want)
+            # the paraphrases are drawn group by group, record by record
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        val = validation_loss(model, params, norm, records, 0.1, seed=k, edits_per_step=k)
+        want = _reference_validation_loss(model, params, norm, records, 0.1, k, k)
+        _assert_close({"val": val}, {"val": want})
+
+
+def test_group_losses_reject_unequal_groups(small_world, small_model):
+    params, norm = _fresh_editor(small_model, small_world.edit_train[:20])
+    groups = [small_world.edit_train[:2], small_world.edit_train[2:5]]
+    with pytest.raises(ConfigError):
+        group_losses_and_grads(small_model, params, norm, groups, 0.1, make_rng(0))
 
 
 def test_train_editor_zero_steps_returns_fresh_editor(small_world, small_model):
@@ -252,7 +320,8 @@ def test_train_editor_rejects_k_above_validation_set_before_any_step(small_world
     val = small_world.edit_train[-3:]
     cfg = TrainConfig(max_steps=200, edits_per_step=4, batch_size=1, eval_every=50)
     calls = []
-    with patch("gradedit.training._batched_grads", side_effect=lambda *a: calls.append(a)):
+    with patch("gradedit.training.group_losses_and_grads",
+               side_effect=lambda *a, **kw: calls.append(a)):
         with pytest.raises(ConfigError):
             train_editor(small_model, small_world.edit_train[:-3], val, cfg)
     assert calls == []
