@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .mlp import Mlp, backward_factors, clone_with_weights, forward, nll_grad
-from .ndops import Array, check_finite, relu, relu_grad, xavier_uniform
+from .ndops import Array, FlatTree, check_finite, flatten, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
 
@@ -70,8 +70,9 @@ class EditorParams:
 
     Group tensors (shared across same-shape layers) live under
     "g:<key>:{U1,V1,b1,U2,V2}"; per-layer tensors under
-    "l:<layer>:{s1,o1,s2,o2,alpha}". Keeping one flat tree makes Adam and
-    finite-difference checking over the whole editor trivial.
+    "l:<layer>:{s1,o1,s2,o2,alpha}". `init_editor`, `load_editor` and
+    `copy` lay the tree out as a `FlatTree`, views into one vector
+    `values.flat`, so that Adam updates the whole editor in one operation.
     """
 
     rank: int
@@ -91,7 +92,7 @@ class EditorParams:
             editable_layers=list(self.editable_layers),
             layer_group=dict(self.layer_group),
             group_dims=dict(self.group_dims),
-            values={k: v.copy() for k, v in self.values.items()},
+            values=flatten(self.values),
         )
 
 
@@ -178,7 +179,7 @@ def init_editor(
         values[f"l:{l}:s2"] = np.ones(width)
         values[f"l:{l}:o2"] = np.zeros(width)
         values[f"l:{l}:alpha"] = np.array(float(alpha_init))
-    return EditorParams(rank, variant, layers, layer_group, group_dims, values)
+    return EditorParams(rank, variant, layers, layer_group, group_dims, flatten(values))
 
 
 def fit_normalizer(
@@ -425,8 +426,11 @@ def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
     return logits, EditedTrace(tape, logits.shape, inputs, preacts, proj)
 
 
-def zero_grads(params: EditorParams) -> dict[str, Array]:
-    return {k: np.zeros_like(v) for k, v in params.values.items()}
+def zero_grads(params: EditorParams) -> FlatTree:
+    """Zero gradients for `params`, as views into one vector laid out like
+    `params.values`."""
+    shapes = {k: np.shape(v) for k, v in params.values.items()}
+    return FlatTree(np.zeros(params.num_parameters()), shapes)
 
 
 def backprop_edit(params: EditorParams, trace: EditedTrace, dlogits: Array) -> dict[str, Array]:
@@ -534,7 +538,8 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
             editable_layers=layers,
             layer_group={l: payload["layer_group"][str(l)] for l in layers},
             group_dims={k: (int(m), int(n)) for k, (m, n) in payload["group_dims"].items()},
-            values={k: np.array(v, dtype=np.float64) for k, v in payload["values"].items()},
+            values=flatten({k: np.array(v, dtype=np.float64)
+                            for k, v in payload["values"].items()}),
         )
         shapes = _tensor_shapes(params.rank, params.variant, params.layer_group, params.group_dims)
         nz = payload["normalizer"]

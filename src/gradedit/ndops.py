@@ -1,5 +1,6 @@
 """Deterministic numerical core: seeded RNG, activations, softmax,
-KL divergence, Adam, and a finite-difference gradient oracle.
+KL divergence, flat parameter trees, Adam, and a finite-difference gradient
+oracle.
 
 All arrays are float64 numpy arrays. Every public operation asserts finite
 outputs. All randomness flows through explicitly passed numpy Generators
@@ -8,7 +9,8 @@ seeded with PCG64, so identical seeds give identical draws on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -68,38 +70,61 @@ def kl_divergence(p_logits: Array, q_logits: Array) -> Array:
     return np.sum(np.exp(logp) * (logp - logq), axis=-1)
 
 
+class FlatTree(dict):
+    """A name -> array tree whose arrays are views, in order, into one
+    contiguous float64 vector `flat`, so that one elementwise operation on
+    `flat` updates every array. Rebinding an entry detaches it from `flat`."""
+
+    def __init__(self, flat: Array, shapes: Mapping[str, tuple[int, ...]]) -> None:
+        super().__init__()
+        total = sum(math.prod(shape) for shape in shapes.values())
+        if flat.shape != (total,):
+            raise ShapeError(f"flat vector of shape {flat.shape} does not hold {total} values")
+        off = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self[name] = flat[off : off + size].reshape(shape)
+            off += size
+        self.flat = flat
+
+
+def flatten(tree: Mapping[str, Array]) -> FlatTree:
+    """A copy of `tree` laid out, in its order, in one float64 vector."""
+    flat = np.concatenate([np.ravel(v) for v in tree.values()], dtype=np.float64)
+    return FlatTree(flat, {k: np.shape(v) for k, v in tree.items()})
+
+
 @dataclass
 class AdamState:
-    """Adam accumulators for a tree of named parameters."""
+    """Adam accumulators for one flat parameter vector."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: ParamTree = field(default_factory=dict)
-    v: ParamTree = field(default_factory=dict)
+    m: Array | None = None
+    v: Array | None = None
 
 
-def adam_step(params: ParamTree, grads: ParamTree, state: AdamState) -> ParamTree:
-    """One bias-corrected Adam update. Returns new params; mutates `state`."""
-    if set(params) != set(grads):
-        raise ShapeError("adam_step: params and grads have different keys")
-    if not state.m:
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
+def adam_step(params: Array, grads: Array, state: AdamState) -> None:
+    """One bias-corrected Adam update of the flat float64 vector `params`,
+    in place, so that every view into it (a `FlatTree`) sees the update;
+    mutates `state`. Each element gets the same IEEE arithmetic as a
+    per-tensor update would give it."""
+    if params.ndim != 1 or grads.shape != params.shape:
+        raise ShapeError(f"adam_step: grad shape {grads.shape} != flat param shape {params.shape}")
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+    elif state.m.shape != params.shape:
+        raise ShapeError(f"adam_step: state holds moments of shape {state.m.shape}, not {params.shape}")
     state.t += 1
-    out: ParamTree = {}
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for {k}")
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[k] / (1.0 - state.beta1**state.t)
-        v_hat = state.v[k] / (1.0 - state.beta2**state.t)
-        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return out
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
+    m_hat = state.m / (1.0 - state.beta1**state.t)
+    v_hat = state.v / (1.0 - state.beta2**state.t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def finite_diff_grad(

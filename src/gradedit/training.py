@@ -36,6 +36,7 @@ from .ndops import (
     AdamState,
     Array,
     adam_step,
+    flatten,
     kl_divergence,
     log_softmax,
     make_rng,
@@ -195,7 +196,7 @@ def train_editor(
         losses, grads = group_losses_and_grads(
             model, params, normalizer, groups, config.c_e, rng
         )
-        params.values = adam_step(params.values, grads, adam_state)
+        adam_step(params.values.flat, grads.flat, adam_state)
         entry = {
             "step": step,
             "l_e": losses.l_e,
@@ -291,10 +292,11 @@ def pretrain_model(
     rng = make_rng(seed)
     dims = [cfg.feature_dim, *hidden_dims, cfg.num_classes]
     model = init_mlp(dims, rng)
-    tree = {}
-    for l in range(model.num_layers):
-        tree[f"W{l}"] = model.weights[l]
-        tree[f"b{l}"] = model.biases[l]
+    # the weights and biases become views into one vector that Adam updates
+    tree = flatten({**{f"W{l}": w for l, w in enumerate(model.weights)},
+                    **{f"b{l}": b for l, b in enumerate(model.biases)}})
+    model.weights = [tree[f"W{l}"] for l in range(model.num_layers)]
+    model.biases = [tree[f"b{l}"] for l in range(model.num_layers)]
     state = AdamState(lr=lr)
     n = world.pretrain_x.shape[0]
     for _ in range(epochs):
@@ -304,12 +306,6 @@ def pretrain_model(
             xs, ys = world.pretrain_x[idx], world.pretrain_y[idx]
             logits, trace = forward(model, xs)
             _, _, wgrads, bgrads = backward_nll(model, trace, ys)
-            grads = {}
-            for l in range(model.num_layers):
-                grads[f"W{l}"] = wgrads[l] / len(idx)
-                grads[f"b{l}"] = bgrads[l] / len(idx)
-            tree = adam_step(tree, grads, state)
-            for l in range(model.num_layers):
-                model.weights[l] = tree[f"W{l}"]
-                model.biases[l] = tree[f"b{l}"]
+            grads = np.concatenate([np.ravel(g / len(idx)) for g in wgrads + bgrads])
+            adam_step(tree.flat, grads, state)
     return model, accuracy(model, world.pretrain_x, world.pretrain_y)

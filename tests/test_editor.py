@@ -98,8 +98,10 @@ def test_editor_params_copy_is_deep():
     params = _editor_for(model)
     cp = params.copy()
     key = next(iter(cp.values))
-    cp.values[key] = cp.values[key] + 1.0
+    cp.values[key] += 1.0  # in place, into the copy's own buffer
     assert not np.array_equal(cp.values[key], params.values[key])
+    assert not np.shares_memory(cp.values.flat, params.values.flat)
+    assert all(np.shares_memory(v, cp.values.flat) for v in cp.values.values())
 
 
 # ------------------------------------------------------------ normalizer
@@ -516,6 +518,9 @@ def test_zero_grads_mirrors_params():
     grads = zero_grads(params)
     assert set(grads) == set(params.values)
     assert all(not g.any() for g in grads.values())
+    # one gradient buffer, laid out like the parameters
+    assert grads.flat.shape == params.values.flat.shape
+    assert all(np.shares_memory(g, grads.flat) for g in grads.values())
 
 
 # ------------------------------------------------------------- persistence
@@ -532,6 +537,7 @@ def test_editor_checkpoint_round_trip(tmp_path, small_world, small_model):
     assert set(loaded.values) == set(params.values)
     for k in params.values:
         assert np.array_equal(np.asarray(loaded.values[k]), np.asarray(params.values[k])), k
+        assert np.shares_memory(loaded.values[k], loaded.values.flat), k
     rec = small_world.edit_train[0]
     a = apply_edit(small_model, params, norm, [(rec.x_e, rec.y_e)])
     b = apply_edit(small_model, loaded, loaded_norm, [(rec.x_e, rec.y_e)])

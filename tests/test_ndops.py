@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from gradedit.errors import ShapeError
 from gradedit.ndops import (
     AdamState,
+    FlatTree,
     adam_step,
     check_finite,
     finite_diff_grad,
+    flatten,
     kl_divergence,
     log_softmax,
     make_rng,
@@ -101,29 +103,76 @@ def test_kl_divergence_closed_form():
 def test_adam_first_step_moves_by_lr():
     # with a constant gradient, the bias-corrected first step is exactly
     # -lr * sign(g) up to eps
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.array([0.5, -0.25])}
+    params = np.array([1.0, -2.0])
+    grads = np.array([0.5, -0.25])
     state = AdamState(lr=0.1)
-    out = adam_step(params, grads, state)
-    assert np.allclose(out["w"], params["w"] - 0.1 * np.sign(grads["w"]), atol=1e-6)
+    adam_step(params, grads, state)
+    assert np.allclose(params, [1.0, -2.0] - 0.1 * np.sign(grads), atol=1e-6)
     assert state.t == 1
 
 
 def test_adam_converges_on_quadratic():
-    params = {"w": np.array([5.0, -3.0])}
+    params = np.array([5.0, -3.0])
     state = AdamState(lr=0.1)
     for _ in range(500):
-        grads = {"w": 2.0 * params["w"]}
-        params = adam_step(params, grads, state)
-    assert np.all(np.abs(params["w"]) < 1e-3)
+        adam_step(params, 2.0 * params, state)
+    assert np.all(np.abs(params) < 1e-3)
 
 
 def test_adam_key_and_shape_checks():
+    # the moments belong to one flat layout: another vector's grads, a
+    # non-flat vector, or a state reused on another vector are rejected
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros(2), np.zeros(3), AdamState())
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros((2, 2)), np.zeros((2, 2)), AdamState())
     state = AdamState()
+    adam_step(np.zeros(2), np.ones(2), state)
     with pytest.raises(ShapeError):
-        adam_step({"a": np.zeros(2)}, {"b": np.zeros(2)}, state)
+        adam_step(np.zeros(3), np.ones(3), state)
+
+
+def _reference_adam_tree(params, grads, state, m, v):
+    """The per-tensor Adam loop that the flat update replaced."""
+    state.t += 1
+    out = {}
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = state.beta1 * m[k] + (1.0 - state.beta1) * g
+        v[k] = state.beta2 * v[k] + (1.0 - state.beta2) * g * g
+        m_hat = m[k] / (1.0 - state.beta1**state.t)
+        v_hat = v[k] / (1.0 - state.beta2**state.t)
+        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return out
+
+
+def test_flat_adam_is_bitwise_the_per_tensor_loop():
+    rng = make_rng(4)
+    shapes = {"w": (3, 5), "alpha": (), "b": (5,), "s": (1, 7)}
+    want = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    tree = flatten(want)
+    ref_state, state = AdamState(lr=3e-2), AdamState(lr=3e-2)
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    for _ in range(50):
+        grads = {k: rng.standard_normal(s) ** 3 for k, s in shapes.items()}
+        want = _reference_adam_tree(want, grads, ref_state, m, v)
+        adam_step(tree.flat, flatten(grads).flat, state)
+    for k in shapes:
+        assert np.array_equal(tree[k], want[k]), k
+        assert np.shares_memory(tree[k], tree.flat)
+    assert np.array_equal(state.m, flatten(m).flat) and np.array_equal(state.v, flatten(v).flat)
+
+
+def test_flatten_lays_out_views_in_order():
+    tree = flatten({"a": np.arange(6.0).reshape(2, 3), "z": np.array(7.0), "b": np.ones(2)})
+    assert list(tree) == ["a", "z", "b"]
+    assert np.array_equal(tree.flat, [0, 1, 2, 3, 4, 5, 7, 1, 1])
+    assert tree["z"].shape == () and tree["a"].shape == (2, 3)
+    tree.flat *= 2.0
+    assert float(tree["z"]) == 14.0 and tree["a"][1, 2] == 10.0
     with pytest.raises(ShapeError):
-        adam_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, AdamState())
+        FlatTree(np.zeros(5), {"a": (2, 3)})
 
 
 def test_finite_diff_grad_on_known_function():

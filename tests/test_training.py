@@ -262,6 +262,41 @@ def test_train_editor_is_deterministic(small_world, small_model):
         assert np.array_equal(np.asarray(a.values[k]), np.asarray(b.values[k]))
 
 
+def test_editor_values_stay_views_into_one_buffer(small_world, small_model):
+    fresh = init_editor(small_model, [0, 1], 2, VariantConfig(), make_rng(0))
+    assert all(np.shares_memory(v, fresh.values.flat) for v in fresh.values.values())
+    cfg = TrainConfig(max_steps=10, batch_size=2, eval_every=0)
+    params, _, log = train_editor(small_model, small_world.edit_train, [], cfg)
+    assert len(log) == 10
+    assert params.values.flat.size == params.num_parameters()
+    for key, v in params.values.items():
+        assert np.shares_memory(v, params.values.flat), key
+    # the steps moved the editor through its buffer
+    assert not np.array_equal(params.values.flat, init_editor(
+        small_model, [0, 1], cfg.rank, VariantConfig(), make_rng(cfg.seed), cfg.alpha_init
+    ).values.flat)
+
+
+def test_best_snapshot_is_not_changed_by_later_steps(small_world, small_model):
+    # the first validation is the best one; the steps after it must not
+    # reach the snapshot taken there
+    snapshots = []
+
+    def fake_validation(model, params, *args):
+        snapshots.append(params.copy())
+        return float(len(snapshots))
+
+    cfg = TrainConfig(max_steps=12, batch_size=2, eval_every=3, patience=10)
+    with patch("gradedit.training.validation_loss", side_effect=fake_validation):
+        best, _, log = train_editor(
+            small_model, small_world.edit_train[:-8], small_world.edit_train[-8:], cfg
+        )
+    assert len(snapshots) == 4 and len(log) == 12
+    assert not np.shares_memory(best.values.flat, snapshots[-1].values.flat)
+    assert np.array_equal(best.values.flat, snapshots[0].values.flat)
+    assert not np.array_equal(best.values.flat, snapshots[-1].values.flat)
+
+
 def test_train_editor_does_not_mutate_model(small_world, small_model):
     before_w = [w.copy() for w in small_model.weights]
     before_b = [b.copy() for b in small_model.biases]
