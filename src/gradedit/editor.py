@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -332,6 +332,26 @@ class EditTape:
     editor_tapes: dict[int, _EditorTape]
 
 
+def tape_from_factors(
+    model: Mlp,
+    params: EditorParams,
+    normalizer: Normalizer | None,
+    u: Mapping[int, Array],
+    delta: Mapping[int, Array],
+) -> EditTape:
+    """Transform each editable layer's raw (B, m) u rows and (B, n) delta
+    rows, taken on the un-edited `model`, into the edited model's factors
+    plus the reverse-pass tape: the one editor path of editing and
+    meta-training."""
+    tape = EditTape(model, {}, {}, {}, {})
+    for l in params.editable_layers:
+        tape.alpha[l] = float(params.values[f"l:{l}:alpha"])
+        tape.pseudo_u[l], tape.pseudo_d[l], tape.editor_tapes[l] = _editor_apply(
+            params, l, u[l], delta[l], normalizer
+        )
+    return tape
+
+
 def apply_edit_with_tape(
     model: Mlp,
     params: EditorParams,
@@ -348,14 +368,8 @@ def apply_edit_with_tape(
     _, trace = forward(model, xs)
     _, dlogits = nll_grad(model, trace, ys)
     factors = backward_factors(model, trace, dlogits)
-
-    tape = EditTape(model, {}, {}, {}, {})
-    for l in params.editable_layers:
-        tape.alpha[l] = float(params.values[f"l:{l}:alpha"])
-        tape.pseudo_u[l], tape.pseudo_d[l], tape.editor_tapes[l] = _editor_apply(
-            params, l, factors[l].u, factors[l].delta, normalizer
-        )
-    return tape
+    return tape_from_factors(model, params, normalizer, {f.layer: f.u for f in factors},
+                             {f.layer: f.delta for f in factors})
 
 
 def apply_edit(

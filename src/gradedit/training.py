@@ -4,12 +4,20 @@ A training step edits the base model, separately for each of its groups of
 records, with the group's edit pairs in one update, scores each edited model
 on a sampled paraphrase per record (edit loss) and on the records' locality
 inputs (exact KL against the pre-edit model), and pushes the gradient of
-c_e * L_e + L_loc into the editor parameters only. The raw gradient factors are treated as constants, so no
-higher-order gradients of the base model are ever formed, and the base model
-itself is never updated. The edited model stays in factored form (see
-`editor.edited_forward`), so a step forms no (n, m) weight or gradient. A
-step's groups, and all groups of a validation, run as one batched pass: one
-factor pass, one edited forward, one base-model forward and one reverse pass.
+c_e * L_e + L_loc into the editor parameters only. The raw gradient factors
+are treated as constants, so no higher-order gradients of the base model are
+ever formed, and the base model itself is never updated. The edited model
+stays in factored form (see `editor.edited_forward`), so a step forms no
+(n, m) weight or gradient.
+
+Since the base model is frozen, a record's raw factors at its edit pair and
+the pre-edit logits at its locality input never change: `train_editor`
+builds one `FactorTable` over its train records and one over its validation
+records before the first step. A step, and a validation, only gathers table
+rows, runs the editor on them and makes one edited forward and one reverse
+pass over all its groups; it does no base-model work. The editor's
+parameters, gradients and Adam moments are each one flat vector (see
+`ndops.FlatTree`), so its update is one elementwise Adam step.
 """
 
 from __future__ import annotations
@@ -24,14 +32,23 @@ from .editor import (
     EditorParams,
     Normalizer,
     VariantConfig,
-    apply_edit_with_tape,
     backprop_edit,
     edited_forward,
     fit_normalizer,
     init_editor,
+    tape_from_factors,
 )
 from .errors import ConfigError, DataError
-from .mlp import Mlp, backward, backward_nll, clone_with_weights, forward, init_mlp
+from .mlp import (
+    Mlp,
+    backward,
+    backward_factors,
+    backward_nll,
+    clone_with_weights,
+    forward,
+    init_mlp,
+    nll_grad,
+)
 from .ndops import (
     AdamState,
     Array,
@@ -59,10 +76,19 @@ class TrainConfig:
     editable_layers: list[int] | None = None
 
     def __post_init__(self) -> None:
-        if self.c_e < 0:
-            raise ValueError("c_e must be >= 0")
-        if self.edits_per_step < 1:
-            raise ValueError("edits_per_step must be >= 1")
+        # (field, lowest allowed value, whether the field counts steps or items)
+        bounds = [("c_e", 0, False), ("max_steps", 0, True), ("eval_every", 0, True),
+                  ("edits_per_step", 1, True), ("batch_size", 1, True),
+                  ("patience", 1, True), ("rank", 1, True)]
+        for name, low, integral in bounds:
+            value = getattr(self, name)
+            kinds = (int,) if integral else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds) or not value >= low:
+                kind = "an integer" if integral else "a number"
+                raise ConfigError(f"{name} must be {kind} >= {low}, got {value!r}")
+        lr = self.meta_lr
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not lr > 0:
+            raise ConfigError(f"meta_lr must be a number > 0, got {lr!r}")
 
 
 @dataclass
@@ -72,16 +98,78 @@ class StepLosses:
     l_total: float
 
 
+@dataclass
+class FactorTable:
+    """The frozen base model's state for meta-training, one row per record:
+    its raw factors at the edit pair, its logits at the locality input, and
+    the record's paraphrase neighborhood, zero-padded to the longest one."""
+
+    u: dict[int, Array]  # editable layer -> (N, m) raw u rows at x_e
+    delta: dict[int, Array]  # editable layer -> (N, n) raw delta rows at x_e
+    x_loc: Array  # (N, d)
+    pre_logits: Array  # (N, C) base-model logits at x_loc
+    nb_x: Array  # (N, max neighborhood, d)
+    nb_y: Array  # (N, max neighborhood)
+    nb_count: list[int]  # neighborhood sizes
+
+
+@dataclass
+class TableGroups:
+    """Equal-size groups of records, given as rows of a `FactorTable`."""
+
+    table: FactorTable
+    rows: Array  # (G, k) row indices
+
+
 def _check_record(record: EditRecord) -> None:
     if record.x_e is None or not record.neighborhood or record.x_loc is None:
         raise DataError("record must carry an edit pair, a neighborhood, and x_loc")
+
+
+def build_factor_table(
+    model: Mlp, layers: Sequence[int], records: Sequence[EditRecord]
+) -> FactorTable:
+    """One factor pass over the records' edit pairs and one forward over
+    their locality inputs, on the base model; raw factors are kept for
+    `layers`."""
+    if not records:
+        raise DataError("edit batch is empty")
+    for rec in records:
+        _check_record(rec)
+    _, trace = forward(model, np.stack([rec.x_e for rec in records]))
+    _, dlogits = nll_grad(model, trace, [rec.y_e for rec in records])
+    factors = backward_factors(model, trace, dlogits)
+    x_loc = np.stack([rec.x_loc for rec in records])
+    pre_logits, _ = forward(model, x_loc)
+    counts = [len(rec.neighborhood) for rec in records]
+    nb_x = np.zeros((len(records), max(counts), model.input_dim))
+    nb_y = np.zeros((len(records), max(counts)), dtype=np.int64)
+    for i, rec in enumerate(records):
+        nb_x[i, : counts[i]] = [x for x, _ in rec.neighborhood]
+        nb_y[i, : counts[i]] = [y for _, y in rec.neighborhood]
+    return FactorTable({l: factors[l].u for l in layers}, {l: factors[l].delta for l in layers},
+                       x_loc, pre_logits, nb_x, nb_y, counts)
+
+
+def _tabulate(
+    model: Mlp, layers: Sequence[int], records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]]
+) -> TableGroups:
+    """One group or a list of equal-size groups as rows of a table over
+    their records."""
+    groups = [records] if records and isinstance(records[0], EditRecord) else records
+    sizes = sorted({len(g) for g in groups})
+    if len(sizes) > 1:
+        raise ConfigError(f"groups must all have one size, got sizes {sizes}")
+    flat = [rec for g in groups for rec in g]
+    table = build_factor_table(model, layers, flat)
+    return TableGroups(table, np.arange(len(flat)).reshape(len(groups), -1))
 
 
 def group_losses_and_grads(
     model: Mlp,
     params: EditorParams,
     normalizer: Normalizer | None,
-    records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]],
+    records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]] | TableGroups,
     c_e: float,
     rng: np.random.Generator,
     want_grads: bool = True,
@@ -91,33 +179,31 @@ def group_losses_and_grads(
     record (the neighborhood includes the edit pair itself) and L_loc the
     mean exact KL against the pre-edit model at the records' locality inputs.
 
-    `records` is one group or a list of equal-size groups. All G groups of k
-    records run as one pass: one factor pass and editor apply over the G*k
-    edit pairs, one edited forward over a (G, 2k, d) batch, one base-model
-    forward at the locality inputs and one reverse pass. Losses and gradients
-    are means over all G*k records, i.e. over the groups' own means."""
-    groups = [records] if records and isinstance(records[0], EditRecord) else records
-    sizes = sorted({len(g) for g in groups})
-    if len(sizes) > 1:
-        raise ConfigError(f"groups must all have one size, got sizes {sizes}")
-    flat = [rec for g in groups for rec in g]
-    for rec in flat:
-        _check_record(rec)
-    eq_pairs = [rec.neighborhood[int(rng.integers(len(rec.neighborhood)))] for rec in flat]
-    tape = apply_edit_with_tape(model, params, normalizer, [(rec.x_e, rec.y_e) for rec in flat])
-    n = len(flat)
-    n_groups, k = len(groups), n // len(groups)
-    xs_eq = np.stack([x for x, _ in eq_pairs])
-    ys_eq = np.array([y for _, y in eq_pairs], dtype=np.int64)
-    xs_loc = np.stack([rec.x_loc for rec in flat])
+    `records` is one group, a list of equal-size groups, or `TableGroups`;
+    records are first tabulated. All G groups of k records run as one pass
+    over the table's rows: one editor apply over the G*k rows of raw
+    factors, one edited forward over a (G, 2k, d) batch and one reverse pass.
+    Paraphrases are drawn record by record. Losses and gradients are means
+    over all G*k records, i.e. over the groups' own means."""
+    if not isinstance(records, TableGroups):
+        records = _tabulate(model, params.editable_layers, records)
+    table, rows = records.table, records.rows
+    n_groups, k = rows.shape
+    idx = rows.reshape(-1)
+    n = idx.size
+    picks = [int(rng.integers(table.nb_count[i])) for i in idx.tolist()]
+    ys_eq = table.nb_y[idx, picks]
+    tape = tape_from_factors(model, params, normalizer, {l: u[idx] for l, u in table.u.items()},
+                             {l: d[idx] for l, d in table.delta.items()})
     # one edited forward: group g's k paraphrases, then its k locality inputs
     logits, trace = edited_forward(tape, np.concatenate(
-        [xs_eq.reshape(n_groups, k, -1), xs_loc.reshape(n_groups, k, -1)], axis=1))
+        [table.nb_x[idx, picks].reshape(n_groups, k, -1),
+         table.x_loc[idx].reshape(n_groups, k, -1)], axis=1))
     logp = log_softmax(logits[:, :k].reshape(n, -1))
     l_e = -float(np.mean(logp[np.arange(n), ys_eq]))
 
     post_logits = logits[:, k:].reshape(n, -1)
-    pre_logits, _ = forward(model, xs_loc)
+    pre_logits = table.pre_logits[idx]
     l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
     losses = StepLosses(l_e, l_loc, c_e * l_e + l_loc)
     if not want_grads:
@@ -135,13 +221,14 @@ def validation_loss(
     model: Mlp,
     params: EditorParams,
     normalizer: Normalizer | None,
-    records: Sequence[EditRecord],
+    records: Sequence[EditRecord] | TableGroups,
     c_e: float,
     seed: int,
     edits_per_step: int = 1,
 ) -> float:
-    """Mean L_total over the `fact_groups` of `records`, in one pass."""
-    groups = fact_groups(records, edits_per_step)
+    """Mean L_total over the `fact_groups` of `records`, in one pass; or
+    over the groups of a `TableGroups` as they stand."""
+    groups = records if isinstance(records, TableGroups) else fact_groups(records, edits_per_step)
     losses, _ = group_losses_and_grads(
         model, params, normalizer, groups, c_e, make_rng(seed), want_grads=False
     )
@@ -160,12 +247,18 @@ def train_editor(
     if not train_records:
         raise DataError("empty edit train set")
     k = config.edits_per_step
-    if val_records and 0 < config.eval_every <= config.max_steps:
-        fact_groups(val_records, k)  # raises ConfigError before any step runs
+    validates = bool(val_records) and 0 < config.eval_every <= config.max_steps
+    if validates:
+        val_groups = fact_groups(val_records, k)  # raises ConfigError before any step runs
     variant = variant or VariantConfig()
     rng = make_rng(config.seed)
     editable = config.editable_layers or list(range(model.num_layers))
     params = init_editor(model, editable, config.rank, variant, rng, config.alpha_init)
+    # the base model's state for every record, built once before the first step
+    if config.max_steps:
+        train_table = build_factor_table(model, params.editable_layers, train_records)
+    if validates:
+        val_table = _tabulate(model, params.editable_layers, val_groups)
     normalizer = (
         fit_normalizer(model, train_records, params) if variant.normalize else None
     )
@@ -174,11 +267,11 @@ def train_editor(
     best = params.copy()
     best_val = float("inf")
     evals_since_best = 0
-    # bucket records by fact so a sampled group edits k distinct facts
+    # bucket table rows by fact so a sampled group edits k distinct facts
     # (two conflicting rewrites of one fact in a single update are ill-posed)
-    fact_buckets: dict[int, list[EditRecord]] = {}
-    for rec in train_records:
-        fact_buckets.setdefault(rec.fact_id, []).append(rec)
+    fact_buckets: dict[int, list[int]] = {}
+    for row, rec in enumerate(train_records):
+        fact_buckets.setdefault(rec.fact_id, []).append(row)
     fact_ids = sorted(fact_buckets)
     if k > len(fact_ids):
         raise DataError(
@@ -194,7 +287,8 @@ def train_editor(
                 group.append(bucket[int(rng.integers(len(bucket)))])
             groups.append(group)
         losses, grads = group_losses_and_grads(
-            model, params, normalizer, groups, config.c_e, rng
+            model, params, normalizer, TableGroups(train_table, np.array(groups)),
+            config.c_e, rng,
         )
         adam_step(params.values.flat, grads.flat, adam_state)
         entry = {
@@ -203,9 +297,9 @@ def train_editor(
             "l_loc": losses.l_loc,
             "l_total": losses.l_total,
         }
-        if val_records and config.eval_every > 0 and (step + 1) % config.eval_every == 0:
+        if validates and (step + 1) % config.eval_every == 0:
             val = validation_loss(
-                model, params, normalizer, val_records, config.c_e, config.seed + 1, k
+                model, params, normalizer, val_table, config.c_e, config.seed + 1, k
             )
             entry["val_l_total"] = val
             if val < best_val:

@@ -229,20 +229,66 @@ def test_unknown_variant_exit_code(pipeline, tmp_path):
     ]) == 2
 
 
+def _child_env():
+    """The environment for a child `python -m gradedit.cli`: it imports the
+    same package as this process, installed or not."""
+    src = str(Path(gradedit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "world.json"
     cfg.write_text(json.dumps(WORLD_CFG))
-    # the child imports the same package as this process, installed or not
-    src = str(Path(gradedit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "gradedit.cli", "gen-data",
          "--config", str(cfg), "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "dataset.jsonl" in proc.stdout
+
+
+def test_exit_codes_survive_python_O(pipeline, tmp_path):
+    # `python -O` strips asserts: every exit code below comes from an
+    # explicit raise
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"c_e": -1, "max_steps": 1}))
+    bad_model = tmp_path / "model.json"
+    payload = json.loads((pipeline / "model.json").read_text())
+    payload["biases"][0] = [0.0]
+    bad_model.write_text(json.dumps(payload))
+    (tmp_path / "label").mkdir()
+    runs = {
+        2: ["train-editor", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
+            "--model", str(pipeline / "model.json")],
+        3: ["edit", "--model", str(pipeline / "model.json"),
+            "--editor", str(pipeline / "editor.json"),
+            "--edit-input", str(_edit_input(pipeline, tmp_path / "label", 99))],
+        4: ["edit", "--model", str(bad_model), "--editor", str(pipeline / "editor.json"),
+            "--edit-input", str(_edit_input(pipeline, tmp_path))],
+    }
+    for code, args in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gradedit.cli", *args, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == code, (args[0], proc.stderr)
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "editor.json").exists()
+    assert not (tmp_path / "edited_model.json").exists()
+
+
+@pytest.mark.parametrize("bad", [{"c_e": -1}, {"batch_size": 0}, {"patience": 0}])
+def test_train_editor_bad_config_value_exit_code(pipeline, tmp_path, bad):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"max_steps": 3, "eval_every": 1, **bad}))
+    assert main([
+        "train-editor", "--config", str(cfg),
+        "--dataset", str(pipeline / "dataset.jsonl"),
+        "--model", str(pipeline / "model.json"), "--out-dir", str(tmp_path),
+    ]) == 2
+    assert not (tmp_path / "editor.json").exists()
 
 
 def test_train_editor_k_above_validation_set_exit_code(pipeline, tmp_path):

@@ -152,8 +152,10 @@ def test_backward_rejects_stale_trace(rng):
 def test_backward_nll_label_validation(rng):
     model = init_mlp([3, 4], make_rng(0))
     _, trace = forward(model, rng.standard_normal((2, 3)))
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError):
         backward_nll(model, trace, np.array([0, 4]))
+    with pytest.raises(DataError):
+        backward_nll(model, trace, np.array([-1, 0]))
     with pytest.raises(ShapeError):
         backward_nll(model, trace, np.array([0]))
 

@@ -3,16 +3,19 @@ against finite differences, the factored meta-step against the dense one it
 replaced, the grouped meta-step and validation against the per-group loops
 they replaced, determinism, early stopping, and the fine-tuning baselines."""
 
+import dataclasses
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from gradedit.bench import WorldConfig, fact_groups, generate_world
+from gradedit.bench import EditRecord, WorldConfig, fact_groups, generate_world
 from gradedit.editor import (
     VariantConfig,
     _editor_backward,
     apply_edit_with_tape,
+    backprop_edit,
+    edited_forward,
     fit_normalizer,
     init_editor,
     zero_grads,
@@ -22,7 +25,9 @@ from gradedit.evaluation import ABLATION_VARIANTS
 from gradedit.mlp import backward, backward_nll, clone_with_weights, forward, init_mlp
 from gradedit.ndops import finite_diff_grad, kl_divergence, log_softmax, make_rng, softmax
 from gradedit.training import (
+    TableGroups,
     TrainConfig,
+    build_factor_table,
     accuracy,
     finetune_edit,
     finetune_kl_edit,
@@ -34,11 +39,27 @@ from gradedit.training import (
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TrainConfig(c_e=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TrainConfig(edits_per_step=0)
     assert TrainConfig().c_e == 0.1  # default edit-loss weight
+
+
+@pytest.mark.parametrize("bad", [
+    {"c_e": -1}, {"c_e": float("nan")}, {"edits_per_step": 0}, {"batch_size": 0},
+    {"meta_lr": 0.0}, {"meta_lr": -1e-3}, {"max_steps": -1}, {"eval_every": -1},
+    {"patience": 0}, {"rank": 0}, {"batch_size": 2.5}, {"max_steps": "10"},
+    {"patience": True},
+])
+def test_train_config_rejects_every_bad_numeric_field(bad):
+    with pytest.raises(ConfigError):
+        TrainConfig(**bad)
+
+
+def test_train_config_accepts_its_bounds():
+    TrainConfig(c_e=0, max_steps=0, eval_every=0, edits_per_step=1, batch_size=1,
+                patience=1, rank=1, meta_lr=1)
 
 
 def _fresh_editor(model, records, variant=None, seed=0):
@@ -228,6 +249,109 @@ def test_grouped_meta_step_matches_per_group_loop(small_world, name):
         val = validation_loss(model, params, norm, records, 0.1, seed=k, edits_per_step=k)
         want = _reference_validation_loss(model, params, norm, records, 0.1, k, k)
         _assert_close({"val": val}, {"val": want})
+
+
+def _reference_record_step(model, params, normalizer, records, c_e, rng, want_grads=True):
+    """The record path that the table path replaced: each call checks its
+    records, takes their factors on the base model through
+    `apply_edit_with_tape` and forwards the base model at their locality
+    inputs."""
+    groups = [records] if records and isinstance(records[0], EditRecord) else records
+    flat = [rec for g in groups for rec in g]
+    for rec in flat:
+        if rec.x_e is None or not rec.neighborhood or rec.x_loc is None:
+            raise DataError("record must carry an edit pair, a neighborhood, and x_loc")
+    eq_pairs = [rec.neighborhood[int(rng.integers(len(rec.neighborhood)))] for rec in flat]
+    tape = apply_edit_with_tape(model, params, normalizer, [(rec.x_e, rec.y_e) for rec in flat])
+    n = len(flat)
+    n_groups, k = len(groups), n // len(groups)
+    xs_eq = np.stack([x for x, _ in eq_pairs])
+    ys_eq = np.array([y for _, y in eq_pairs], dtype=np.int64)
+    xs_loc = np.stack([rec.x_loc for rec in flat])
+    logits, trace = edited_forward(tape, np.concatenate(
+        [xs_eq.reshape(n_groups, k, -1), xs_loc.reshape(n_groups, k, -1)], axis=1))
+    logp = log_softmax(logits[:, :k].reshape(n, -1))
+    l_e = -float(np.mean(logp[np.arange(n), ys_eq]))
+    post_logits = logits[:, k:].reshape(n, -1)
+    pre_logits, _ = forward(model, xs_loc)
+    l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
+    out = {"l_e": l_e, "l_loc": l_loc, "l_total": c_e * l_e + l_loc}
+    if not want_grads:
+        return out
+    dlogits_e = np.exp(logp)
+    dlogits_e[np.arange(n), ys_eq] -= 1.0
+    dlogits_loc = softmax(post_logits) - softmax(pre_logits)
+    dlogits = np.concatenate([((c_e / n) * dlogits_e).reshape(n_groups, k, -1),
+                              (dlogits_loc / n).reshape(n_groups, k, -1)], axis=1)
+    return {**out, **backprop_edit(params, trace, dlogits)}
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
+def test_table_step_matches_record_path(small_world, name):
+    # one table over every record, as `train_editor` builds it; the groups
+    # are rows of it, drawn as the sampler draws them
+    variant = ABLATION_VARIANTS[name]
+    model = init_mlp([16, 6, 6, 6], make_rng(2))
+    rng = make_rng(3)
+    params = init_editor(model, [0, 1, 2], 2, variant, rng)
+    params.values = {
+        k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
+    }
+    records = small_world.edit_train + small_world.edit_test
+    norm = fit_normalizer(model, records, params) if variant.normalize else None
+    table = build_factor_table(model, params.editable_layers, records)
+    for k in (1, 5, 25):
+        for n_groups in (1, 3, 10):
+            rows = np.array([rng.choice(len(records), size=k, replace=False)
+                             for _ in range(n_groups)])
+            groups = [[records[i] for i in row] for row in rows]
+            rng_got, rng_want = make_rng(k + n_groups), make_rng(k + n_groups)
+            losses, grads = group_losses_and_grads(
+                model, params, norm, TableGroups(table, rows), 0.1, rng_got)
+            got = {"l_e": losses.l_e, "l_loc": losses.l_loc, "l_total": losses.l_total, **grads}
+            want = _reference_record_step(model, params, norm, groups, 0.1, rng_want)
+            _assert_close(got, want)
+            # one neighborhood draw per record, in the record path's order
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_train_time_validation_equals_validation_loss(small_world, small_model, k):
+    # train_editor validates through a table over its validation groups;
+    # record every validation it makes and recompute it from the records
+    val = small_world.edit_train[-12:]
+    seen = []
+    real = validation_loss
+
+    def spy(model, params, normalizer, records, c_e, seed, edits_per_step):
+        out = real(model, params, normalizer, records, c_e, seed, edits_per_step)
+        seen.append((params.copy(), normalizer, out))
+        return out
+
+    cfg = TrainConfig(max_steps=6, batch_size=2, eval_every=3, edits_per_step=k)
+    with patch("gradedit.training.validation_loss", side_effect=spy):
+        _, _, log = train_editor(small_model, small_world.edit_train[:-12], val, cfg)
+    assert [e["val_l_total"] for e in log if "val_l_total" in e] == [v for _, _, v in seen]
+    assert len(seen) == 2
+    for params, norm, got in seen:
+        assert got == validation_loss(small_model, params, norm, val, cfg.c_e, cfg.seed + 1, k)
+
+
+@pytest.mark.parametrize("defect", ["x_loc", "neighborhood", "label"])
+def test_train_editor_rejects_bad_record_before_any_step(small_world, small_model, defect):
+    recs = list(small_world.edit_train)
+    i = len(recs) // 2  # not a record any early step would have to draw
+    change = {"x_loc": None, "neighborhood": [], "label": None}[defect]
+    if defect == "label":
+        recs[i] = dataclasses.replace(recs[i], y_e=small_model.num_classes)
+    else:
+        recs[i] = dataclasses.replace(recs[i], **{defect: change})
+    calls = []
+    with patch("gradedit.training.group_losses_and_grads",
+               side_effect=lambda *a, **kw: calls.append(a)):
+        with pytest.raises(DataError):
+            train_editor(small_model, recs, [], TrainConfig(max_steps=5, batch_size=1))
+    assert calls == []
 
 
 def test_group_losses_reject_unequal_groups(small_world, small_model):
