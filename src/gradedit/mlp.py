@@ -147,7 +147,8 @@ def nll_grad(model: Mlp, trace: ForwardTrace, labels: np.ndarray) -> tuple[float
     if labels.shape[0] != logits.shape[0]:
         raise ShapeError("one label per example required")
     if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise DataError(f"labels must lie in [0, {model.num_classes}), got {labels.min()}..{labels.max()}")
+        raise DataError(f"labels must lie in [0, {model.num_classes}), got "
+                        f"{labels.min()}..{labels.max()}")
     logp = log_softmax(logits)
     loss = -float(np.mean(logp[np.arange(labels.size), labels]))
     dlogits = np.exp(logp)

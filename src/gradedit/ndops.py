@@ -77,12 +77,11 @@ class FlatTree(dict):
 
     def __init__(self, flat: Array, shapes: Mapping[str, tuple[int, ...]]) -> None:
         super().__init__()
-        total = sum(math.prod(shape) for shape in shapes.values())
-        if flat.shape != (total,):
-            raise ShapeError(f"flat vector of shape {flat.shape} does not hold {total} values")
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if flat.shape != (sum(sizes),):
+            raise ShapeError(f"flat vector of shape {flat.shape} does not hold {sum(sizes)} values")
         off = 0
-        for name, shape in shapes.items():
-            size = math.prod(shape)
+        for (name, shape), size in zip(shapes.items(), sizes):
             self[name] = flat[off : off + size].reshape(shape)
             off += size
         self.flat = flat
@@ -118,7 +117,8 @@ def adam_step(params: Array, grads: Array, state: AdamState) -> None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     elif state.m.shape != params.shape:
-        raise ShapeError(f"adam_step: state holds moments of shape {state.m.shape}, not {params.shape}")
+        raise ShapeError(f"adam_step: the state's moments have shape {state.m.shape}, "
+                         f"not {params.shape}")
     state.t += 1
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads

