@@ -53,7 +53,7 @@ def test_train_config_validation():
     {"patience": True}, {"editable_layers": []}, {"editable_layers": "0"},
     {"editable_layers": [0.0]},
 ])
-def test_train_config_rejects_every_bad_numeric_field(bad):
+def test_train_config_rejects_every_bad_field(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
 
@@ -252,7 +252,7 @@ def test_grouped_meta_step_matches_per_group_loop(small_world, name):
         _assert_close({"val": val}, {"val": want})
 
 
-def _reference_record_step(model, params, normalizer, records, c_e, rng, want_grads=True):
+def _reference_record_step(model, params, normalizer, records, c_e, rng):
     """The record path that the table path replaced: each call checks its
     records, takes their factors on the base model through
     `apply_edit_with_tape` and forwards the base model at their locality
@@ -276,21 +276,19 @@ def _reference_record_step(model, params, normalizer, records, c_e, rng, want_gr
     post_logits = logits[:, k:].reshape(n, -1)
     pre_logits, _ = forward(model, xs_loc)
     l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
-    out = {"l_e": l_e, "l_loc": l_loc, "l_total": c_e * l_e + l_loc}
-    if not want_grads:
-        return out
     dlogits_e = np.exp(logp)
     dlogits_e[np.arange(n), ys_eq] -= 1.0
     dlogits_loc = softmax(post_logits) - softmax(pre_logits)
     dlogits = np.concatenate([((c_e / n) * dlogits_e).reshape(n_groups, k, -1),
                               (dlogits_loc / n).reshape(n_groups, k, -1)], axis=1)
-    return {**out, **backprop_edit(params, trace, dlogits)}
+    return {"l_e": l_e, "l_loc": l_loc, "l_total": c_e * l_e + l_loc,
+            **backprop_edit(params, trace, dlogits)}
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
 def test_table_step_matches_record_path(small_world, name):
-    # one table over every record, as `train_editor` builds it; the groups
-    # are rows of it, drawn as the sampler draws them
+    # one table over every record, as `train_editor` builds it; each group
+    # is a row of indices into it
     variant = ABLATION_VARIANTS[name]
     model = init_mlp([16, 6, 6, 6], make_rng(2))
     rng = make_rng(3)
@@ -338,15 +336,12 @@ def test_train_time_validation_equals_validation_loss(small_world, small_model, 
         assert got == validation_loss(small_model, params, norm, val, cfg.c_e, cfg.seed + 1, k)
 
 
-@pytest.mark.parametrize("defect", ["x_loc", "neighborhood", "label"])
+@pytest.mark.parametrize("defect", [{"x_loc": None}, {"neighborhood": []}, {"y_e": 99}],
+                         ids=["x_loc", "neighborhood", "label"])
 def test_train_editor_rejects_bad_record_before_any_step(small_world, small_model, defect):
+    # the table checks every train record, not only those a step draws
     recs = list(small_world.edit_train)
-    i = len(recs) // 2  # not a record any early step would have to draw
-    change = {"x_loc": None, "neighborhood": [], "label": None}[defect]
-    if defect == "label":
-        recs[i] = dataclasses.replace(recs[i], y_e=small_model.num_classes)
-    else:
-        recs[i] = dataclasses.replace(recs[i], **{defect: change})
+    recs[len(recs) // 2] = dataclasses.replace(recs[len(recs) // 2], **defect)
     calls = []
     with patch("gradedit.training.group_losses_and_grads",
                side_effect=lambda *a, **kw: calls.append(a)):
@@ -417,7 +412,6 @@ def test_best_snapshot_is_not_changed_by_later_steps(small_world, small_model):
             small_model, small_world.edit_train[:-8], small_world.edit_train[-8:], cfg
         )
     assert len(snapshots) == 4 and len(log) == 12
-    assert not np.shares_memory(best.values.flat, snapshots[-1].values.flat)
     assert np.array_equal(best.values.flat, snapshots[0].values.flat)
     assert not np.array_equal(best.values.flat, snapshots[-1].values.flat)
 
