@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .mlp import Mlp, backward_factors, clone_with_weights, forward, nll_grad
+from .mlp import Mlp, backward_factors, clone_with_weights, forward, nll_grad, outer_sum
 from .ndops import Array, FlatTree, check_finite, flatten, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
@@ -342,9 +342,15 @@ def tape_from_factors(
     """Transform each editable layer's raw (B, m) u rows and (B, n) delta
     rows, taken on the un-edited `model`, into the edited model's factors
     plus the reverse-pass tape: the one editor path of editing and
-    meta-training."""
+    meta-training. Every editable layer must exist in `model` with its
+    group's (m, n), else ShapeError."""
     tape = EditTape(model, {}, {}, {}, {})
     for l in params.editable_layers:
+        mn = params.group_dims[params.layer_group[l]]
+        if not 0 <= l < model.num_layers or model.layer_shape(l) != mn:
+            shapes = [model.layer_shape(i) for i in range(model.num_layers)]
+            raise ShapeError(f"editor layer {l} of shape (m, n) = {mn} does not fit the "
+                             f"model's layer shapes {shapes}")
         tape.alpha[l] = float(params.values[f"l:{l}:alpha"])
         tape.pseudo_u[l], tape.pseudo_d[l], tape.editor_tapes[l] = _editor_apply(
             params, l, u[l], delta[l], normalizer
@@ -380,13 +386,16 @@ def apply_edit(
 ) -> Mlp:
     """One-shot edit: W~_l = W_l - alpha_l * pseudograd_l for each editable
     layer, with pseudograd_l = sum_i outer(delta~_i, u~_i). Biases and
-    non-editable layers are untouched; `model` is not modified. The only
-    place where the edited weights are formed."""
+    non-editable layers are untouched; `model` is not modified, and the
+    edited model shares no memory with it. The only place where the edited
+    weights are formed: each in the buffer of its fresh pseudograd."""
     tape = apply_edit_with_tape(model, params, normalizer, edit_batch)
-    return clone_with_weights(model, {
-        l: model.weights[l] - a * (tape.pseudo_d[l].T @ tape.pseudo_u[l])
-        for l, a in tape.alpha.items()
-    })
+    edited = {}
+    for l, a in tape.alpha.items():
+        w = outer_sum(tape.pseudo_d[l], tape.pseudo_u[l])
+        np.multiply(a, w, out=w)
+        edited[l] = np.subtract(model.weights[l], w, out=w)
+    return clone_with_weights(model, edited)
 
 
 @dataclass

@@ -134,7 +134,7 @@ def backward(
     summed per-example loss, matching the factor sum exactly.
     """
     factors = backward_factors(model, trace, dlogits)
-    wgrads = [f.delta.T @ f.u for f in factors]
+    wgrads = [outer_sum(f.delta, f.u) for f in factors]
     bgrads = [f.delta.sum(axis=0) for f in factors]
     return factors, wgrads, bgrads
 
@@ -169,16 +169,41 @@ def backward_nll(
     return loss, factors, wgrads, bgrads
 
 
+def outer_sum(delta: Array, u: Array) -> Array:
+    """D^T U for (B, n) delta rows and (B, m) u rows: the sum over the rows of
+    outer(delta_i, u_i), as a fresh (n, m) array.
+
+    With one row each entry is a single product, so np.dot and `@` agree bit
+    for bit, and np.dot is faster: at 512x512 with one BLAS thread `@` took
+    0.51-0.75 ms and np.dot 0.33-0.35 ms. With more rows `@` is faster
+    (B = 2/5/25/64: 0.17/0.20/0.37/0.71 ms against 0.23/0.27/0.45/0.85 ms),
+    so it stays there."""
+    if delta.shape[0] == 1:
+        return np.dot(delta.T, u)
+    return delta.T @ u
+
+
 def reconstruct_gradient(factors: GradFactors) -> Array:
     """Sum of per-example outer products; equals the dense weight gradient."""
     if factors.batch_size == 0:
         raise ShapeError("empty factors")
-    return factors.delta.T @ factors.u
+    return outer_sum(factors.delta, factors.u)
 
 
 def clone_with_weights(model: Mlp, replacements: dict[int, Array]) -> Mlp:
-    """Independent copy of `model` with some weight matrices replaced."""
+    """A copy of `model` with some weight matrices replaced, sharing no memory
+    with `model`.
+
+    The copy takes over each replacement array itself, without copying it,
+    so the caller must not write to that array afterwards; only the weights
+    it keeps from `model`, and the biases, are copied. A replacement must
+    be a float64 array of its layer's shape that shares no memory with any
+    of `model`'s arrays: a wrong layer or shape raises ShapeError, and a
+    wrong dtype or shared memory raises ContractError."""
+    owned = model.weights + model.biases
     for l, w in replacements.items():
+        if not isinstance(w, np.ndarray) or w.dtype != np.float64:
+            raise ContractError(f"replacement for layer {l} must be a float64 array")
         if not 0 <= l < model.num_layers:
             raise ShapeError(f"unknown layer id {l}")
         if w.shape != model.weights[l].shape:
@@ -186,9 +211,11 @@ def clone_with_weights(model: Mlp, replacements: dict[int, Array]) -> Mlp:
                 f"replacement for layer {l} has shape {w.shape}, "
                 f"expected {model.weights[l].shape}"
             )
+        if any(np.may_share_memory(w, a) for a in owned):
+            raise ContractError(f"replacement for layer {l} may share memory with the model")
     weights = [
-        np.array(replacements.get(l, model.weights[l]), dtype=np.float64, copy=True)
-        for l in range(model.num_layers)
+        replacements[l] if l in replacements else np.array(w, dtype=np.float64, copy=True)
+        for l, w in enumerate(model.weights)
     ]
     biases = [np.array(b, copy=True) for b in model.biases]
     return Mlp(weights, biases)
@@ -205,9 +232,9 @@ def save_model(model: Mlp, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Mlp:
-    """Read a `save_model` checkpoint. A malformed file or a non-finite value
-    raises DataError; arrays whose shapes disagree with the checkpoint's
-    `layer_dims` raise ShapeError."""
+    """Read a `save_model` checkpoint. Any defect in the file raises
+    DataError: malformed JSON or keys, arrays whose shapes disagree with the
+    checkpoint's `layer_dims`, or a non-finite value."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -236,7 +263,7 @@ def load_model(path: str | Path) -> Mlp:
     want_w = [(n, m) for m, n in zip(dims, dims[1:])]
     got_w, got_b = [w.shape for w in weights], [b.shape for b in biases]
     if got_w != want_w or got_b != [(n,) for n, _ in want_w]:
-        raise ShapeError(
+        raise DataError(
             f"model checkpoint {path}: weight shapes {got_w} and bias shapes {got_b} "
             f"do not match layer_dims {dims}"
         )

@@ -95,7 +95,8 @@ def flatten(tree: Mapping[str, Array]) -> FlatTree:
 
 @dataclass
 class AdamState:
-    """Adam accumulators for one flat parameter vector."""
+    """Adam accumulators for one flat parameter vector, and two scratch
+    vectors of its size for the update."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -104,27 +105,39 @@ class AdamState:
     t: int = 0
     m: Array | None = None
     v: Array | None = None
+    scratch: tuple[Array, Array] | None = None
 
 
 def adam_step(params: Array, grads: Array, state: AdamState) -> None:
     """One bias-corrected Adam update of the flat float64 vector `params`,
     in place, so that every view into it (a `FlatTree`) sees the update;
     mutates `state`. Each element gets the same IEEE arithmetic as a
-    per-tensor update would give it."""
+    per-tensor update would give it. The moments are updated in place and
+    every intermediate goes to the state's two scratch vectors, so a step
+    allocates no vector."""
     if params.ndim != 1 or grads.shape != params.shape:
         raise ShapeError(f"adam_step: grad shape {grads.shape} != flat param shape {params.shape}")
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
+        state.scratch = (np.empty_like(params), np.empty_like(params))
     elif state.m.shape != params.shape:
         raise ShapeError(f"adam_step: the state's moments have shape {state.m.shape}, "
                          f"not {params.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, (a, b) = state.m, state.v, state.scratch
+    # m = beta1 * m + (1 - beta1) * g
+    np.multiply(state.beta1, m, out=m)
+    np.add(m, np.multiply(1.0 - state.beta1, grads, out=a), out=m)
+    # v = beta2 * v + (1 - beta2) * g * g
+    np.multiply(state.beta2, v, out=v)
+    np.multiply(np.multiply(1.0 - state.beta2, grads, out=a), grads, out=a)
+    np.add(v, a, out=v)
+    # params -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+    np.multiply(state.lr, np.divide(m, 1.0 - state.beta1**state.t, out=a), out=a)
+    np.sqrt(np.divide(v, 1.0 - state.beta2**state.t, out=b), out=b)
+    np.add(b, state.eps, out=b)
+    np.subtract(params, np.divide(a, b, out=a), out=params)
 
 
 def finite_diff_grad(

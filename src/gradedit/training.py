@@ -52,6 +52,7 @@ from .mlp import (
 from .ndops import (
     AdamState,
     Array,
+    FlatTree,
     adam_step,
     flatten,
     kl_divergence,
@@ -353,7 +354,9 @@ def finetune_kl_edit(
     one fresh locality input from `loc_sampler` (no KL term when it is None),
     stopping once every edit label is the argmax prediction; capped at
     `max_steps` (100 per convention)."""
-    editable = list(editable_layers) if editable_layers is not None else list(range(model.num_layers))
+    # each layer once: its gradient buffer is updated in place
+    editable = list(dict.fromkeys(editable_layers if editable_layers is not None
+                                  else range(model.num_layers)))
     xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
     current = model
@@ -362,7 +365,8 @@ def finetune_kl_edit(
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
         _, _, wgrads, _ = backward_nll(current, trace, ys)
-        grads = {l: (c_edit / len(ys)) * wgrads[l] for l in editable}
+        # W - lr * ((c_edit / B) * g + g_KL), written into the fresh g
+        grads = {l: np.multiply(c_edit / len(ys), wgrads[l], out=wgrads[l]) for l in editable}
         if loc_sampler is not None:
             x_loc = loc_sampler()
             pre_logits, _ = forward(model, x_loc)
@@ -371,14 +375,27 @@ def finetune_kl_edit(
             _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
             for l in editable:
                 grads[l] += wgrads_kl[l]
-        replacements = {l: current.weights[l] - lr * grads[l] for l in editable}
-        current = clone_with_weights(current, replacements)
+        for l, g in grads.items():
+            np.subtract(current.weights[l], np.multiply(lr, g, out=g), out=g)
+        current = clone_with_weights(current, grads)
     return current, max_steps
 
 
+# Rows per forward in `accuracy`: a forward keeps every layer's input and
+# pre-activation rows, which over the 5120 pretrain rows of a 512-wide
+# model is ~84 MB at once; 512-row blocks hold a tenth of that.
+ACCURACY_BLOCK_ROWS = 512
+
+
 def accuracy(model: Mlp, xs: Array, ys: Array) -> float:
-    logits, _ = forward(model, xs)
-    return float(np.mean(np.argmax(logits, axis=1) == ys))
+    """Fraction of rows whose argmax logit is the label, forwarded in blocks
+    of `ACCURACY_BLOCK_ROWS`."""
+    hits = 0
+    for start in range(0, len(xs), ACCURACY_BLOCK_ROWS):
+        block = slice(start, start + ACCURACY_BLOCK_ROWS)
+        logits = forward(model, xs[block])[0]  # the block's trace is freed here
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == ys[block]))
+    return hits / len(xs)
 
 
 def pretrain_model(
@@ -400,6 +417,8 @@ def pretrain_model(
                     **{f"b{l}": b for l, b in enumerate(model.biases)}})
     model.weights = [tree[f"W{l}"] for l in range(model.num_layers)]
     model.biases = [tree[f"b{l}"] for l in range(model.num_layers)]
+    # one gradient vector laid out like the parameters, rewritten every batch
+    grads = FlatTree(np.empty_like(tree.flat), {k: v.shape for k, v in tree.items()})
     state = AdamState(lr=lr)
     n = world.pretrain_x.shape[0]
     for _ in range(epochs):
@@ -409,6 +428,7 @@ def pretrain_model(
             xs, ys = world.pretrain_x[idx], world.pretrain_y[idx]
             logits, trace = forward(model, xs)
             _, _, wgrads, bgrads = backward_nll(model, trace, ys)
-            grads = np.concatenate([np.ravel(g / len(idx)) for g in wgrads + bgrads])
-            adam_step(tree.flat, grads, state)
+            for g, out in zip(wgrads + bgrads, grads.values()):
+                np.divide(g, len(idx), out=out)
+            adam_step(tree.flat, grads.flat, state)
     return model, accuracy(model, world.pretrain_x, world.pretrain_y)

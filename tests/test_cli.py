@@ -12,7 +12,8 @@ import pytest
 
 import gradedit
 from gradedit.cli import main
-from gradedit.mlp import forward, load_model
+from gradedit.mlp import forward, init_mlp, load_model, save_model
+from gradedit.ndops import make_rng
 
 WORLD_CFG = {
     "num_entities": 6,
@@ -197,12 +198,32 @@ def test_edit_label_outside_classes_exit_code(pipeline, tmp_path):
 
 
 def test_edit_bad_bias_shape_exit_code(pipeline, tmp_path):
+    # a defective checkpoint file is a data error, wrong shapes included
     payload = json.loads((pipeline / "model.json").read_text())
     payload["biases"][0] = [0.0]
     model = tmp_path / "model.json"
     model.write_text(json.dumps(payload))
     assert main([
         "edit", "--model", str(model),
+        "--editor", str(pipeline / "editor.json"),
+        "--edit-input", str(_edit_input(pipeline, tmp_path)),
+        "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()
+
+
+def _model_without_last_layer(pipeline, tmp_path):
+    """A model whose layers match the pipeline editor's first editable layer
+    but which lacks its last one."""
+    dims = json.loads((pipeline / "model.json").read_text())["layer_dims"]
+    path = tmp_path / "short_model.json"
+    save_model(init_mlp(dims[:-1], make_rng(0)), path)
+    return path
+
+
+def test_edit_editor_layer_missing_from_model_exit_code(pipeline, tmp_path):
+    assert main([
+        "edit", "--model", str(_model_without_last_layer(pipeline, tmp_path)),
         "--editor", str(pipeline / "editor.json"),
         "--edit-input", str(_edit_input(pipeline, tmp_path)),
         "--out-dir", str(tmp_path),
@@ -254,10 +275,7 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
     # explicit raise
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps({"c_e": -1, "max_steps": 1}))
-    bad_model = tmp_path / "model.json"
-    payload = json.loads((pipeline / "model.json").read_text())
-    payload["biases"][0] = [0.0]
-    bad_model.write_text(json.dumps(payload))
+    short_model = _model_without_last_layer(pipeline, tmp_path)
     (tmp_path / "label").mkdir()
     runs = {
         2: ["train-editor", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
@@ -265,7 +283,7 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
         3: ["edit", "--model", str(pipeline / "model.json"),
             "--editor", str(pipeline / "editor.json"),
             "--edit-input", str(_edit_input(pipeline, tmp_path / "label", 99))],
-        4: ["edit", "--model", str(bad_model), "--editor", str(pipeline / "editor.json"),
+        4: ["edit", "--model", str(short_model), "--editor", str(pipeline / "editor.json"),
             "--edit-input", str(_edit_input(pipeline, tmp_path))],
     }
     for code, args in runs.items():

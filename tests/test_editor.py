@@ -5,6 +5,7 @@ against the finite-difference oracle, the row-batched edit path against a
 per-row reference loop, and a batch of groups against separate groups."""
 
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,6 +257,48 @@ def test_apply_edit_rule_and_isolation():
         assert np.array_equal(edited.biases[l], model.biases[l])
     for w0, w1 in zip(before, model.weights):
         assert np.array_equal(w0, w1)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_apply_edit_is_bitwise_the_dense_rule(small_world, small_model, k):
+    params = _editor_for(small_model, seed=3)
+    rng = make_rng(k)
+    # move off the identity init so the pseudo-factors differ from the raw ones
+    params.values = {name: v + 0.3 * np.asarray(rng.standard_normal(v.shape))
+                     for name, v in params.values.items()}
+    normalizer = fit_normalizer(small_model, small_world.edit_train, params)
+    pairs = [(r.x_e, r.y_e) for r in small_world.edit_test[:k]]
+    edited = apply_edit(small_model, params, normalizer, pairs)
+    tape = apply_edit_with_tape(small_model, params, normalizer, pairs)
+    for l, alpha in tape.alpha.items():
+        want = small_model.weights[l] - alpha * (tape.pseudo_d[l].T @ tape.pseudo_u[l])
+        assert np.array_equal(edited.weights[l], want), l
+    base = small_model.weights + small_model.biases
+    for a in edited.weights + edited.biases:
+        assert not any(np.shares_memory(a, b) for b in base)
+
+
+def test_apply_edit_peak_memory_is_the_edited_model_plus_one_matrix():
+    model = init_mlp([16, 256, 256, 4], make_rng(2))
+    params = _editor_for(model, variant=VariantConfig(normalize=False))
+    pairs = [(make_rng(5).standard_normal(16), 1)]
+    apply_edit(model, params, None, pairs)
+    tracemalloc.start()
+    try:
+        edited = apply_edit(model, params, None, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(a.nbytes for a in edited.weights + edited.biases)
+    assert peak <= out_bytes + 256 * 256 * 8
+
+
+def test_apply_edit_rejects_editor_layers_the_model_lacks():
+    params = _editor_for(init_mlp([64, 24, 16, 16], make_rng(1)),
+                         variant=VariantConfig(normalize=False))
+    for dims in ([64, 24, 16], [64, 24, 16, 8]):  # no layer 2, or one of another shape
+        with pytest.raises(ShapeError):
+            apply_edit(init_mlp(dims, make_rng(1)), params, None, [(np.zeros(64), 0)])
 
 
 def test_apply_edit_partial_layers():

@@ -17,6 +17,7 @@ from gradedit.mlp import (
     init_mlp,
     load_model,
     nll_grad,
+    outer_sum,
     reconstruct_gradient,
     save_model,
 )
@@ -175,12 +176,23 @@ def test_clone_with_weights_is_isolated(rng):
     model = init_mlp([3, 4, 2], make_rng(0))
     new_w0 = rng.standard_normal((4, 3))
     clone = clone_with_weights(model, {0: new_w0})
-    assert np.array_equal(clone.weights[0], new_w0)
+    assert clone.weights[0] is new_w0  # taken over, not copied
     assert np.array_equal(clone.weights[1], model.weights[1])
+    for a in clone.weights + clone.biases:
+        assert not any(np.shares_memory(a, b) for b in model.weights + model.biases)
     clone.weights[1][0, 0] += 100.0
     clone.biases[0][0] += 100.0
     assert clone.weights[1][0, 0] != model.weights[1][0, 0]
     assert clone.biases[0][0] != model.biases[0][0]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_outer_sum_is_bitwise_the_matmul(rows):
+    rng = make_rng(rows)
+    d, u = rng.standard_normal((rows, 48)), rng.standard_normal((rows, 64))
+    got = outer_sum(d, u)
+    assert got.shape == (48, 64)
+    assert np.array_equal(got, d.T @ u)
 
 
 def test_clone_with_weights_validates(rng):
@@ -189,6 +201,10 @@ def test_clone_with_weights_validates(rng):
         clone_with_weights(model, {5: np.zeros((4, 3))})
     with pytest.raises(ShapeError):
         clone_with_weights(model, {0: np.zeros((2, 2))})
+    # a replacement the model could still write to, or of another dtype
+    for bad in (model.weights[0], model.weights[0][:, ::-1], model.weights[0].astype(np.float32)):
+        with pytest.raises(ContractError):
+            clone_with_weights(model, {0: bad})
 
 
 def test_model_checkpoint_round_trip(tmp_path, rng):
@@ -215,27 +231,28 @@ def test_load_model_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "corrupt, error",
+    "corrupt",
     [
-        (lambda p: [p], DataError),
-        (lambda p: p.pop("weights") and p, DataError),
-        (lambda p: p.update(extra=1) or p, DataError),
-        (lambda p: p.update(layer_dims=[3, 0, 2]) or p, DataError),
-        (lambda p: p["weights"][1][0].__setitem__(0, "x") or p, DataError),
-        (lambda p: p["weights"][0][1].__setitem__(2, float("nan")) or p, DataError),
-        (lambda p: p["biases"][1].__setitem__(0, float("inf")) or p, DataError),
-        (lambda p: p.update(layer_dims=[3, 5, 3]) or p, ShapeError),
-        (lambda p: p["weights"].__setitem__(1, p["weights"][1][0]) or p, ShapeError),
-        (lambda p: p["biases"].pop() and p, ShapeError),
+        lambda p: [p],
+        lambda p: p.pop("weights") and p,
+        lambda p: p.update(extra=1) or p,
+        lambda p: p.update(layer_dims=[3, 0, 2]) or p,
+        lambda p: p["weights"][1][0].__setitem__(0, "x") or p,
+        lambda p: p["weights"][0][1].__setitem__(2, float("nan")) or p,
+        lambda p: p["biases"][1].__setitem__(0, float("inf")) or p,
+        lambda p: p.update(layer_dims=[3, 5, 3]) or p,
+        lambda p: p["weights"].__setitem__(1, p["weights"][1][0]) or p,
+        lambda p: p["biases"].pop() and p,
     ],
     ids=[
         "not_an_object", "missing_key", "extra_key", "bad_layer_dims", "non_numeric",
         "nan_weight", "inf_bias", "dims_mismatch", "one_dim_weight", "missing_bias",
     ],
 )
-def test_load_model_checks_keys_shapes_and_values(tmp_path, corrupt, error):
+def test_load_model_checks_keys_shapes_and_values(tmp_path, corrupt):
+    # any defect in the file, wrong array shapes included, is a data error
     path = tmp_path / "model.json"
     save_model(init_mlp([3, 5, 2], make_rng(4)), path)
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-    with pytest.raises(error):
+    with pytest.raises(DataError):
         load_model(path)

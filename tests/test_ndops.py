@@ -1,6 +1,8 @@
 """Numerical-core tests: every routine is checked against an independent
 oracle (scipy-free closed forms, per-row loops, or finite differences)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,20 @@ def test_adam_key_and_shape_checks():
     adam_step(np.zeros(2), np.ones(2), state)
     with pytest.raises(ShapeError):
         adam_step(np.zeros(3), np.ones(3), state)
+
+
+def test_adam_step_allocates_no_vector():
+    params, grads = np.ones(10**6), np.full(10**6, 0.5)
+    state = AdamState()
+    adam_step(params, grads, state)  # allocates the moments and the scratch
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            adam_step(params, grads, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.nbytes
 
 
 def _reference_adam_tree(params, grads, state, m, v):

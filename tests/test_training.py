@@ -4,6 +4,7 @@ replaced, the grouped meta-step and validation against the per-group loops
 they replaced, determinism, early stopping, and the fine-tuning baselines."""
 
 import dataclasses
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -25,6 +26,7 @@ from gradedit.evaluation import ABLATION_VARIANTS
 from gradedit.mlp import backward, backward_nll, clone_with_weights, forward, init_mlp
 from gradedit.ndops import finite_diff_grad, kl_divergence, log_softmax, make_rng, softmax
 from gradedit.training import (
+    ACCURACY_BLOCK_ROWS,
     TableGroups,
     TrainConfig,
     build_factor_table,
@@ -608,3 +610,27 @@ def test_pretrain_model_fits_world(small_world):
     model, acc = pretrain_model(small_world, hidden_dims=(24,), epochs=40)
     assert acc >= 0.9
     assert accuracy(model, small_world.pretrain_x, small_world.pretrain_y) == acc
+
+
+def test_accuracy_in_blocks_equals_one_forward(small_model):
+    rng = make_rng(8)
+    n = 2 * ACCURACY_BLOCK_ROWS + 37
+    xs = rng.standard_normal((n, small_model.input_dim))
+    logits, _ = forward(small_model, xs)
+    # about half of the labels are the model's own predictions
+    ys = np.where(rng.random(n) < 0.5, np.argmax(logits, axis=1),
+                  rng.integers(small_model.num_classes, size=n))
+    assert accuracy(small_model, xs, ys) == float(np.mean(np.argmax(logits, axis=1) == ys))
+
+
+def test_accuracy_holds_one_block_of_activations():
+    model = init_mlp([32, 512, 512, 8], make_rng(0))
+    rng = make_rng(1)
+    xs, ys = rng.standard_normal((5120, 32)), rng.integers(8, size=5120)
+    tracemalloc.start()
+    try:
+        accuracy(model, xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
