@@ -11,6 +11,7 @@ different fact. Everything is deterministic given the config seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -38,15 +39,26 @@ class WorldConfig:
     train_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        if self.paraphrases_per_fact < 1:
-            raise ConfigError("paraphrases_per_fact must be >= 1")
+        # (integer field, lowest allowed value)
+        bounds = [("num_entities", 1), ("num_relations", 1), ("num_classes", 2),
+                  ("feature_dim", 1), ("paraphrases_per_fact", 1),
+                  ("pretrain_per_fact", 1), ("records_per_fact", 1), ("seed", 0)]
+        for name, low in bounds:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("noise_scale", "train_fraction"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.feature_dim < self.num_entities + self.num_relations:
             raise ConfigError(
                 "feature_dim must be >= num_entities + num_relations "
                 "(one-hot fact encoding must be injective)"
             )
+        if self.noise_scale < 0:
+            raise ConfigError("noise_scale must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
 
@@ -176,7 +188,7 @@ def _example(
     against the world's feature dim and classes; the input must be finite."""
     try:
         pair = np.array(obj[x], dtype=np.float64), int(obj[y])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
     if pair[0].shape != (cfg.feature_dim,):
         raise DataError(f"line {lineno}: input shape {pair[0].shape} != ({cfg.feature_dim},)")
@@ -193,7 +205,7 @@ def _parse_record(cfg: WorldConfig, obj: dict, lineno: int) -> EditRecord:
     try:
         neighborhood = [_example(cfg, p, lineno) for p in obj["neighborhood"]]
         fact_id = int(obj["fact_id"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
     if not neighborhood or not np.array_equal(neighborhood[0][0], x_e):
         raise DataError(f"line {lineno}: neighborhood must start with the edit pair")
@@ -208,9 +220,12 @@ def load_dataset(path: str | Path) -> World:
 
     def parse_line(i: int) -> dict:
         try:
-            return json.loads(lines[i])
+            obj = json.loads(lines[i])
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: parse error on line {i + 1}: {e}") from e
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {i + 1} must hold a JSON object")
+        return obj
 
     header = parse_line(0)
     if header.get("format_version") != DATASET_FORMAT_VERSION:
@@ -220,11 +235,16 @@ def load_dataset(path: str | Path) -> World:
         )
     try:
         cfg = WorldConfig(**header["config"])
-    except (KeyError, TypeError, ConfigError) as e:
-        raise DataError(f"{path}: bad world config in the header: {e}") from e
+        fact_labels = np.array(header["fact_labels"])
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
+        raise DataError(f"{path}: bad world config or fact labels in the header: {e!r}") from e
+    if (fact_labels.dtype.kind not in "iu" or fact_labels.shape != (cfg.num_facts,)
+            or not np.all((0 <= fact_labels) & (fact_labels < cfg.num_classes))):
+        raise DataError(f"{path}: the header needs one integer label in "
+                        f"[0, {cfg.num_classes}) per fact for {cfg.num_facts} facts")
     world = World(
         cfg,
-        np.array(header["fact_labels"], dtype=np.int64),
+        fact_labels.astype(np.int64),
         pretrain_x=np.zeros((0, cfg.feature_dim)),
         pretrain_y=np.zeros(0, dtype=np.int64),
     )

@@ -571,7 +571,7 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
             **{stat: {k: np.array(v, dtype=np.float64) for k, v in nz[stat].items()}
                for stat in _NORM_STATS},
         )
-    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ConfigError) as e:
         raise DataError(f"malformed editor checkpoint {path}: {e!r}") from e
     what = f"editor checkpoint {path}"
     _check_tensors(params.values, shapes, what)

@@ -6,6 +6,11 @@ the model given k edit pairs applied in a single update. Between groups the
 evaluation always goes back to the pristine pre-edit model (simultaneous
 edits, never sequential chains).
 
+`evaluate_editor` computes the pristine model's logits at every locality
+input once per call, makes one edited forward per group over the group's
+neighborhood rows and locality inputs, and scores all groups at the end:
+`edit_success` and `drawdown` take logits and labels, not models.
+
 Report files are deterministic given seeds; wall-clock timings go to a
 separate sidecar so the canonical CSV/JSON reproduce byte-for-byte.
 """
@@ -23,10 +28,16 @@ import numpy as np
 
 from .bench import EditRecord, World, fact_groups, holdout_split
 from .editor import EditorParams, Normalizer, VariantConfig, apply_edit
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .mlp import Mlp, forward
 from .ndops import Array, kl_divergence, make_rng
-from .training import TrainConfig, finetune_edit, finetune_kl_edit, train_editor
+from .training import (
+    TrainConfig,
+    block_logits,
+    finetune_edit,
+    finetune_kl_edit,
+    train_editor,
+)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -103,28 +114,32 @@ class EditReport:
     config: dict = field(default_factory=dict)
 
 
-def edit_success(model: Mlp, record: EditRecord) -> float:
-    """Fraction of the equivalence neighborhood (edit pair included once, as
-    its first element) predicted as the new label."""
-    xs = np.stack([x for x, _ in record.neighborhood])
-    ys = np.array([y for _, y in record.neighborhood])
-    logits, _ = forward(model, xs)
-    return float(np.mean(np.argmax(logits, axis=1) == ys))
+def edit_success(logits: Array, labels: Array, counts: Sequence[int]) -> Array:
+    """Per record, the fraction of its equivalence neighborhood (edit pair
+    included once, as its first element) predicted as the new label.
+
+    `logits` (R, C) and `labels` (R,) hold the records' neighborhood rows one
+    record after another, `counts[i]` rows for record i."""
+    counts = np.asarray(counts)
+    if counts.min() < 1 or counts.sum() != len(labels):
+        raise ShapeError(f"neighborhood sizes must be >= 1 and sum to the {len(labels)} rows")
+    hits = (np.argmax(logits, axis=1) == labels).astype(np.float64)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return np.add.reduceat(hits, starts) / counts
 
 
 def drawdown(
-    pre: Mlp, post: Mlp, loc_x: Array, loc_y: Array
-) -> tuple[float, float]:
-    """(accuracy decrease, mean exact KL) of `post` vs `pre` on the locality
-    set."""
-    loc_x = np.atleast_2d(loc_x)
-    loc_y = np.asarray(loc_y).reshape(-1)
-    pre_logits, _ = forward(pre, loc_x)
-    post_logits, _ = forward(post, loc_x)
-    acc_pre = float(np.mean(np.argmax(pre_logits, axis=1) == loc_y))
-    acc_post = float(np.mean(np.argmax(post_logits, axis=1) == loc_y))
-    kl = float(np.mean(kl_divergence(pre_logits, post_logits)))
-    return acc_pre - acc_post, kl
+    pre_logits: Array, post_logits: Array, labels: Array
+) -> tuple[Array, Array]:
+    """(accuracy decrease, mean exact KL) of the post-edit logits vs the
+    pre-edit ones at locality inputs with `labels`.
+
+    Logits of shape (..., k, C) with labels (..., k) give one pair per
+    leading index: a single group's (k, C) logits give two scalars, and
+    (G, k, C) logits one value per group."""
+    acc_pre = np.mean(np.argmax(pre_logits, axis=-1) == labels, axis=-1)
+    acc_post = np.mean(np.argmax(post_logits, axis=-1) == labels, axis=-1)
+    return acc_pre - acc_post, np.mean(kl_divergence(pre_logits, post_logits), axis=-1)
 
 
 def evaluate_editor(
@@ -138,39 +153,50 @@ def evaluate_editor(
 
     Records are interleaved by fact id before grouping, so a group of k
     simultaneous edits targets k distinct facts instead of asking for
-    contradictory rewrites of the same fact."""
+    contradictory rewrites of the same fact.
+
+    Each group's rows are stacked once: its records' neighborhoods, then its
+    k locality inputs. The pristine model's logits at every locality input
+    are computed once per call; a group then costs one edit and one forward
+    of the edited model over its rows, and everything is scored after the
+    last group."""
     groups = fact_groups(records, k_edits)
-    pristine = [w.copy() for w in model.weights]
+    flat = [r for group in groups for r in group]
+    pristine = [a.copy() for a in model.weights + model.biases]
     start = time.perf_counter()
-    rows: list[dict] = []
-    drawdowns: list[tuple[float, float]] = []
-    for g, group in enumerate(groups):
+    pairs: list[tuple[Array, int]] = []
+    ends = []  # one past each group's last row
+    for group in groups:
+        pairs.extend(p for r in group for p in r.neighborhood)
+        pairs.extend((r.x_loc, r.y_loc) for r in group)
+        ends.append(len(pairs))
+    xs, ys = np.stack([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    loc = np.array(ends)[:, None] + np.arange(-k_edits, 0)  # (G, k) locality rows
+    in_nb = np.ones(len(xs), dtype=bool)
+    in_nb[loc] = False
+    pre_logits = block_logits(model, xs[loc.reshape(-1)]).reshape(*loc.shape, -1)
+    logits = np.empty((len(xs), model.num_classes))
+    for group, begin, end in zip(groups, [0] + ends, ends):
         edited = editor.edit(model, [(r.x_e, r.y_e) for r in group])
-        loc_x = np.stack([r.x_loc for r in group])
-        loc_y = np.array([r.y_loc for r in group])
-        dd_acc, dd_kl = drawdown(model, edited, loc_x, loc_y)
-        drawdowns.append((dd_acc, dd_kl))
-        rows.extend(
-            {
-                "fact_id": r.fact_id,
-                "es": edit_success(edited, r),
-                "group": g,
-                "group_dd_acc": dd_acc,
-                "group_dd_kl": dd_kl,
-            }
-            for r in group
-        )
+        logits[begin:end] = forward(edited, xs[begin:end])[0]
+    es = edit_success(logits[in_nb], ys[in_nb], [len(r.neighborhood) for r in flat])
+    dd_acc, dd_kl = drawdown(pre_logits, logits[loc], ys[loc])
     wall = time.perf_counter() - start
-    for w_before, w_after in zip(pristine, model.weights):
-        if not np.array_equal(w_before, w_after):
-            raise ContractError(f"editor {editor.name!r} mutated the model's weights")
+    for before, after in zip(pristine, model.weights + model.biases):
+        if not np.array_equal(before, after):
+            raise ContractError(f"editor {editor.name!r} mutated the model's weights or biases")
+    rows = [
+        {"fact_id": r.fact_id, "es": e, "group": i // k_edits,
+         "group_dd_acc": dd_acc.item(i // k_edits), "group_dd_kl": dd_kl.item(i // k_edits)}
+        for i, (r, e) in enumerate(zip(flat, es.tolist()))
+    ]
     return EditReport(
         name=editor.name,
         k_edits=k_edits,
-        num_records=len(groups) * k_edits,
-        es=float(np.mean([row["es"] for row in rows])),
-        dd_acc=float(np.mean([acc for acc, _ in drawdowns])),
-        dd_kl=float(np.mean([kl for _, kl in drawdowns])),
+        num_records=len(flat),
+        es=float(np.mean(es)),
+        dd_acc=float(np.mean(dd_acc)),
+        dd_kl=float(np.mean(dd_kl)),
         param_count=editor.param_count(),
         wall_time_s=wall,
         rows=rows,

@@ -381,21 +381,22 @@ def finetune_kl_edit(
     return current, max_steps
 
 
-# Rows per forward in `accuracy`: a forward keeps every layer's input and
+# Rows per forward in `block_logits`: a forward keeps every layer's input and
 # pre-activation rows, which over the 5120 pretrain rows of a 512-wide
 # model is ~84 MB at once; 512-row blocks hold a tenth of that.
 ACCURACY_BLOCK_ROWS = 512
 
 
+def block_logits(model: Mlp, xs: Array) -> Array:
+    """The model's logits at the rows of `xs`, forwarded in blocks of
+    `ACCURACY_BLOCK_ROWS`; each block's trace is freed before the next."""
+    return np.concatenate([forward(model, xs[start : start + ACCURACY_BLOCK_ROWS])[0]
+                           for start in range(0, len(xs), ACCURACY_BLOCK_ROWS)])
+
+
 def accuracy(model: Mlp, xs: Array, ys: Array) -> float:
-    """Fraction of rows whose argmax logit is the label, forwarded in blocks
-    of `ACCURACY_BLOCK_ROWS`."""
-    hits = 0
-    for start in range(0, len(xs), ACCURACY_BLOCK_ROWS):
-        block = slice(start, start + ACCURACY_BLOCK_ROWS)
-        logits = forward(model, xs[block])[0]  # the block's trace is freed here
-        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == ys[block]))
-    return hits / len(xs)
+    """Fraction of rows whose argmax logit is the label."""
+    return int(np.count_nonzero(np.argmax(block_logits(model, xs), axis=1) == ys)) / len(xs)
 
 
 def pretrain_model(
@@ -409,6 +410,8 @@ def pretrain_model(
     """Fit a base classifier on the pretrain split with Adam; returns the
     model and its final pretrain accuracy."""
     cfg = world.config
+    if len(world.pretrain_x) == 0:
+        raise DataError("the world has no pretrain examples")
     rng = make_rng(seed)
     dims = [cfg.feature_dim, *hidden_dims, cfg.num_classes]
     model = init_mlp(dims, rng)

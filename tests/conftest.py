@@ -7,8 +7,14 @@ must do so on a clone.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gradedit import WorldConfig, generate_world, pretrain_model
+
+# Every run draws the same examples: seeded from each test, not from the
+# local example database, and with no per-example time limit.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -221,7 +221,8 @@ def _per_record_baseline(editor, model, records):
         edited = editor.edit(model, [(rec.x_e, rec.y_e)])
         logits, _ = forward(edited, rec.x_e)
         flipped.append(int(np.argmax(logits[0])) == rec.y_e)
-        _, dd_kl = drawdown(model, edited, rec.x_loc, rec.y_loc)
+        pre, post = forward(model, rec.x_loc)[0], forward(edited, rec.x_loc)[0]
+        _, dd_kl = drawdown(pre, post, np.array([rec.y_loc]))
         kls.append(dd_kl)
     return np.array(flipped), np.array(kls)
 

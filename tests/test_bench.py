@@ -43,6 +43,15 @@ def test_config_validation():
         _tiny_cfg(feature_dim=7)  # < entities + relations
     with pytest.raises(ConfigError):
         _tiny_cfg(train_fraction=1.0)
+    for name in ("num_entities", "num_relations", "num_classes", "feature_dim",
+                 "paraphrases_per_fact", "pretrain_per_fact", "records_per_fact", "seed"):
+        for bad in (-1, 2.0, True, "3", None):
+            with pytest.raises(ConfigError, match=name):
+                _tiny_cfg(**{name: bad})
+    for name in ("noise_scale", "train_fraction"):
+        for bad in (-1.0, float("nan"), float("inf"), True, "0.5", None):
+            with pytest.raises(ConfigError, match=name):
+                _tiny_cfg(**{name: bad})
 
 
 def test_generation_is_deterministic():
@@ -225,11 +234,20 @@ def _first(split):
         lambda lines: _first("edit_train")(lines)["neighborhood"][1].__setitem__("y", 5),
         lambda lines: _first("edit_test")(lines).__setitem__("x_loc", [0.0, 1.0]),
         lambda lines: _first("edit_test")(lines).__setitem__("fact_id", "one"),
+        lambda lines: _first("edit_test")(lines).__setitem__("y", float("inf")),
+        lambda lines: lines[0]["config"].__setitem__("records_per_fact", 1.5),
+        lambda lines: lines[0]["fact_labels"].pop(),
+        lambda lines: lines[0]["fact_labels"].__setitem__(0, 5),
+        lambda lines: lines[0]["fact_labels"].__setitem__(0, float("nan")),
+        lambda lines: lines[0]["fact_labels"].__setitem__(0, 1.5),
+        lambda lines: lines.__setitem__(1, [lines[1]]),
     ],
     ids=[
         "unknown_config_key", "invalid_config", "missing_config", "pretrain_label",
         "pretrain_shape", "pretrain_missing_x", "edit_label", "locality_label",
-        "neighborhood_label", "locality_shape", "bad_fact_id",
+        "neighborhood_label", "locality_shape", "bad_fact_id", "infinite_label",
+        "fractional_count", "short_fact_labels", "fact_label_outside_classes",
+        "nan_fact_label", "fractional_fact_label", "line_not_an_object",
     ],
 )
 def test_load_dataset_rejects_bad_config_labels_and_shapes(tmp_path, edit):

@@ -163,6 +163,25 @@ def test_config_error_exit_code(tmp_path):
     assert main(["pretrain", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"pretrain_per_fact": 0}, {"num_entities": 0}, {"num_relations": 0},
+    {"records_per_fact": 1.5}, {"records_per_fact": True}, {"seed": -1}, {"noise_scale": "x"},
+])
+def test_gen_data_bad_count_exit_code(tmp_path, bad):
+    cfg = tmp_path / "world.json"
+    cfg.write_text(json.dumps({**WORLD_CFG, **bad}))
+    assert main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
+def test_pretrain_without_pretrain_examples_exit_code(pipeline, tmp_path):
+    lines = (pipeline / "dataset.jsonl").read_text().splitlines()
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(l for l in lines if json.loads(l).get("split") != "pretrain"))
+    assert main(["pretrain", "--dataset", str(dataset), "--out-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_data_error_exit_code(pipeline, tmp_path):
     missing = tmp_path / "nope.jsonl"
     assert main([

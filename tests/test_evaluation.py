@@ -2,13 +2,14 @@
 batched evaluation grouping, the model-mutation guard, and report files."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gradedit.bench import WorldConfig, generate_world
+from gradedit.bench import fact_groups, holdout_split
 from gradedit.editor import VariantConfig, fit_normalizer, init_editor
-from gradedit.errors import ConfigError, ContractError
+from gradedit.errors import ConfigError, ContractError, ShapeError
 from gradedit.evaluation import (
     ABLATION_VARIANTS,
     EditReport,
@@ -23,9 +24,9 @@ from gradedit.evaluation import (
     run_ablations,
     write_timing,
 )
-from gradedit.mlp import Mlp, clone_with_weights, forward
-from gradedit.ndops import make_rng
-from gradedit.training import TrainConfig, pretrain_model
+from gradedit.mlp import clone_with_weights, forward
+from gradedit.ndops import kl_divergence, make_rng
+from gradedit.training import TrainConfig, train_editor
 
 
 class IdentityEditor:
@@ -40,41 +41,54 @@ class IdentityEditor:
         return 0
 
 
-def _constant_model(dim, num_classes, winner):
-    # logits are x-independent; argmax is always `winner`
-    w = np.zeros((num_classes, dim))
-    b = np.zeros(num_classes)
-    b[winner] = 10.0
-    return Mlp([w], [b])
+def _logits_with_argmax(winners, num_classes=4):
+    logits = np.zeros((len(winners), num_classes))
+    logits[np.arange(len(winners)), winners] = 5.0
+    return logits
 
 
-def test_edit_success_counts_neighborhood(small_world):
-    rec = small_world.edit_train[0]
-    dim = rec.x_e.shape[0]
-    always_right = _constant_model(dim, small_world.config.num_classes, rec.y_e)
-    wrong_label = (rec.y_e + 1) % small_world.config.num_classes
-    always_wrong = _constant_model(dim, small_world.config.num_classes, wrong_label)
-    assert edit_success(always_right, rec) == 1.0
-    assert edit_success(always_wrong, rec) == 0.0
+def test_edit_success_counts_neighborhood():
+    # three records with neighborhoods of 1, 3 and 2 rows, all labelled 2
+    logits = _logits_with_argmax([2, 2, 0, 2, 1, 1])
+    es = edit_success(logits, np.full(6, 2), [1, 3, 2])
+    assert es.tolist() == [1.0, 2.0 / 3.0, 0.0]
+
+
+def test_edit_success_rejects_sizes_that_do_not_split_the_rows(small_world, small_model):
+    logits = _logits_with_argmax([2, 2, 0])
+    for counts in ([0, 3], [1, 1], [2, 2]):
+        with pytest.raises(ShapeError):
+            edit_success(logits, np.full(3, 2), counts)
+    records = [replace(small_world.edit_test[0], neighborhood=[])]
+    with pytest.raises(ShapeError):
+        evaluate_editor(IdentityEditor(), small_model, records)
 
 
 def test_drawdown_identical_models_is_zero(small_model, small_world):
-    rec = small_world.edit_test[0]
-    dd_acc, dd_kl = drawdown(small_model, small_model, rec.x_loc, rec.y_loc)
+    x_loc = np.stack([r.x_loc for r in small_world.edit_test[:3]])
+    y_loc = np.array([r.y_loc for r in small_world.edit_test[:3]])
+    logits, _ = forward(small_model, x_loc)
+    dd_acc, dd_kl = drawdown(logits, logits, y_loc)
     assert dd_acc == 0.0
     assert dd_kl == pytest.approx(0.0, abs=1e-12)
 
 
-def test_drawdown_detects_accuracy_loss(small_world):
-    cfg = small_world.config
-    rec = small_world.edit_test[0]
-    right = _constant_model(cfg.feature_dim, cfg.num_classes, rec.y_loc)
-    wrong = _constant_model(
-        cfg.feature_dim, cfg.num_classes, (rec.y_loc + 1) % cfg.num_classes
-    )
-    dd_acc, dd_kl = drawdown(right, wrong, rec.x_loc, rec.y_loc)
-    assert dd_acc == 1.0
+def test_drawdown_detects_accuracy_loss():
+    labels = np.array([1, 3])
+    dd_acc, dd_kl = drawdown(_logits_with_argmax([1, 3]), _logits_with_argmax([0, 3]), labels)
+    assert dd_acc == 0.5
     assert dd_kl > 0.0
+
+
+def test_drawdown_gives_one_pair_per_group():
+    pre = _logits_with_argmax([1, 3, 0, 2]).reshape(2, 2, 4)
+    post = _logits_with_argmax([1, 3, 1, 1]).reshape(2, 2, 4)
+    labels = np.array([[1, 3], [0, 2]])
+    dd_acc, dd_kl = drawdown(pre, post, labels)
+    assert dd_acc.tolist() == [0.0, 1.0]
+    assert dd_kl[0] == 0.0 and dd_kl[1] > 0.0
+    for g in range(2):
+        assert drawdown(pre[g], post[g], labels[g]) == (dd_acc[g], dd_kl[g])
 
 
 def test_evaluate_editor_identity_editor(small_world, small_model):
@@ -127,10 +141,80 @@ class MutatingEditor(IdentityEditor):
         return clone_with_weights(model, {})
 
 
+class BiasMutatingEditor(IdentityEditor):
+    """Breaks the protocol in a bias of the model it was asked to edit."""
+
+    name = "bias-mutating"
+
+    def edit(self, model, pairs):
+        model.biases[0][0] += 1.0
+        return clone_with_weights(model, {})
+
+
 def test_evaluate_editor_rejects_a_mutated_model(small_world, small_model):
     model = clone_with_weights(small_model, {})  # the fixture must stay pristine
     with pytest.raises(ContractError, match="mutating"):
         evaluate_editor(MutatingEditor(), model, small_world.edit_test[:2])
+
+
+def test_evaluate_editor_rejects_mutated_biases(small_world, small_model):
+    model = clone_with_weights(small_model, {})
+    with pytest.raises(ContractError, match="bias-mutating"):
+        evaluate_editor(BiasMutatingEditor(), model, small_world.edit_test[:2])
+
+
+def _reference_rows(editor, model, records, k):
+    """The per-record scoring loop that `evaluate_editor` batches: one
+    forward per neighborhood, and a pristine and an edited forward at each
+    group's locality inputs."""
+    rows = []
+    for g, group in enumerate(fact_groups(records, k)):
+        edited = editor.edit(model, [(r.x_e, r.y_e) for r in group])
+        loc_x = np.stack([r.x_loc for r in group])
+        loc_y = np.array([r.y_loc for r in group])
+        pre, post = forward(model, loc_x)[0], forward(edited, loc_x)[0]
+        dd_acc = (float(np.mean(np.argmax(pre, axis=1) == loc_y))
+                  - float(np.mean(np.argmax(post, axis=1) == loc_y)))
+        dd_kl = float(np.mean(kl_divergence(pre, post)))
+        for r in group:
+            xs = np.stack([x for x, _ in r.neighborhood])
+            ys = np.array([y for _, y in r.neighborhood])
+            es = float(np.mean(np.argmax(forward(edited, xs)[0], axis=1) == ys))
+            rows.append({"fact_id": r.fact_id, "es": es, "group": g,
+                         "group_dd_acc": dd_acc, "group_dd_kl": dd_kl})
+    return rows
+
+
+@pytest.fixture(scope="module")
+def trained_editor(small_world, small_model):
+    cfg = TrainConfig(max_steps=30, batch_size=2, eval_every=0)
+    params, norm, _ = train_editor(small_model, *holdout_split(small_world.edit_train), cfg)
+    return LearnedEditor(params, norm)
+
+
+def _ragged(records):
+    """The records with neighborhoods cut to 1, 2, 3, ... rows in turn."""
+    return [replace(r, neighborhood=r.neighborhood[: 1 + i % len(r.neighborhood)])
+            for i, r in enumerate(records)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("which", ["learned", "ft", "learned_ragged"])
+def test_evaluate_editor_matches_the_per_record_loop(small_world, small_model, trained_editor,
+                                                     k, which):
+    records = small_world.edit_test[:18]
+    editor = FtEditor() if which == "ft" else trained_editor
+    if which.endswith("ragged"):
+        records = _ragged(records)
+        assert len({len(r.neighborhood) for r in records}) > 1
+    report = evaluate_editor(editor, small_model, records, k)
+    ref = _reference_rows(editor, small_model, records, k)
+    assert len(report.rows) == len(ref) == 18 // k * k
+    assert 0.0 < report.es < 1.0  # some edits fail and some succeed
+    for row, want in zip(report.rows, ref):
+        assert {key: row[key] for key in ("fact_id", "es", "group", "group_dd_acc")} == {
+            key: want[key] for key in ("fact_id", "es", "group", "group_dd_acc")}
+        assert row["group_dd_kl"] == pytest.approx(want["group_dd_kl"], rel=1e-9, abs=1e-12)
 
 
 def test_learned_editor_protocol(small_world, small_model):
