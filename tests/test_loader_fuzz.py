@@ -26,9 +26,10 @@ ODD_VALUES = st.sampled_from([
 
 
 def _place(data, node):
-    """A drawn place in a JSON value, as a tuple of keys and indices. The walk
-    goes down from the top and stops at each level with chance 1/(n+1) for n
-    children, so a header scalar is drawn as often as a deep array entry."""
+    """A drawn place below the top of a JSON value, as a tuple of keys and
+    indices. The walk goes down one drawn child at a time and stops at a
+    level with n children with chance 1/(n+1), so a header field is drawn
+    about as often as a whole weight matrix, not 1/size as often."""
     path = ()
     while isinstance(node, (dict, list)) and node:
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
