@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, json_int
 from .ndops import Array, make_rng
 
 DATASET_FORMAT_VERSION = 1
@@ -187,7 +187,7 @@ def _example(
     """The (input, label) pair under keys `x`, `y` of a dataset line, checked
     against the world's feature dim and classes; the input must be finite."""
     try:
-        pair = np.array(obj[x], dtype=np.float64), int(obj[y])
+        pair = np.array(obj[x], dtype=np.float64), json_int(obj[y], f"line {lineno}: {y!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
     if pair[0].shape != (cfg.feature_dim,):
@@ -204,7 +204,7 @@ def _parse_record(cfg: WorldConfig, obj: dict, lineno: int) -> EditRecord:
     x_loc, y_loc = _example(cfg, obj, lineno, "x_loc", "y_loc")
     try:
         neighborhood = [_example(cfg, p, lineno) for p in obj["neighborhood"]]
-        fact_id = int(obj["fact_id"])
+        fact_id = json_int(obj["fact_id"], f"line {lineno}: 'fact_id'")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
     if not neighborhood or not np.array_equal(neighborhood[0][0], x_e):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bench import WorldConfig, generate_world, holdout_split, load_dataset, save_dataset
 from .editor import VariantConfig, load_editor, save_editor
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ShapeError, json_int
 from .evaluation import (
     ABLATION_VARIANTS,
     FtEditor,
@@ -150,7 +150,8 @@ def _load_edit_inputs(path: Path, model: Mlp) -> tuple[np.ndarray, np.ndarray]:
     items = payload["edits"] if isinstance(payload, dict) and "edits" in payload else [payload]
     try:
         xs = [np.array(it["x"], dtype=np.float64) for it in items]
-        ys = np.array([int(it["y"]) for it in items], dtype=np.int64)
+        ys = np.array([json_int(it["y"], f"edit input file {path}: label 'y'") for it in items],
+                      dtype=np.int64)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"edit input file {path} must carry numeric 'x' and 'y' fields") from e
     if not xs:

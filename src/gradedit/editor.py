@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, json_int
 from .mlp import Mlp, backward_factors, clone_with_weights, forward, nll_grad, outer_sum
 from .ndops import Array, FlatTree, check_finite, flatten, relu, relu_grad, xavier_uniform
 
@@ -553,14 +553,17 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
             f"editor checkpoint version {payload.get('format_version')} "
             f"unsupported (want {EDITOR_FORMAT_VERSION})"
         )
+    what = f"editor checkpoint {path}"
     try:
-        layers = [int(l) for l in payload["editable_layers"]]
+        layers = [json_int(l, f"{what}: an editable layer") for l in payload["editable_layers"]]
         params = EditorParams(
-            rank=int(payload["rank"]),
+            rank=json_int(payload["rank"], f"{what}: rank"),
             variant=VariantConfig(**payload["variant"]),
             editable_layers=layers,
             layer_group={l: payload["layer_group"][str(l)] for l in layers},
-            group_dims={k: (int(m), int(n)) for k, (m, n) in payload["group_dims"].items()},
+            group_dims={k: (json_int(m, f"{what}: a width of group {k}"),
+                            json_int(n, f"{what}: a width of group {k}"))
+                        for k, (m, n) in payload["group_dims"].items()},
             values=flatten({k: np.array(v, dtype=np.float64)
                             for k, v in payload["values"].items()}),
         )
@@ -573,7 +576,6 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
         )
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ConfigError) as e:
         raise DataError(f"malformed editor checkpoint {path}: {e!r}") from e
-    what = f"editor checkpoint {path}"
     _check_tensors(params.values, shapes, what)
     if norm is not None:
         for stat in _NORM_STATS:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check its
+file loaders share.
 
 Each maps to a stable CLI exit code (see cli.py): ConfigError -> 2,
 DataError -> 3, ShapeError / ContractError -> 4.
@@ -23,3 +24,11 @@ class DataError(GradeditError):
 
 class ContractError(GradeditError):
     """A caller broke an API contract (e.g. stale forward trace)."""
+
+
+def json_int(value: object, what: str) -> int:
+    """`value`, a number read from a file, if it is an int; a float, a
+    string or a bool raises DataError rather than being converted."""
+    if type(value) is not int:
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    return value

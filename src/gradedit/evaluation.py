@@ -18,6 +18,7 @@ separate sidecar so the canonical CSV/JSON reproduce byte-for-byte.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -78,6 +79,14 @@ class FtEditor:
         return 0
 
 
+@functools.lru_cache(maxsize=32)
+def _loc_draws(seed: int, pool_size: int, max_steps: int) -> tuple[int, ...]:
+    """The locality-pool indices that a fresh generator seeded with `seed`
+    yields, one `integers` call per fine-tuning step."""
+    rng = make_rng(seed)
+    return tuple(int(rng.integers(pool_size)) for _ in range(max_steps))
+
+
 @dataclass
 class FtKlEditor:
     loc_pool: list[Array]
@@ -89,8 +98,9 @@ class FtKlEditor:
     name: str = "ft_kl"
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
-        rng = make_rng(self.seed)
-        sampler = lambda: self.loc_pool[int(rng.integers(len(self.loc_pool)))]
+        # every edit walks the same pool indices, drawn once per seed
+        draws = iter(_loc_draws(self.seed, len(self.loc_pool), self.max_steps))
+        sampler = lambda: self.loc_pool[next(draws)]
         xs, ys = zip(*pairs)
         return finetune_kl_edit(
             model, xs, ys, sampler, self.c_edit, self.editable_layers, self.lr, self.max_steps

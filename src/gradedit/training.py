@@ -353,32 +353,44 @@ def finetune_kl_edit(
     each step descends c_edit * NLL(edit examples) + KL(pre || current) at
     one fresh locality input from `loc_sampler` (no KL term when it is None),
     stopping once every edit label is the argmax prediction; capped at
-    `max_steps` (100 per convention)."""
+    `max_steps` (100 per convention). Returns a fresh model, even after zero
+    steps, and the number of steps taken.
+
+    At step 0 the current model is the pre-edit model itself, so the KL
+    term's logit gradient softmax(current) - softmax(pre) is exactly zero and
+    its weight gradient adds only zeros: that step draws its locality input,
+    so that later steps draw the same inputs, but runs no KL pass."""
     # each layer once: its gradient buffer is updated in place
     editable = list(dict.fromkeys(editable_layers if editable_layers is not None
                                   else range(model.num_layers)))
+    if not editable or not all(type(l) is int and 0 <= l < model.num_layers
+                               for l in editable):
+        raise ConfigError(f"editable_layers must be null (every layer) or a non-empty list of "
+                          f"layer indices below {model.num_layers}, got {editable_layers!r}")
     xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
-    current = model
+    current, steps = model, max_steps
     for step in range(max_steps):
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
-            return current, step
+            steps = step
+            break
         _, _, wgrads, _ = backward_nll(current, trace, ys)
         # W - lr * ((c_edit / B) * g + g_KL), written into the fresh g
         grads = {l: np.multiply(c_edit / len(ys), wgrads[l], out=wgrads[l]) for l in editable}
         if loc_sampler is not None:
             x_loc = loc_sampler()
-            pre_logits, _ = forward(model, x_loc)
-            cur_logits, trace_loc = forward(current, x_loc)
-            dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-            _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
-            for l in editable:
-                grads[l] += wgrads_kl[l]
+            if current is not model:  # at step 0 the KL gradient is exactly zero
+                pre_logits, _ = forward(model, x_loc)
+                cur_logits, trace_loc = forward(current, x_loc)
+                dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
+                _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
+                for l in editable:
+                    grads[l] += wgrads_kl[l]
         for l, g in grads.items():
             np.subtract(current.weights[l], np.multiply(lr, g, out=g), out=g)
         current = clone_with_weights(current, grads)
-    return current, max_steps
+    return (clone_with_weights(model, {}) if current is model else current), steps
 
 
 # Rows per forward in `block_logits`: a forward keeps every layer's input and

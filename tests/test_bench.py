@@ -241,6 +241,13 @@ def _first(split):
         lambda lines: lines[0]["fact_labels"].__setitem__(0, float("nan")),
         lambda lines: lines[0]["fact_labels"].__setitem__(0, 1.5),
         lambda lines: lines.__setitem__(1, [lines[1]]),
+        # integer fields: int() would truncate 2.7 to 2 and accept "1" and true
+        lambda lines: _first("pretrain")(lines).__setitem__("y", 2.7),
+        lambda lines: _first("pretrain")(lines).__setitem__("y", "1"),
+        lambda lines: _first("edit_test")(lines).__setitem__("y", True),
+        lambda lines: _first("edit_train")(lines).__setitem__("y_loc", 1.0),
+        lambda lines: _first("edit_train")(lines)["neighborhood"][1].__setitem__("y", 2.0),
+        lambda lines: _first("edit_test")(lines).__setitem__("fact_id", 3.0),
     ],
     ids=[
         "unknown_config_key", "invalid_config", "missing_config", "pretrain_label",
@@ -248,6 +255,8 @@ def _first(split):
         "neighborhood_label", "locality_shape", "bad_fact_id", "infinite_label",
         "fractional_count", "short_fact_labels", "fact_label_outside_classes",
         "nan_fact_label", "fractional_fact_label", "line_not_an_object",
+        "float_label", "string_label", "bool_label", "whole_float_locality_label",
+        "whole_float_neighborhood_label", "float_fact_id",
     ],
 )
 def test_load_dataset_rejects_bad_config_labels_and_shapes(tmp_path, edit):

@@ -216,6 +216,18 @@ def test_edit_label_outside_classes_exit_code(pipeline, tmp_path):
     assert not (tmp_path / "edited_model.json").exists()
 
 
+@pytest.mark.parametrize("y", [2.7, 2.0, "3", True], ids=["float", "whole_float", "string", "bool"])
+def test_edit_non_integer_label_exit_code(pipeline, tmp_path, y):
+    # int() would edit toward label 2 for 2.7, and accept "3" and true
+    assert main([
+        "edit", "--model", str(pipeline / "model.json"),
+        "--editor", str(pipeline / "editor.json"),
+        "--edit-input", str(_edit_input(pipeline, tmp_path, y)),
+        "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()
+
+
 def test_edit_bad_bias_shape_exit_code(pipeline, tmp_path):
     # a defective checkpoint file is a data error, wrong shapes included
     payload = json.loads((pipeline / "model.json").read_text())
@@ -296,16 +308,20 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
     cfg.write_text(json.dumps({"c_e": -1, "max_steps": 1}))
     short_model = _model_without_last_layer(pipeline, tmp_path)
     (tmp_path / "label").mkdir()
-    runs = {
-        2: ["train-editor", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
-            "--model", str(pipeline / "model.json")],
-        3: ["edit", "--model", str(pipeline / "model.json"),
-            "--editor", str(pipeline / "editor.json"),
-            "--edit-input", str(_edit_input(pipeline, tmp_path / "label", 99))],
-        4: ["edit", "--model", str(short_model), "--editor", str(pipeline / "editor.json"),
-            "--edit-input", str(_edit_input(pipeline, tmp_path))],
-    }
-    for code, args in runs.items():
+    (tmp_path / "float_label").mkdir()
+    runs = [
+        (2, ["train-editor", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
+             "--model", str(pipeline / "model.json")]),
+        (3, ["edit", "--model", str(pipeline / "model.json"),
+             "--editor", str(pipeline / "editor.json"),
+             "--edit-input", str(_edit_input(pipeline, tmp_path / "label", 99))]),
+        (3, ["edit", "--model", str(pipeline / "model.json"),
+             "--editor", str(pipeline / "editor.json"),
+             "--edit-input", str(_edit_input(pipeline, tmp_path / "float_label", 1.5))]),
+        (4, ["edit", "--model", str(short_model), "--editor", str(pipeline / "editor.json"),
+             "--edit-input", str(_edit_input(pipeline, tmp_path))]),
+    ]
+    for code, args in runs:
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "gradedit.cli", *args, "--out-dir", str(tmp_path)],
             capture_output=True, text=True, env=_child_env(),
@@ -419,6 +435,28 @@ def test_dataset_label_outside_classes_exit_code(pipeline, tmp_path):
         "--out-dir", str(tmp_path),
     ]) == 3
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_dataset_non_integer_label_exit_code(pipeline, tmp_path):
+    def edit(lines):
+        next(obj for obj in lines[1:] if obj["split"] == "pretrain")["y"] += 0.7
+
+    dataset = _rewritten_dataset(pipeline, tmp_path, edit)
+    assert main(["pretrain", "--dataset", str(dataset), "--out-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("spoil", [str, lambda rank: rank + 0.9], ids=["string", "float"])
+def test_edit_non_integer_editor_rank_exit_code(pipeline, tmp_path, spoil):
+    payload = json.loads((pipeline / "editor.json").read_text())
+    payload["rank"] = spoil(payload["rank"])
+    editor = tmp_path / "editor.json"
+    editor.write_text(json.dumps(payload))
+    assert main([
+        "edit", "--model", str(pipeline / "model.json"), "--editor", str(editor),
+        "--edit-input", str(_edit_input(pipeline, tmp_path)), "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "edited_model.json").exists()
 
 
 def test_edit_non_finite_input_exit_code(pipeline, tmp_path):

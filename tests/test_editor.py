@@ -637,12 +637,20 @@ def _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt):
         lambda p: p["normalizer"]["var_u"][next(iter(p["normalizer"]["var_u"]))]
         .__setitem__(0, float("inf")),
         lambda p: p["normalizer"].__setitem__("eps", float("nan")),
+        # integer fields: int() would truncate 4.9 to 4 and accept "4" and true
+        lambda p: p.__setitem__("rank", str(p["rank"])),
+        lambda p: p.__setitem__("rank", p["rank"] + 0.9),
+        lambda p: p.__setitem__("rank", True),
+        lambda p: p.__setitem__("editable_layers", [float(l) for l in p["editable_layers"]]),
+        lambda p: p["group_dims"].__setitem__(
+            next(iter(p["group_dims"])), [float(d) for d in next(iter(p["group_dims"].values()))]),
     ],
     ids=[
         "missing_tensor", "extra_tensor", "short_tensor", "alpha_not_scalar",
         "non_numeric", "rank_mismatch", "layer_list_mismatch", "missing_header_key",
         "bad_variant", "missing_normalizer_group", "short_normalizer_stat",
         "normalizer_dropped", "nan_tensor", "inf_normalizer_stat", "nan_eps",
+        "string_rank", "float_rank", "bool_rank", "float_layers", "float_group_dims",
     ],
 )
 def test_load_editor_checks_tensor_names_and_shapes(tmp_path, small_world, small_model, corrupt):

@@ -26,7 +26,7 @@ from gradedit.evaluation import (
 )
 from gradedit.mlp import clone_with_weights, forward
 from gradedit.ndops import kl_divergence, make_rng
-from gradedit.training import TrainConfig, train_editor
+from gradedit.training import TrainConfig, finetune_kl_edit, train_editor
 
 
 class IdentityEditor:
@@ -243,6 +243,21 @@ def test_ft_kl_editor_achieves_the_edit(small_world, small_model):
     edited = FtKlEditor(pool).edit(small_model, [(rec.x_e, rec.y_e)])
     logits, _ = forward(edited, rec.x_e)
     assert int(np.argmax(logits[0])) == rec.y_e
+
+
+def test_ft_kl_editor_draws_as_a_fresh_generator_per_edit(small_world, small_model):
+    # the editor walks one cached draw sequence; each edit must see the
+    # inputs that a generator seeded afresh for that edit would give
+    pool = [r.x_loc for r in small_world.edit_train[:10]]
+    editor = FtKlEditor(pool, seed=3)
+    for rec in small_world.edit_test[:4] * 2:
+        rng = make_rng(3)
+        want, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e,
+                                       lambda: pool[int(rng.integers(len(pool)))])
+        assert steps >= 2
+        got = editor.edit(small_model, [(rec.x_e, rec.y_e)])
+        for a, b in zip(got.weights, want.weights):
+            assert np.array_equal(a, b)
 
 
 def test_ablation_table_has_all_variants():

@@ -483,7 +483,7 @@ def test_train_editor_rejects_k_above_validation_set_before_any_step(small_world
     assert calls == []
 
 
-def _reference_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
+def _separate_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
     """The separate plain fine-tuning loop that `finetune_edit` replaced."""
     current = model
     for step in range(max_steps):
@@ -496,8 +496,8 @@ def _reference_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
     return current, max_steps
 
 
-def _reference_finetune_kl(model, xs, ys, loc_sampler, c_edit, editable, lr=0.1, max_steps=100):
-    """The fine-tuning + KL loop as it stood beside `_reference_finetune`."""
+def _separate_finetune_kl(model, xs, ys, loc_sampler, c_edit, editable, lr=0.1, max_steps=100):
+    """The fine-tuning + KL loop as it stood beside `_separate_finetune`."""
     current = model
     for step in range(max_steps):
         logits, trace = forward(current, xs)
@@ -532,9 +532,9 @@ def test_finetune_loops_match_reference_loops(small_world, small_model, batch, e
     x_arg, y_arg = (xs[0], int(ys[0])) if batch == 1 else (xs, ys)
     runs = [
         (finetune_edit(small_model, x_arg, y_arg, editable),
-         _reference_finetune(small_model, xs, ys, editable)),
+         _separate_finetune(small_model, xs, ys, editable)),
         (finetune_kl_edit(small_model, x_arg, y_arg, sampler(4), 0.5, editable),
-         _reference_finetune_kl(small_model, xs, ys, sampler(4), 0.5, editable)),
+         _separate_finetune_kl(small_model, xs, ys, sampler(4), 0.5, editable)),
     ]
     # one edit repeats the reference arithmetic to the last bit; a batch
     # scales the gradient before lr, which moves the weights by a few ulps
@@ -545,6 +545,112 @@ def test_finetune_loops_match_reference_loops(small_world, small_model, batch, e
                 assert np.array_equal(a, b)
             else:
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _reference_finetune(model, x_e, y_e, loc_sampler, c_edit=0.5, editable_layers=None,
+                        lr=0.1, max_steps=100):
+    """`finetune_kl_edit` as it stood before it skipped the KL pass at step 0:
+    a KL forward pair and backward on every step."""
+    editable = list(dict.fromkeys(editable_layers if editable_layers is not None
+                                  else range(model.num_layers)))
+    xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
+    ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
+    current = model
+    for step in range(max_steps):
+        logits, trace = forward(current, xs)
+        if np.all(np.argmax(logits, axis=1) == ys):
+            return current, step
+        _, _, wgrads, _ = backward_nll(current, trace, ys)
+        grads = {l: np.multiply(c_edit / len(ys), wgrads[l], out=wgrads[l]) for l in editable}
+        if loc_sampler is not None:
+            x_loc = loc_sampler()
+            pre_logits, _ = forward(model, x_loc)
+            cur_logits, trace_loc = forward(current, x_loc)
+            dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
+            _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
+            for l in editable:
+                grads[l] += wgrads_kl[l]
+        for l, g in grads.items():
+            np.subtract(current.weights[l], np.multiply(lr, g, out=g), out=g)
+        current = clone_with_weights(current, grads)
+    return current, max_steps
+
+
+def _counting_sampler(pool, seed):
+    """A locality sampler over `pool` that counts its calls in `.calls`."""
+    rng = make_rng(seed)
+
+    def sampler():
+        sampler.calls += 1
+        return pool[int(rng.integers(len(pool)))]
+
+    sampler.calls = 0
+    return sampler
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
+@pytest.mark.parametrize("layers", [None, [1]], ids=["all_layers", "layer_1"])
+def test_finetune_kl_edit_matches_parent_loop(small_world, small_model, k, kl, layers):
+    pool = [r.x_loc for r in small_world.edit_train[:20]]
+    most_steps = 0
+    for seed in range(3):
+        recs = small_world.edit_test[seed : seed + 4 * k : 4]
+        xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
+        c_edit = 0.5 if kl else 1.0
+        got_sampler, want_sampler = _counting_sampler(pool, seed), _counting_sampler(pool, seed)
+        got, steps = finetune_kl_edit(small_model, xs, ys, got_sampler if kl else None,
+                                      c_edit, layers)
+        want, want_steps = _reference_finetune(small_model, xs, ys,
+                                               want_sampler if kl else None, c_edit, layers)
+        assert steps == want_steps
+        assert got_sampler.calls == want_sampler.calls == (steps if kl else 0)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        most_steps = max(most_steps, steps)
+    assert most_steps >= 2
+
+
+def test_finetune_kl_edit_runs_no_kl_pass_at_step_0(small_world, small_model):
+    rec = small_world.edit_test[0]
+    pool = [r.x_loc for r in small_world.edit_train[:20]]
+    counts = {}
+    for name, fn, target in [("new", finetune_kl_edit, "gradedit.training.forward"),
+                             ("parent", _reference_finetune, f"{__name__}.forward")]:
+        with patch(target, side_effect=forward) as spy:
+            _, steps = fn(small_model, rec.x_e, rec.y_e, _counting_sampler(pool, 0), lr=1.0)
+        assert steps == 1
+        counts[name] = spy.call_count
+    # one forward at the edit input per step and a final check; the parent
+    # added a pristine and a current forward at x_loc on step 0
+    assert counts == {"new": 2, "parent": 4}
+
+
+@pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
+@pytest.mark.parametrize("max_steps", [100, 0])
+def test_finetune_zero_steps_returns_a_copy(small_world, small_model, kl, max_steps):
+    rec = small_world.edit_test[0]
+    y_now = int(np.argmax(forward(small_model, rec.x_e)[0][0]))
+    sampler = (lambda: rec.x_loc) if kl else None
+    out, steps = finetune_kl_edit(small_model, rec.x_e, y_now, sampler, max_steps=max_steps)
+    assert steps == 0
+    assert out is not small_model
+    for a, b in zip(out.weights + out.biases, small_model.weights + small_model.biases):
+        assert np.array_equal(a, b)
+        assert not np.may_share_memory(a, b)
+
+
+@pytest.mark.parametrize("layers", [[5], [-1], [], [0.0], [True], ["0"]],
+                         ids=["above", "negative", "empty", "float", "bool", "string"])
+def test_finetune_kl_edit_rejects_impossible_layers(small_world, small_model, layers):
+    rec = small_world.edit_test[0]
+    with patch("gradedit.training.forward", side_effect=forward) as spy:
+        with pytest.raises(ConfigError):
+            finetune_kl_edit(small_model, rec.x_e, rec.y_e, lambda: rec.x_loc,
+                             editable_layers=layers)
+        with pytest.raises(ConfigError):
+            finetune_edit(small_model, rec.x_e, rec.y_e, editable_layers=layers)
+    assert spy.call_count == 0
 
 
 def test_finetune_edit_flips_argmax(small_world, small_model):
