@@ -22,9 +22,10 @@ forms an (n, m) matrix; only `apply_edit` materializes W~.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -101,19 +102,27 @@ _NORM_STATS = ("mean_u", "var_u", "mean_d", "var_d")
 
 @dataclass
 class Normalizer:
-    """Per-group input statistics (population mean/variance, floored)."""
+    """Per-group input statistics (population mean/variance, floored). The
+    standard deviations are taken once, when the normalizer is made, not on
+    every editor pass."""
 
     eps: float
     mean_u: dict[str, Array]
     var_u: dict[str, Array]
     mean_d: dict[str, Array]
     var_d: dict[str, Array]
+    std_u: dict[str, Array] = field(init=False, repr=False)
+    std_d: dict[str, Array] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.std_u = {k: np.sqrt(v) for k, v in self.var_u.items()}
+        self.std_d = {k: np.sqrt(v) for k, v in self.var_d.items()}
 
     def norm_u(self, key: str, u: Array) -> Array:
-        return (u - self.mean_u[key]) / np.sqrt(self.var_u[key])
+        return (u - self.mean_u[key]) / self.std_u[key]
 
     def norm_d(self, key: str, d: Array) -> Array:
-        return (d - self.mean_d[key]) / np.sqrt(self.var_d[key])
+        return (d - self.mean_d[key]) / self.std_d[key]
 
 
 def _group_key(model: Mlp, layer: int, variant: VariantConfig) -> str:
@@ -183,22 +192,23 @@ def init_editor(
 
 
 def fit_normalizer(
-    model: Mlp, edit_records: Iterable, params: EditorParams, eps: float = 1e-6
+    params: EditorParams,
+    u_rows: Mapping[int, Array],
+    delta_rows: Mapping[int, Array],
+    eps: float = 1e-6,
 ) -> Normalizer:
-    """One factor pass over the stacked edit train set with the un-edited
-    model, pooling the per-dimension stats of u and delta over all member
-    layers of a group."""
-    records = list(edit_records)
-    if not records:
+    """Per-dimension stats of the raw factor rows, u_rows[l] (N, m) and
+    delta_rows[l] (N, n) for each editable layer l, pooled over all member
+    layers of a group. The rows are those of one factor pass over the edit
+    train set on the un-edited model: `train_editor` passes its
+    `training.FactorTable`'s, so one pass feeds both."""
+    if any(len(u_rows[l]) == 0 or len(delta_rows[l]) == 0 for l in params.editable_layers):
         raise DataError("cannot fit normalizer on an empty edit set")
-    _, trace = forward(model, np.stack([rec.x_e for rec in records]))
-    _, dlogits = nll_grad(model, trace, [rec.y_e for rec in records])
-    factors = backward_factors(model, trace, dlogits)
     mean_u, var_u, mean_d, var_d = {}, {}, {}, {}
     for key in params.group_dims:
         members = [l for l in params.editable_layers if params.layer_group[l] == key]
-        us = np.concatenate([factors[l].u for l in members])
-        ds = np.concatenate([factors[l].delta for l in members])
+        us = np.concatenate([u_rows[l] for l in members])
+        ds = np.concatenate([delta_rows[l] for l in members])
         mean_u[key] = us.mean(axis=0)
         var_u[key] = np.maximum(us.var(axis=0), eps)
         mean_d[key] = ds.mean(axis=0)
@@ -456,10 +466,13 @@ def zero_grads(params: EditorParams) -> FlatTree:
     return FlatTree(np.zeros(params.num_parameters()), shapes)
 
 
-def backprop_edit(params: EditorParams, trace: EditedTrace, dlogits: Array) -> dict[str, Array]:
+def backprop_edit(
+    params: EditorParams, trace: EditedTrace, dlogits: Array, out: FlatTree | None = None
+) -> FlatTree:
     """Chain per-example logit gradients of an `edited_forward` batch into
     editor-parameter gradients, summed over all rows and groups, in one pass
-    down to the lowest editable layer.
+    down to the lowest editable layer. The gradients go into `out`, a
+    `zero_grads(params)` tree that is zeroed first, or into a fresh one.
 
     Per group, with X the layer's input rows, Delta = dL/dz, P = X U~^T and
     Q = Delta D~^T: dL/dalpha = -sum(P * Q), dL/dD~ = -alpha P^T Delta and
@@ -474,7 +487,13 @@ def backprop_edit(params: EditorParams, trace: EditedTrace, dlogits: Array) -> d
     if delta.shape != trace.logits_shape:
         raise ShapeError(f"logit grad shape {delta.shape} != logits shape {trace.logits_shape}")
     delta = delta.reshape(trace.preacts[-1].shape)
-    grads = zero_grads(params)
+    if out is None:
+        grads = zero_grads(params)
+    elif out.keys() != params.values.keys():
+        raise ShapeError("backprop_edit: `out` is not laid out like the editor's parameters")
+    else:
+        grads = out
+        grads.flat.fill(0.0)
     lowest = min(tape.alpha)
     for l in range(model.num_layers - 1, lowest - 1, -1):
         edited = l in tape.alpha
@@ -540,8 +559,9 @@ def _check_tensors(tensors: dict[str, Array], shapes: dict, what: str) -> None:
 
 def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
     """Read a `save_editor` checkpoint; the tensor names and shapes must be
-    those its header (rank, variant, layers, group dims) implies, and every
-    tensor and normalizer value must be finite."""
+    those its header (rank, variant, layers, group dims) implies, every
+    tensor and normalizer value must be finite, every normalizer variance
+    above 0, and the normalizer's `eps` a number above 0."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -569,25 +589,31 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
         )
         shapes = _tensor_shapes(params.rank, params.variant, params.layer_group, params.group_dims)
         nz = payload["normalizer"]
-        norm = None if nz is None else Normalizer(
-            eps=float(nz["eps"]),
-            **{stat: {k: np.array(v, dtype=np.float64) for k, v in nz[stat].items()}
-               for stat in _NORM_STATS},
-        )
+        stats = None if nz is None else {
+            stat: {k: np.array(v, dtype=np.float64) for k, v in nz[stat].items()}
+            for stat in _NORM_STATS}
+        eps = None if nz is None else nz["eps"]
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ConfigError) as e:
         raise DataError(f"malformed editor checkpoint {path}: {e!r}") from e
     _check_tensors(params.values, shapes, what)
-    if norm is not None:
+    if stats is not None:
         for stat in _NORM_STATS:
             dim = 0 if stat.endswith("_u") else 1
             shapes = {k: (mn[dim],) for k, mn in params.group_dims.items()}
-            _check_tensors(getattr(norm, stat), shapes, f"{what}, normalizer {stat}")
+            _check_tensors(stats[stat], shapes, f"{what}, normalizer {stat}")
     elif params.variant.normalize:
         raise DataError(f"{what}: a normalizing editor needs its normalizer")
     arrays = list(params.values.values())
-    if norm is not None:
-        arrays += [np.array(norm.eps)] + [a for stat in _NORM_STATS
-                                          for a in getattr(norm, stat).values()]
+    if stats is not None:
+        arrays += [a for tensors in stats.values() for a in tensors.values()]
     if not all(np.isfinite(a).all() for a in arrays):
         raise DataError(f"{what} holds non-finite values")
-    return params, norm
+    if stats is None:
+        return params, None
+    # a variance of 0 or below divides by zero or takes a root of a negative
+    if not all((v > 0).all() for stat in ("var_u", "var_d") for v in stats[stat].values()):
+        raise DataError(f"{what}: every normalizer variance must be above 0")
+    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+            or not 0 < eps <= sys.float_info.max):
+        raise DataError(f"{what}: normalizer eps must be a finite number above 0, got {eps!r}")
+    return params, Normalizer(float(eps), **stats)

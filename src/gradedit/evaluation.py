@@ -29,7 +29,7 @@ import numpy as np
 
 from .bench import EditRecord, World, fact_groups, holdout_split
 from .editor import EditorParams, Normalizer, VariantConfig, apply_edit
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DataError, ShapeError
 from .mlp import Mlp, forward
 from .ndops import Array, kl_divergence, make_rng
 from .training import (
@@ -96,6 +96,10 @@ class FtKlEditor:
     max_steps: int = 100
     seed: int = 0
     name: str = "ft_kl"
+
+    def __post_init__(self) -> None:
+        if len(self.loc_pool) == 0:
+            raise DataError("FT+KL needs a non-empty pool of locality inputs")
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
         # every edit walks the same pool indices, drawn once per seed

@@ -65,8 +65,12 @@ def kl_divergence(p_logits: Array, q_logits: Array) -> Array:
     axis): one value per row, a scalar for 1-D logits."""
     if p_logits.shape != q_logits.shape:
         raise ShapeError(f"kl: shapes differ {p_logits.shape} vs {q_logits.shape}")
-    logp = log_softmax(p_logits)
-    logq = log_softmax(q_logits)
+    return kl_log_probs(log_softmax(p_logits), log_softmax(q_logits))
+
+
+def kl_log_probs(logp: Array, logq: Array) -> Array:
+    """`kl_divergence` from log-probabilities: sum of exp(logp) * (logp - logq)
+    over the last axis, for callers that keep logp of a fixed distribution."""
     return np.sum(np.exp(logp) * (logp - logq), axis=-1)
 
 

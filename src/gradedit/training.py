@@ -11,13 +11,20 @@ stays in factored form (see `editor.edited_forward`), so a step forms no
 (n, m) weight or gradient.
 
 Since the base model is frozen, a record's raw factors at its edit pair and
-the pre-edit logits at its locality input never change: `train_editor`
+the pre-edit distribution at its locality input never change: `train_editor`
 builds one `FactorTable` over its train records and one over its validation
-records before the first step. A step, and a validation, only gathers table
-rows, runs the editor on them and makes one edited forward and one reverse
-pass over all its groups; it does no base-model work. The editor's
-parameters, gradients and Adam moments are each one flat vector (see
-`ndops.FlatTree`), so its update is one elementwise Adam step.
+records before the first step. The train table's factor rows also give the
+normalizer its statistics, so one factor pass over the train records serves
+both. A step, and a validation, only gathers table rows, runs the editor on
+them and makes one edited forward and one reverse pass over all its groups;
+it does no base-model work. The editor's parameters, gradients and Adam
+moments are each one flat vector (see `ndops.FlatTree`), and the gradient
+vector is allocated once per run, so an update is one elementwise Adam step.
+
+The group sampler picks k distinct facts per group, then one record of
+each. At k=1 it draws the fact with one bounded `integers` call: numpy's
+`choice(n, size=1, replace=False)` draws exactly that integer, so the
+stream is the same without `choice`'s per-call set-up.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .editor import (
     fit_normalizer,
     init_editor,
     tape_from_factors,
+    zero_grads,
 )
 from .errors import ConfigError, DataError
 from .mlp import (
@@ -55,7 +63,7 @@ from .ndops import (
     FlatTree,
     adam_step,
     flatten,
-    kl_divergence,
+    kl_log_probs,
     log_softmax,
     make_rng,
     softmax,
@@ -107,16 +115,18 @@ class StepLosses:
 @dataclass
 class FactorTable:
     """The frozen base model's state for meta-training, one row per record:
-    its raw factors at the edit pair, its logits at the locality input, and
-    the record's paraphrase neighborhood, zero-padded to the longest one."""
+    its raw factors at the edit pair, its log-probabilities and probabilities
+    at the locality input, and the record's paraphrase neighborhood,
+    zero-padded to the longest one."""
 
     u: dict[int, Array]  # editable layer -> (N, m) raw u rows at x_e
     delta: dict[int, Array]  # editable layer -> (N, n) raw delta rows at x_e
     x_loc: Array  # (N, d)
-    pre_logits: Array  # (N, C) base-model logits at x_loc
+    pre_logp: Array  # (N, C) base-model log_softmax at x_loc
+    pre_p: Array  # (N, C) base-model softmax at x_loc
     nb_x: Array  # (N, max neighborhood, d)
     nb_y: Array  # (N, max neighborhood)
-    nb_count: list[int]  # neighborhood sizes
+    nb_count: Array  # (N,) int64 neighborhood sizes
 
 
 @dataclass
@@ -142,11 +152,14 @@ def build_factor_table(
         raise DataError("edit batch is empty")
     for rec in records:
         _check_record(rec)
+    # the locality forward's trace is freed at once, and the factor pass's
+    # before the neighborhood arrays are made: no two traces are held at once
+    x_loc = np.stack([rec.x_loc for rec in records])
+    pre_logits = forward(model, x_loc)[0]
     _, trace = forward(model, np.stack([rec.x_e for rec in records]))
     _, dlogits = nll_grad(model, trace, [rec.y_e for rec in records])
     factors = backward_factors(model, trace, dlogits)
-    x_loc = np.stack([rec.x_loc for rec in records])
-    pre_logits, _ = forward(model, x_loc)
+    del trace
     counts = [len(rec.neighborhood) for rec in records]
     nb_x = np.zeros((len(records), max(counts), model.input_dim))
     nb_y = np.zeros((len(records), max(counts)), dtype=np.int64)
@@ -154,7 +167,8 @@ def build_factor_table(
         nb_x[i, : counts[i]] = [x for x, _ in rec.neighborhood]
         nb_y[i, : counts[i]] = [y for _, y in rec.neighborhood]
     return FactorTable({l: factors[l].u for l in layers}, {l: factors[l].delta for l in layers},
-                       x_loc, pre_logits, nb_x, nb_y, counts)
+                       x_loc, log_softmax(pre_logits), softmax(pre_logits), nb_x, nb_y,
+                       np.array(counts, dtype=np.int64))
 
 
 def _tabulate(
@@ -181,7 +195,8 @@ def group_losses_and_grads(
     c_e: float,
     rng: np.random.Generator,
     want_grads: bool = True,
-) -> tuple[StepLosses, dict[str, Array] | None]:
+    out: FlatTree | None = None,
+) -> tuple[StepLosses, FlatTree | None]:
     """Apply each group's edit pairs in one model update of its own, then
     score the edited model: L_e is the mean NLL of one paraphrase sampled per
     record (the neighborhood includes the edit pair itself) and L_loc the
@@ -191,15 +206,17 @@ def group_losses_and_grads(
     records are first tabulated. All G groups of k records run as one pass
     over the table's rows: one editor apply over the G*k rows of raw
     factors, one edited forward over a (G, 2k, d) batch and one reverse pass.
-    Paraphrases are drawn record by record. Losses and gradients are means
-    over all G*k records, i.e. over the groups' own means."""
+    Paraphrases are drawn record by record, in one `integers` call with the
+    records' neighborhood sizes as bounds (the stream of G*k scalar calls).
+    Losses and gradients are means over all G*k records, i.e. over the
+    groups' own means; the gradients go into `out` as in `backprop_edit`."""
     if not isinstance(records, TableGroups):
         records = _tabulate(model, params.editable_layers, records)
     table, rows = records.table, records.rows
     n_groups, k = rows.shape
     idx = rows.reshape(-1)
     n = idx.size
-    picks = [int(rng.integers(table.nb_count[i])) for i in idx.tolist()]
+    picks = rng.integers(table.nb_count[idx])
     ys_eq = table.nb_y[idx, picks]
     tape = tape_from_factors(model, params, normalizer, {l: u[idx] for l, u in table.u.items()},
                              {l: d[idx] for l, d in table.delta.items()})
@@ -208,21 +225,21 @@ def group_losses_and_grads(
         [table.nb_x[idx, picks].reshape(n_groups, k, -1),
          table.x_loc[idx].reshape(n_groups, k, -1)], axis=1))
     logp = log_softmax(logits[:, :k].reshape(n, -1))
-    l_e = -float(np.mean(logp[np.arange(n), ys_eq]))
+    # sum / n is np.mean's arithmetic, without its per-call set-up
+    l_e = -float(logp[np.arange(n), ys_eq].sum()) / n
 
     post_logits = logits[:, k:].reshape(n, -1)
-    pre_logits = table.pre_logits[idx]
-    l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
+    l_loc = float(kl_log_probs(table.pre_logp[idx], log_softmax(post_logits)).sum()) / n
     losses = StepLosses(l_e, l_loc, c_e * l_e + l_loc)
     if not want_grads:
         return losses, None
 
     dlogits_e = np.exp(logp)
     dlogits_e[np.arange(n), ys_eq] -= 1.0
-    dlogits_loc = softmax(post_logits) - softmax(pre_logits)
+    dlogits_loc = softmax(post_logits) - table.pre_p[idx]
     dlogits = np.concatenate([((c_e / n) * dlogits_e).reshape(n_groups, k, -1),
                               (dlogits_loc / n).reshape(n_groups, k, -1)], axis=1)
-    return losses, backprop_edit(params, trace, dlogits)
+    return losses, backprop_edit(params, trace, dlogits, out)
 
 
 def validation_loss(
@@ -264,14 +281,16 @@ def train_editor(
     if editable is None:
         editable = list(range(model.num_layers))
     params = init_editor(model, editable, config.rank, variant, rng, config.alpha_init)
-    # the base model's state for every record, built once before the first step
-    if config.max_steps:
+    # the base model's state for every record, built once before the first
+    # step; the train table's factor rows are also the normalizer's input
+    if config.max_steps or variant.normalize:
         train_table = build_factor_table(model, params.editable_layers, train_records)
     if validates:
         val_table = _tabulate(model, params.editable_layers, val_groups)
     normalizer = (
-        fit_normalizer(model, train_records, params) if variant.normalize else None
+        fit_normalizer(params, train_table.u, train_table.delta) if variant.normalize else None
     )
+    grads = zero_grads(params)  # rewritten by every step
     adam_state = AdamState(lr=config.meta_lr)
     log: list[dict] = []
     best = params.copy()
@@ -282,23 +301,24 @@ def train_editor(
     fact_buckets: dict[int, list[int]] = {}
     for row, rec in enumerate(train_records):
         fact_buckets.setdefault(rec.fact_id, []).append(row)
-    fact_ids = sorted(fact_buckets)
-    if k > len(fact_ids):
-        raise DataError(
-            f"edits_per_step={k} exceeds the {len(fact_ids)} distinct train facts"
-        )
+    buckets = [fact_buckets[f] for f in sorted(fact_buckets)]
+    n_facts = len(buckets)
+    if k > n_facts:
+        raise DataError(f"edits_per_step={k} exceeds the {n_facts} distinct train facts")
     for step in range(config.max_steps):
         groups = []
         for _ in range(config.batch_size):
-            picked = rng.choice(len(fact_ids), size=k, replace=False)
+            # at k=1, choice(n_facts, size=1, replace=False) draws just this
+            picked = (rng.integers(n_facts),) if k == 1 else rng.choice(
+                n_facts, size=k, replace=False)
             group = []
             for fi in picked:
-                bucket = fact_buckets[fact_ids[fi]]
+                bucket = buckets[fi]
                 group.append(bucket[int(rng.integers(len(bucket)))])
             groups.append(group)
-        losses, grads = group_losses_and_grads(
+        losses, _ = group_losses_and_grads(
             model, params, normalizer, TableGroups(train_table, np.array(groups)),
-            config.c_e, rng,
+            config.c_e, rng, out=grads,
         )
         adam_step(params.values.flat, grads.flat, adam_state)
         entry = {

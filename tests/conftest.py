@@ -1,4 +1,5 @@
-"""Shared fixtures: a small benchmark world and base classifier.
+"""Shared fixtures: a small benchmark world and base classifier; and
+`table_normalizer`, which fits a normalizer as `train_editor` does.
 
 Session-scoped so the expensive pieces (world generation, pretraining) run
 once. Tests must never mutate these objects; anything that edits a model
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import settings
 
 from gradedit import WorldConfig, generate_world, pretrain_model
+from gradedit.editor import fit_normalizer
+from gradedit.training import build_factor_table
 
 # Every run draws the same examples: seeded from each test, not from the
 # local example database, and with no per-example time limit.
@@ -41,3 +44,15 @@ def small_model(small_world):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def table_normalizer():
+    """A function of (model, records, params): `fit_normalizer` on the raw
+    factor rows of a `FactorTable` over `records`, the one factor pass from
+    which `train_editor` fits it."""
+    def fit(model, records, params):
+        table = build_factor_table(model, params.editable_layers, records)
+        return fit_normalizer(params, table.u, table.delta)
+
+    return fit

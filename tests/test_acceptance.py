@@ -18,7 +18,6 @@ from gradedit.editor import (
     VariantConfig,
     apply_edit,
     editor_forward,
-    fit_normalizer,
     init_editor,
 )
 from gradedit.evaluation import (
@@ -129,7 +128,7 @@ def test_criterion_2_identity_initialization():
     _ok("criterion 2 (identity initialization / fine-tuning prior)")
 
 
-def test_criterion_3_meta_gradient_matches_finite_differences():
+def test_criterion_3_meta_gradient_matches_finite_differences(table_normalizer):
     """Structural editor-parameter gradients agree with central finite
     differences to 1e-4 relative on a <=200-parameter editor over 20 random
     edit records, in under 60 s.
@@ -158,7 +157,7 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
         k: np.asarray(np.asarray(v) + 0.05 * rng.standard_normal(np.shape(v)))
         for k, v in params.values.items()
     }
-    normalizer = fit_normalizer(model, world.edit_train, params)
+    normalizer = table_normalizer(model, world.edit_train, params)
     records = (world.edit_train + world.edit_test)[:20]
     assert len(records) == 20
 
@@ -182,7 +181,7 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
     _ok("criterion 3 (meta-gradient vs finite differences)")
 
 
-def test_criterion_4_loss_composition(small_world, small_model):
+def test_criterion_4_loss_composition(small_world, small_model, table_normalizer):
     """Under the default config the training objective is exactly
     0.1 * edit loss + locality loss."""
     cfg = TrainConfig()
@@ -190,7 +189,7 @@ def test_criterion_4_loss_composition(small_world, small_model):
     params = init_editor(
         small_model, list(range(small_model.num_layers)), 2, VariantConfig(), make_rng(0)
     )
-    normalizer = fit_normalizer(small_model, small_world.edit_train[:30], params)
+    normalizer = table_normalizer(small_model, small_world.edit_train[:30], params)
     for rec in small_world.edit_train[:5]:
         losses, _ = group_losses_and_grads(
             small_model, params, normalizer, [rec], cfg.c_e, make_rng(1),

@@ -125,6 +125,20 @@ def test_eval_command_with_baselines(pipeline, tmp_path):
     assert set(timing) == set(names)
 
 
+def test_eval_baselines_without_train_records_exit_code(pipeline, tmp_path):
+    # FT+KL draws its locality inputs from the train records
+    def drop_train(lines):
+        lines[1:] = [obj for obj in lines[1:] if obj["split"] != "edit_train"]
+
+    dataset = _rewritten_dataset(pipeline, tmp_path, drop_train)
+    assert main([
+        "eval", "--dataset", str(dataset), "--model", str(pipeline / "model.json"),
+        "--editor", str(pipeline / "editor.json"),
+        "--k-edits", "1", "--baselines", "--out-dir", str(tmp_path),
+    ]) == 3
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_eval_reports_are_deterministic(pipeline, tmp_path_factory):
     out_a = tmp_path_factory.mktemp("eval_a")
     out_b = tmp_path_factory.mktemp("eval_b")
@@ -309,6 +323,10 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
     short_model = _model_without_last_layer(pipeline, tmp_path)
     (tmp_path / "label").mkdir()
     (tmp_path / "float_label").mkdir()
+    payload = json.loads((pipeline / "editor.json").read_text())
+    next(iter(payload["normalizer"]["var_u"].values()))[0] = 0.0
+    zero_var = tmp_path / "zero_var_editor.json"
+    zero_var.write_text(json.dumps(payload))
     runs = [
         (2, ["train-editor", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
              "--model", str(pipeline / "model.json")]),
@@ -318,6 +336,8 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
         (3, ["edit", "--model", str(pipeline / "model.json"),
              "--editor", str(pipeline / "editor.json"),
              "--edit-input", str(_edit_input(pipeline, tmp_path / "float_label", 1.5))]),
+        (3, ["edit", "--model", str(pipeline / "model.json"), "--editor", str(zero_var),
+             "--edit-input", str(_edit_input(pipeline, tmp_path))]),
         (4, ["edit", "--model", str(short_model), "--editor", str(pipeline / "editor.json"),
              "--edit-input", str(_edit_input(pipeline, tmp_path))]),
     ]

@@ -139,8 +139,14 @@ def _per_record_normalizer_stats(model, records, params, eps=1e-6):
     return stats
 
 
-def _assert_normalizer_matches_loop(model, records, params):
-    norm = fit_normalizer(model, records, params)
+def _factor_record(x, y):
+    """A record with the fields a factor table reads: its edit pair is also
+    its neighborhood and its locality input."""
+    return SimpleNamespace(x_e=x, y_e=y, neighborhood=[(x, y)], x_loc=x)
+
+
+def _assert_normalizer_matches_loop(fit, model, records, params):
+    norm = fit(model, records, params)
     want = _per_record_normalizer_stats(model, records, params)
     assert set(norm.mean_u) == set(want)
     for key, stats in want.items():
@@ -150,28 +156,27 @@ def _assert_normalizer_matches_loop(model, records, params):
             assert np.max(np.abs(g - w)) <= 1e-12 * max(np.max(np.abs(w)), 1e-300), key
 
 
-def test_fit_normalizer_matches_manual_stats(small_world, small_model):
+def test_fit_normalizer_matches_manual_stats(small_world, small_model, table_normalizer):
     for variant in (VariantConfig(), VariantConfig(share_params=False)):
         params = _editor_for(small_model, variant=variant)
-        _assert_normalizer_matches_loop(small_model, small_world.edit_train[:20], params)
+        _assert_normalizer_matches_loop(table_normalizer, small_model,
+                                        small_world.edit_train[:20], params)
     # layers 0 and 1 are both 6x6 and share one editor group, whose stats
     # pool the factor rows of both layers
     model = init_mlp([6, 6, 6, 4], make_rng(3))
     rng = make_rng(4)
-    records = [
-        SimpleNamespace(x_e=rng.standard_normal(6), y_e=int(rng.integers(4)))
-        for _ in range(25)
-    ]
+    records = [_factor_record(rng.standard_normal(6), int(rng.integers(4))) for _ in range(25)]
     params = _editor_for(model)
     assert params.layer_group[0] == params.layer_group[1] != params.layer_group[2]
-    _assert_normalizer_matches_loop(model, records, params)
-    _assert_normalizer_matches_loop(model, records, _editor_for(model, layers=[1, 2]))
+    _assert_normalizer_matches_loop(table_normalizer, model, records, params)
+    _assert_normalizer_matches_loop(table_normalizer, model, records,
+                                    _editor_for(model, layers=[1, 2]))
 
 
 def test_fit_normalizer_rejects_empty():
     model = init_mlp([4, 3], make_rng(0))
     with pytest.raises(DataError):
-        fit_normalizer(model, [], _editor_for(model))
+        fit_normalizer(_editor_for(model), {0: np.zeros((0, 4))}, {0: np.zeros((0, 3))})
 
 
 # ------------------------------------------------- identity at initialization
@@ -260,13 +265,13 @@ def test_apply_edit_rule_and_isolation():
 
 
 @pytest.mark.parametrize("k", [1, 5])
-def test_apply_edit_is_bitwise_the_dense_rule(small_world, small_model, k):
+def test_apply_edit_is_bitwise_the_dense_rule(small_world, small_model, k, table_normalizer):
     params = _editor_for(small_model, seed=3)
     rng = make_rng(k)
     # move off the identity init so the pseudo-factors differ from the raw ones
     params.values = {name: v + 0.3 * np.asarray(rng.standard_normal(v.shape))
                      for name, v in params.values.items()}
-    normalizer = fit_normalizer(small_model, small_world.edit_train, params)
+    normalizer = table_normalizer(small_model, small_world.edit_train, params)
     pairs = [(r.x_e, r.y_e) for r in small_world.edit_test[:k]]
     edited = apply_edit(small_model, params, normalizer, pairs)
     tape = apply_edit_with_tape(small_model, params, normalizer, pairs)
@@ -375,6 +380,27 @@ def test_edited_forward_matches_materialized_edit():
         edited_forward(apply_edit_with_tape(model, params, None, pairs), xs[:, :4])
 
 
+def test_backprop_edit_into_out_equals_a_fresh_call(table_normalizer):
+    model = init_mlp([5, 4, 3], make_rng(2))
+    params = _editor_for(model, seed=3)
+    rng = make_rng(4)
+    params.values = {k: v + 0.3 * np.asarray(rng.standard_normal(v.shape))
+                     for k, v in params.values.items()}
+    records = [_factor_record(rng.standard_normal(5), int(rng.integers(3))) for _ in range(6)]
+    normalizer = table_normalizer(model, records, params)
+    tape = apply_edit_with_tape(model, params, normalizer, [(r.x_e, r.y_e) for r in records[:4]])
+    _, trace = edited_forward(tape, rng.standard_normal((2, 3, 5)))
+    out = zero_grads(params)
+    out.flat.fill(7.0)  # stale values from an earlier step
+    for R in (rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))):
+        want = backprop_edit(params, trace, R)
+        got = backprop_edit(params, trace, R, out=out)
+        assert got is out
+        assert np.array_equal(got.flat, want.flat)
+    with pytest.raises(ShapeError):
+        backprop_edit(params, trace, R, out=zero_grads(_editor_for(model, layers=[1])))
+
+
 def test_backprop_edit_shape_check():
     model = init_mlp([5, 4], make_rng(2))
     params = _editor_for(model, variant=VariantConfig(normalize=False))
@@ -401,7 +427,7 @@ def test_edited_forward_rejects_groups_that_do_not_divide_the_tape():
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
-def test_grouped_edit_matches_separate_groups(name):
+def test_grouped_edit_matches_separate_groups(name, table_normalizer):
     # group g of a (G, B, d) batch under the tape's rows g*k:(g+1)*k equals
     # an edit of that group's k pairs alone; gradients sum over the groups
     model = init_mlp([5, 4, 4, 3], make_rng(2))
@@ -411,9 +437,8 @@ def test_grouped_edit_matches_separate_groups(name):
     params.values = {
         k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
     }
-    records = [SimpleNamespace(x_e=rng.standard_normal(5), y_e=int(rng.integers(3)))
-               for _ in range(12)]
-    normalizer = fit_normalizer(model, records, params) if variant.normalize else None
+    records = [_factor_record(rng.standard_normal(5), int(rng.integers(3))) for _ in range(12)]
+    normalizer = table_normalizer(model, records, params) if variant.normalize else None
     n_groups, k = 3, 2
     pairs = [(rng.standard_normal(5), int(rng.integers(3))) for _ in range(n_groups * k)]
     xs = rng.standard_normal((n_groups, 4, 5))
@@ -569,9 +594,9 @@ def test_zero_grads_mirrors_params():
 # ------------------------------------------------------------- persistence
 
 
-def test_editor_checkpoint_round_trip(tmp_path, small_world, small_model):
+def test_editor_checkpoint_round_trip(tmp_path, small_world, small_model, table_normalizer):
     params = _editor_for(small_model, variant=VariantConfig(identity_init=False), seed=11)
-    norm = fit_normalizer(small_model, small_world.edit_train[:10], params)
+    norm = table_normalizer(small_model, small_world.edit_train[:10], params)
     path = tmp_path / "editor.json"
     save_editor(params, norm, path)
     loaded, loaded_norm = load_editor(path)
@@ -606,9 +631,13 @@ def test_load_editor_rejects_garbage(tmp_path):
             load_editor(path)
 
 
-def _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt):
+def _first_stat(payload, stat):
+    return next(iter(payload["normalizer"][stat].values()))
+
+
+def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
     params = _editor_for(small_model)
-    norm = fit_normalizer(small_model, small_world.edit_train[:10], params)
+    norm = fit(small_model, small_world.edit_train[:10], params)
     path = tmp_path / "editor.json"
     save_editor(params, norm, path)
     payload = json.loads(path.read_text())
@@ -644,6 +673,17 @@ def _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt):
         lambda p: p.__setitem__("editable_layers", [float(l) for l in p["editable_layers"]]),
         lambda p: p["group_dims"].__setitem__(
             next(iter(p["group_dims"])), [float(d) for d in next(iter(p["group_dims"].values()))]),
+        # a variance of 0 or below would divide by zero or take a negative root
+        lambda p: _first_stat(p, "var_u").__setitem__(0, 0.0),
+        lambda p: _first_stat(p, "var_u").__setitem__(0, -1.0),
+        lambda p: _first_stat(p, "var_d").__setitem__(-1, -1e-300),
+        lambda p: p["normalizer"].__setitem__("eps", "1e-6"),
+        lambda p: p["normalizer"].__setitem__("eps", True),
+        lambda p: p["normalizer"].__setitem__("eps", 0),
+        lambda p: p["normalizer"].__setitem__("eps", -1e-6),
+        lambda p: p["normalizer"].__setitem__("eps", float("inf")),
+        lambda p: p["normalizer"].__setitem__("eps", 10**400),
+        lambda p: p["normalizer"].__setitem__("eps", [1e-6]),
     ],
     ids=[
         "missing_tensor", "extra_tensor", "short_tensor", "alpha_not_scalar",
@@ -651,9 +691,22 @@ def _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt):
         "bad_variant", "missing_normalizer_group", "short_normalizer_stat",
         "normalizer_dropped", "nan_tensor", "inf_normalizer_stat", "nan_eps",
         "string_rank", "float_rank", "bool_rank", "float_layers", "float_group_dims",
+        "zero_var_u", "negative_var_u", "negative_var_d", "string_eps", "bool_eps",
+        "zero_eps", "negative_eps", "inf_eps", "huge_int_eps", "list_eps",
     ],
 )
-def test_load_editor_checks_tensor_names_and_shapes(tmp_path, small_world, small_model, corrupt):
-    path = _corrupt_checkpoint(tmp_path, small_world, small_model, corrupt)
+def test_load_editor_checks_tensor_names_and_shapes(
+    tmp_path, small_world, small_model, corrupt, table_normalizer
+):
+    path = _corrupt_checkpoint(table_normalizer, tmp_path, small_world, small_model, corrupt)
     with pytest.raises(DataError):
         load_editor(path)
+
+
+def test_load_editor_accepts_an_integer_eps(tmp_path, small_world, small_model, table_normalizer):
+    path = _corrupt_checkpoint(table_normalizer, tmp_path, small_world, small_model,
+                               lambda p: p["normalizer"].__setitem__("eps", 1))
+    _, norm = load_editor(path)
+    assert norm.eps == 1.0 and type(norm.eps) is float
+    key = next(iter(norm.var_u))
+    assert np.array_equal(norm.std_u[key], np.sqrt(norm.var_u[key]))

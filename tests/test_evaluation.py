@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from gradedit.bench import fact_groups, holdout_split
-from gradedit.editor import VariantConfig, fit_normalizer, init_editor
-from gradedit.errors import ConfigError, ContractError, ShapeError
+from gradedit.editor import VariantConfig, init_editor
+from gradedit.errors import ConfigError, ContractError, DataError, ShapeError
 from gradedit.evaluation import (
     ABLATION_VARIANTS,
     EditReport,
@@ -217,11 +217,11 @@ def test_evaluate_editor_matches_the_per_record_loop(small_world, small_model, t
         assert row["group_dd_kl"] == pytest.approx(want["group_dd_kl"], rel=1e-9, abs=1e-12)
 
 
-def test_learned_editor_protocol(small_world, small_model):
+def test_learned_editor_protocol(small_world, small_model, table_normalizer):
     params = init_editor(
         small_model, list(range(small_model.num_layers)), 2, VariantConfig(), make_rng(0)
     )
-    norm = fit_normalizer(small_model, small_world.edit_train[:10], params)
+    norm = table_normalizer(small_model, small_world.edit_train[:10], params)
     editor = LearnedEditor(params, norm)
     assert editor.param_count() == params.num_parameters()
     rec = small_world.edit_test[0]
@@ -258,6 +258,12 @@ def test_ft_kl_editor_draws_as_a_fresh_generator_per_edit(small_world, small_mod
         got = editor.edit(small_model, [(rec.x_e, rec.y_e)])
         for a, b in zip(got.weights, want.weights):
             assert np.array_equal(a, b)
+
+
+def test_ft_kl_editor_rejects_an_empty_locality_pool():
+    # before any edit: drawing from an empty pool would fail inside numpy
+    with pytest.raises(DataError):
+        FtKlEditor([])
 
 
 def test_ablation_table_has_all_variants():

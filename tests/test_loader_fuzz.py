@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gradedit.bench import WorldConfig, generate_world, load_dataset, save_dataset
-from gradedit.editor import VariantConfig, fit_normalizer, init_editor, load_editor, save_editor
+from gradedit.editor import VariantConfig, init_editor, load_editor, save_editor
 from gradedit.errors import GradeditError
 from gradedit.mlp import init_mlp, load_model, save_model
 from gradedit.ndops import make_rng
@@ -85,7 +85,7 @@ FUZZ = settings(max_examples=EXAMPLES, deadline=None,
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
+def files(tmp_path_factory, table_normalizer):
     """Valid files, each parsed to its JSON lines, and a scratch file path."""
     root = tmp_path_factory.mktemp("fuzz")
     world = generate_world(WorldConfig(
@@ -96,7 +96,7 @@ def files(tmp_path_factory):
     params = init_editor(model, [0, 1], 2, VariantConfig(), make_rng(1))
     save_dataset(world, root / "dataset.jsonl")
     save_model(model, root / "model.json")
-    save_editor(params, fit_normalizer(model, world.edit_train, params), root / "editor.json")
+    save_editor(params, table_normalizer(model, world.edit_train, params), root / "editor.json")
     lines = {name: [json.loads(line) for line in (root / name).read_text().splitlines()]
              for name in ("dataset.jsonl", "model.json", "editor.json")}
     return lines, root / "corrupt"

@@ -1,7 +1,8 @@
 """Training-loop tests: loss composition, the structural meta-gradient
 against finite differences, the factored meta-step against the dense one it
 replaced, the grouped meta-step and validation against the per-group loops
-they replaced, determinism, early stopping, and the fine-tuning baselines."""
+they replaced, the group sampler against the `choice` sampler's stream,
+determinism, early stopping, and the fine-tuning baselines."""
 
 import dataclasses
 import tracemalloc
@@ -10,6 +11,8 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
+from gradedit import editor as editor_mod
+from gradedit import training as training_mod
 from gradedit.bench import EditRecord, WorldConfig, fact_groups, generate_world
 from gradedit.editor import (
     VariantConfig,
@@ -17,7 +20,6 @@ from gradedit.editor import (
     apply_edit_with_tape,
     backprop_edit,
     edited_forward,
-    fit_normalizer,
     init_editor,
     zero_grads,
 )
@@ -65,17 +67,17 @@ def test_train_config_accepts_its_bounds():
                 patience=1, rank=1, meta_lr=1, editable_layers=[0])
 
 
-def _fresh_editor(model, records, variant=None, seed=0):
+def _fresh_editor(fit, model, records, variant=None, seed=0):
     variant = variant or VariantConfig()
     params = init_editor(
         model, list(range(model.num_layers)), 2, variant, make_rng(seed)
     )
-    norm = fit_normalizer(model, records, params) if variant.normalize else None
+    norm = fit(model, records, params) if variant.normalize else None
     return params, norm
 
 
-def test_loss_composition_is_weighted_sum(small_world, small_model):
-    params, norm = _fresh_editor(small_model, small_world.edit_train[:20])
+def test_loss_composition_is_weighted_sum(small_world, small_model, table_normalizer):
+    params, norm = _fresh_editor(table_normalizer, small_model, small_world.edit_train[:20])
     rec = small_world.edit_train[0]
     for c_e in (0.1, 0.7):
         losses, _ = group_losses_and_grads(
@@ -86,8 +88,8 @@ def test_loss_composition_is_weighted_sum(small_world, small_model):
         )
 
 
-def test_group_losses_average_over_records(small_world, small_model):
-    params, norm = _fresh_editor(small_model, small_world.edit_train[:20])
+def test_group_losses_average_over_records(small_world, small_model, table_normalizer):
+    params, norm = _fresh_editor(table_normalizer, small_model, small_world.edit_train[:20])
     group = [small_world.edit_train[0], small_world.edit_train[10]]
     losses, _ = group_losses_and_grads(
         small_model, params, norm, group, 0.1, make_rng(0), want_grads=False
@@ -96,12 +98,12 @@ def test_group_losses_average_over_records(small_world, small_model):
     assert losses.l_loc >= 0.0  # exact KL is non-negative
 
 
-def test_meta_gradient_matches_finite_differences(small_world, small_model):
+def test_meta_gradient_matches_finite_differences(small_world, small_model, table_normalizer):
     # checked at randomly perturbed editor parameters: at the exact identity
     # init the pre-activations sit on the relu kink, where the one-sided
     # subgradient and the central difference legitimately disagree
     rng = make_rng(5)
-    params, norm = _fresh_editor(small_model, small_world.edit_train[:30])
+    params, norm = _fresh_editor(table_normalizer, small_model, small_world.edit_train[:30])
     params.values = {
         k: np.asarray(np.asarray(v) + 0.05 * rng.standard_normal(np.shape(v)))
         for k, v in params.values.items()
@@ -180,7 +182,7 @@ def _assert_close(got, want, tol=5e-14):
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
 @pytest.mark.parametrize("layers", [[0, 1, 2], [1], [0, 2], [2]])
-def test_factored_meta_step_matches_dense_reference(small_world, name, layers):
+def test_factored_meta_step_matches_dense_reference(small_world, name, layers, table_normalizer):
     # layers 1 and 2 share the 6x6 shape, layer 0 (16 -> 6) has its own
     variant = ABLATION_VARIANTS[name]
     model = init_mlp([16, 6, 6, 6], make_rng(2))
@@ -191,7 +193,7 @@ def test_factored_meta_step_matches_dense_reference(small_world, name, layers):
         k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
     }
     records = (small_world.edit_train + small_world.edit_test)[:40]
-    norm = fit_normalizer(model, records, params) if variant.normalize else None
+    norm = table_normalizer(model, records, params) if variant.normalize else None
     for k in (1, 5, 25):
         group = records[-k:]
         losses, grads = group_losses_and_grads(model, params, norm, group, 0.1, make_rng(k))
@@ -228,7 +230,7 @@ def _reference_validation_loss(model, params, normalizer, records, c_e, seed, k)
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
-def test_grouped_meta_step_matches_per_group_loop(small_world, name):
+def test_grouped_meta_step_matches_per_group_loop(small_world, name, table_normalizer):
     variant = ABLATION_VARIANTS[name]
     model = init_mlp([16, 6, 6, 6], make_rng(2))
     rng = make_rng(3)
@@ -237,7 +239,7 @@ def test_grouped_meta_step_matches_per_group_loop(small_world, name):
         k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
     }
     records = small_world.edit_train + small_world.edit_test
-    norm = fit_normalizer(model, records, params) if variant.normalize else None
+    norm = table_normalizer(model, records, params) if variant.normalize else None
     for k in (1, 5, 25):
         for n_groups in (1, 3, 10):
             groups = [[records[i] for i in rng.choice(len(records), size=k, replace=False)]
@@ -288,7 +290,7 @@ def _reference_record_step(model, params, normalizer, records, c_e, rng):
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
-def test_table_step_matches_record_path(small_world, name):
+def test_table_step_matches_record_path(small_world, name, table_normalizer):
     # one table over every record, as `train_editor` builds it; each group
     # is a row of indices into it
     variant = ABLATION_VARIANTS[name]
@@ -299,7 +301,7 @@ def test_table_step_matches_record_path(small_world, name):
         k: v + 0.3 * np.asarray(rng.standard_normal(v.shape)) for k, v in params.values.items()
     }
     records = small_world.edit_train + small_world.edit_test
-    norm = fit_normalizer(model, records, params) if variant.normalize else None
+    norm = table_normalizer(model, records, params) if variant.normalize else None
     table = build_factor_table(model, params.editable_layers, records)
     for k in (1, 5, 25):
         for n_groups in (1, 3, 10):
@@ -352,8 +354,8 @@ def test_train_editor_rejects_bad_record_before_any_step(small_world, small_mode
     assert calls == []
 
 
-def test_group_losses_reject_unequal_groups(small_world, small_model):
-    params, norm = _fresh_editor(small_model, small_world.edit_train[:20])
+def test_group_losses_reject_unequal_groups(small_world, small_model, table_normalizer):
+    params, norm = _fresh_editor(table_normalizer, small_model, small_world.edit_train[:20])
     groups = [small_world.edit_train[:2], small_world.edit_train[2:5]]
     with pytest.raises(ConfigError):
         group_losses_and_grads(small_model, params, norm, groups, 0.1, make_rng(0))
@@ -382,6 +384,88 @@ def test_train_editor_is_deterministic(small_world, small_model):
     assert log_a == log_b
     for k in a.values:
         assert np.array_equal(np.asarray(a.values[k]), np.asarray(b.values[k]))
+
+
+@pytest.mark.parametrize("pop", [1, 3, 28, 56, 120])
+def test_integers_draws_the_stream_of_choice_of_one(pop):
+    # the k=1 sampler's fact draw: numpy's no-replacement path for one item
+    # makes one bounded draw, none for a population of 1
+    a, b = make_rng(pop), make_rng(pop)
+    for i in range(2000):
+        assert int(a.choice(pop, size=1, replace=False)[0]) == int(b.integers(pop))
+        assert int(a.integers(1 + i % 17)) == int(b.integers(1 + i % 17))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_array_bounds_draw_the_stream_of_scalar_calls():
+    # a step's paraphrase picks: one call with the neighborhood sizes as
+    # bounds, bounds of 1 included
+    for seed in range(300):
+        bounds = make_rng([seed, 1]).integers(1, 40, size=1 + seed % 30)
+        bounds[::4] = 1
+        a, b = make_rng(seed), make_rng(seed)
+        want = [int(a.integers(bound)) for bound in bounds.tolist()]
+        assert b.integers(bounds).tolist() == want
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def _reference_sampler(model, records, cfg):
+    """The groups of table rows that the `choice`-per-group sampler drew,
+    step by step, with the generator state after each step's paraphrase
+    draws (one scalar `integers` call per record)."""
+    rng = make_rng(cfg.seed)
+    init_editor(model, list(range(model.num_layers)), cfg.rank, VariantConfig(), rng,
+                cfg.alpha_init)
+    buckets = {}
+    for row, rec in enumerate(records):
+        buckets.setdefault(rec.fact_id, []).append(row)
+    ids = sorted(buckets)
+    steps = []
+    for _ in range(cfg.max_steps):
+        groups = []
+        for _ in range(cfg.batch_size):
+            picked = rng.choice(len(ids), size=cfg.edits_per_step, replace=False)
+            groups.append([buckets[ids[f]][int(rng.integers(len(buckets[ids[f]])))]
+                           for f in picked])
+        for row in (row for group in groups for row in group):
+            rng.integers(len(records[row].neighborhood))
+        steps.append((groups, rng.bit_generator.state))
+    return steps
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sampler_draws_the_choice_sampler_stream(small_world, small_model, monkeypatch, k):
+    cfg = TrainConfig(max_steps=6, batch_size=4, eval_every=0, edits_per_step=k)
+    records = small_world.edit_train
+    seen = []
+
+    def recording(model, params, normalizer, groups, c_e, rng, **kw):
+        out = group_losses_and_grads(model, params, normalizer, groups, c_e, rng, **kw)
+        seen.append((groups.rows.tolist(), rng.bit_generator.state))
+        return out
+
+    monkeypatch.setattr(training_mod, "group_losses_and_grads", recording)
+    train_editor(small_model, records, [], cfg)
+    assert seen == _reference_sampler(small_model, records, cfg)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_train_editor_forwards_the_train_edit_pairs_once(
+    small_world, small_model, monkeypatch, steps
+):
+    # one factor pass feeds both the factor table and the normalizer
+    records = small_world.edit_train
+    x_e = np.stack([rec.x_e for rec in records])
+    passes = []
+    for module in (training_mod, editor_mod):
+        def counting(model, batch, orig=module.forward, name=module.__name__):
+            if model is small_model and np.array_equal(batch, x_e):
+                passes.append(name)
+            return orig(model, batch)
+        monkeypatch.setattr(module, "forward", counting)
+    _, norm, _ = train_editor(small_model, records, [], TrainConfig(max_steps=steps))
+    assert norm is not None
+    assert len(passes) == 1
 
 
 def test_editor_values_stay_views_into_one_buffer(small_world, small_model):
@@ -457,16 +541,16 @@ def test_train_editor_early_stops_and_logs_validation(small_world, small_model):
     assert len(log) <= 200
 
 
-def test_validation_loss_is_deterministic(small_world, small_model):
-    params, norm = _fresh_editor(small_model, small_world.edit_train[:20])
+def test_validation_loss_is_deterministic(small_world, small_model, table_normalizer):
+    params, norm = _fresh_editor(table_normalizer, small_model, small_world.edit_train[:20])
     recs = small_world.edit_train[:12]
     a = validation_loss(small_model, params, norm, recs, 0.1, seed=3)
     b = validation_loss(small_model, params, norm, recs, 0.1, seed=3)
     assert a == b
 
 
-def test_validation_loss_rejects_k_above_records(small_world, small_model):
-    params, norm = _fresh_editor(small_model, small_world.edit_train[:20])
+def test_validation_loss_rejects_k_above_records(small_world, small_model, table_normalizer):
+    params, norm = _fresh_editor(table_normalizer, small_model, small_world.edit_train[:20])
     recs = small_world.edit_train[:3]
     with pytest.raises(ConfigError):
         validation_loss(small_model, params, norm, recs, 0.1, seed=3, edits_per_step=4)
