@@ -14,7 +14,6 @@ from .editor import (
     Normalizer,
     VariantConfig,
     apply_edit,
-    editor_forward,
     fit_normalizer,
     init_editor,
     load_editor,
@@ -38,7 +37,6 @@ from .mlp import (
     forward,
     init_mlp,
     load_model,
-    reconstruct_gradient,
     save_model,
 )
 from .training import (

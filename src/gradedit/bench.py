@@ -11,14 +11,13 @@ different fact. Everything is deterministic given the config seed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, json_int
+from .errors import ConfigError, DataError, json_example, json_int, json_number, json_object
 from .ndops import Array, make_rng
 
 DATASET_FORMAT_VERSION = 1
@@ -44,22 +43,15 @@ class WorldConfig:
                   ("feature_dim", 1), ("paraphrases_per_fact", 1),
                   ("pretrain_per_fact", 1), ("records_per_fact", 1), ("seed", 0)]
         for name, low in bounds:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("noise_scale", "train_fraction"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            json_int(getattr(self, name), name, low, ConfigError)
+        json_number(self.noise_scale, "noise_scale", 0, error=ConfigError)
+        json_number(self.train_fraction, "train_fraction", 0, strict=True, error=ConfigError)
         if self.feature_dim < self.num_entities + self.num_relations:
             raise ConfigError(
                 "feature_dim must be >= num_entities + num_relations "
                 "(one-hot fact encoding must be injective)"
             )
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be >= 0")
-        if not 0.0 < self.train_fraction < 1.0:
+        if self.train_fraction >= 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
 
     @property
@@ -184,19 +176,8 @@ def save_dataset(world: World, path: str | Path) -> None:
 def _example(
     cfg: WorldConfig, obj: dict, lineno: int, x: str = "x", y: str = "y"
 ) -> tuple[Array, int]:
-    """The (input, label) pair under keys `x`, `y` of a dataset line, checked
-    against the world's feature dim and classes; the input must be finite."""
-    try:
-        pair = np.array(obj[x], dtype=np.float64), json_int(obj[y], f"line {lineno}: {y!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
-    if pair[0].shape != (cfg.feature_dim,):
-        raise DataError(f"line {lineno}: input shape {pair[0].shape} != ({cfg.feature_dim},)")
-    if not np.isfinite(pair[0]).all():
-        raise DataError(f"line {lineno}: input {x!r} holds a non-finite value")
-    if not 0 <= pair[1] < cfg.num_classes:
-        raise DataError(f"line {lineno}: label {pair[1]} is outside the {cfg.num_classes} classes")
-    return pair
+    """`json_example` of a dataset line, against the world's dims."""
+    return json_example(obj, cfg.feature_dim, cfg.num_classes, f"line {lineno}", x, y)
 
 
 def _parse_record(cfg: WorldConfig, obj: dict, lineno: int) -> EditRecord:
@@ -205,7 +186,7 @@ def _parse_record(cfg: WorldConfig, obj: dict, lineno: int) -> EditRecord:
     try:
         neighborhood = [_example(cfg, p, lineno) for p in obj["neighborhood"]]
         fact_id = json_int(obj["fact_id"], f"line {lineno}: 'fact_id'")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError) as e:
         raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
     if not neighborhood or not np.array_equal(neighborhood[0][0], x_e):
         raise DataError(f"line {lineno}: neighborhood must start with the edit pair")
@@ -213,58 +194,34 @@ def _parse_record(cfg: WorldConfig, obj: dict, lineno: int) -> EditRecord:
 
 
 def load_dataset(path: str | Path) -> World:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: the dataset is not UTF-8 text: {e}") from e
     if not lines:
         raise DataError(f"{path}: empty dataset file")
-
-    def parse_line(i: int) -> dict:
-        try:
-            obj = json.loads(lines[i])
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: parse error on line {i + 1}: {e}") from e
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}: line {i + 1} must hold a JSON object")
-        return obj
-
-    header = parse_line(0)
-    if header.get("format_version") != DATASET_FORMAT_VERSION:
-        raise DataError(
-            f"{path}: dataset version {header.get('format_version')} "
-            f"unsupported (want {DATASET_FORMAT_VERSION})"
-        )
+    header = json_object(lines[0], f"{path}: line 1", DATASET_FORMAT_VERSION)
     try:
         cfg = WorldConfig(**header["config"])
-        fact_labels = np.array(header["fact_labels"])
-    except (KeyError, TypeError, ValueError, ConfigError) as e:
+        fact_labels = [json_int(v, f"{path}: a fact label", 0) for v in header["fact_labels"]]
+    except (KeyError, TypeError, ConfigError) as e:
         raise DataError(f"{path}: bad world config or fact labels in the header: {e!r}") from e
-    if (fact_labels.dtype.kind not in "iu" or fact_labels.shape != (cfg.num_facts,)
-            or not np.all((0 <= fact_labels) & (fact_labels < cfg.num_classes))):
+    if len(fact_labels) != cfg.num_facts or max(fact_labels) >= cfg.num_classes:
         raise DataError(f"{path}: the header needs one integer label in "
                         f"[0, {cfg.num_classes}) per fact for {cfg.num_facts} facts")
-    world = World(
-        cfg,
-        fact_labels.astype(np.int64),
-        pretrain_x=np.zeros((0, cfg.feature_dim)),
-        pretrain_y=np.zeros(0, dtype=np.int64),
-    )
-    xs, ys = [], []
+    pretrain, edits = [], {"edit_train": [], "edit_test": []}
     for i in range(1, len(lines)):
-        obj = parse_line(i)
+        obj = json_object(lines[i], f"{path}: line {i + 1}")
         split = obj.get("split")
         if split == "pretrain":
-            x, y = _example(cfg, obj, i + 1)
-            xs.append(x)
-            ys.append(y)
-        elif split == "edit_train":
-            world.edit_train.append(_parse_record(cfg, obj, i + 1))
-        elif split == "edit_test":
-            world.edit_test.append(_parse_record(cfg, obj, i + 1))
+            pretrain.append(_example(cfg, obj, i + 1))
+        elif split in ("edit_train", "edit_test"):
+            edits[split].append(_parse_record(cfg, obj, i + 1))
         else:
             raise DataError(f"{path}: line {i + 1}: unknown split {split!r}")
-    world.pretrain_x = np.stack(xs) if xs else np.zeros((0, cfg.feature_dim))
-    world.pretrain_y = np.array(ys, dtype=np.int64)
-    return world
+    xs = np.stack([x for x, _ in pretrain]) if pretrain else np.zeros((0, cfg.feature_dim))
+    ys = np.array([y for _, y in pretrain], dtype=np.int64)
+    return World(cfg, np.array(fact_labels, dtype=np.int64), xs, ys, **edits)
 
 
 def interleave_by_fact(records: Sequence[EditRecord]) -> list[EditRecord]:

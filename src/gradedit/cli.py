@@ -19,7 +19,7 @@ import numpy as np
 
 from .bench import WorldConfig, generate_world, holdout_split, load_dataset, save_dataset
 from .editor import VariantConfig, load_editor, save_editor
-from .errors import ConfigError, ContractError, DataError, ShapeError, json_int
+from .errors import ConfigError, ContractError, DataError, ShapeError, json_example, json_file
 from .evaluation import (
     ABLATION_VARIANTS,
     FtEditor,
@@ -47,11 +47,9 @@ def _resolve(args, defaults: dict, overrides: dict) -> dict:
     cfg = dict(defaults)
     if args.config:
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
+            file_cfg = json_file(args.config, f"config file {args.config}", error=ConfigError)
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {args.config}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from e
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -143,27 +141,13 @@ def cmd_train_editor(args) -> int:
 
 def _load_edit_inputs(path: Path, model: Mlp) -> tuple[np.ndarray, np.ndarray]:
     """The (B, input_dim) edit inputs and (B,) labels of an edit input file."""
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"malformed edit input file {path}: {e}") from e
-    items = payload["edits"] if isinstance(payload, dict) and "edits" in payload else [payload]
-    try:
-        xs = [np.array(it["x"], dtype=np.float64) for it in items]
-        ys = np.array([json_int(it["y"], f"edit input file {path}: label 'y'") for it in items],
-                      dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"edit input file {path} must carry numeric 'x' and 'y' fields") from e
-    if not xs:
+    payload = json_file(path, f"edit input file {path}")
+    items = payload["edits"] if "edits" in payload else [payload]
+    if not isinstance(items, list) or not items:
         raise DataError(f"edit input file {path} lists no edits")
-    if any(x.shape != (model.input_dim,) for x in xs):
-        raise DataError(f"every edit input 'x' must be a list of {model.input_dim} numbers")
-    if not all(np.isfinite(x).all() for x in xs):
-        raise DataError(f"edit input file {path} holds a non-finite 'x' value")
-    bad = ys[(ys < 0) | (ys >= model.num_classes)]
-    if bad.size:
-        raise DataError(f"edit label {bad[0]} is outside the model's {model.num_classes} classes")
-    return np.stack(xs), ys
+    pairs = [json_example(it, model.input_dim, model.num_classes,
+                          f"edit input file {path}, edit {i}") for i, it in enumerate(items)]
+    return np.stack([x for x, _ in pairs]), np.array([y for _, y in pairs], dtype=np.int64)
 
 
 def cmd_edit(args) -> int:

@@ -22,14 +22,23 @@ forms an (n, m) matrix; only `apply_edit` materializes W~.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, json_int
+from .errors import (
+    ConfigError,
+    DataError,
+    ShapeError,
+    json_bool,
+    json_file,
+    json_floats,
+    json_int,
+    json_number,
+    layer_indices,
+)
 from .mlp import Mlp, backward_factors, clone_with_weights, forward, nll_grad, outer_sum
 from .ndops import Array, FlatTree, check_finite, flatten, relu, relu_grad, xavier_uniform
 
@@ -48,6 +57,8 @@ class VariantConfig:
     transform: str = "both"
 
     def __post_init__(self) -> None:
+        for name in ("share_params", "normalize", "identity_init"):
+            json_bool(getattr(self, name), name, ConfigError)
         if self.transform not in TRANSFORM_MODES:
             raise ConfigError(f"unknown transform mode {self.transform!r}")
 
@@ -133,8 +144,9 @@ def _group_key(model: Mlp, layer: int, variant: VariantConfig) -> str:
 def _tensor_shapes(
     rank: int, variant: VariantConfig, layer_group: dict[int, str], group_dims: dict
 ) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor that `init_editor` makes; `load_editor`
-    checks a checkpoint against it."""
+    """Name -> shape of every editor tensor, in the order of the flat tree:
+    `init_editor` builds the tree from it, `load_editor` reads a checkpoint
+    against it. The tensors' draws from the init RNG follow this order."""
     shapes: dict[str, tuple[int, ...]] = {}
     for key, (m, n) in group_dims.items():
         w = variant.editor_width(m, n)
@@ -157,37 +169,23 @@ def init_editor(
     rng: np.random.Generator,
     alpha_init: float = 1e-2,
 ) -> EditorParams:
-    """Build editor parameters for `editable_layers` of `model`."""
-    layers = list(editable_layers)
-    if not layers:
-        raise ConfigError("editable layer set is empty")
-    for l in layers:
-        if not 0 <= l < model.num_layers:
-            raise ConfigError(f"layer {l} not in model")
+    """Build editor parameters for `editable_layers` of `model`: the
+    `_tensor_shapes` tree, with xavier-uniform V (and U, unless
+    `variant.identity_init`), unit FiLM scales, zero biases and shifts, and
+    `alpha_init` as every layer's step size."""
+    layers = layer_indices(editable_layers, model.num_layers)
     layer_group = {l: _group_key(model, l, variant) for l in layers}
     group_dims = {layer_group[l]: model.layer_shape(l) for l in layers}
-
+    drawn = {"V1", "V2"} if variant.identity_init else {"V1", "V2", "U1", "U2"}
     values: dict[str, Array] = {}
-    for key, (m, n) in group_dims.items():
-        width = variant.editor_width(m, n)
-        if not 1 <= rank <= width:
-            raise ConfigError(f"rank {rank} invalid for editor width {width}")
-        values[f"g:{key}:V1"] = xavier_uniform(rank, width, rng)
-        values[f"g:{key}:V2"] = xavier_uniform(rank, width, rng)
-        if variant.identity_init:
-            values[f"g:{key}:U1"] = np.zeros((width, rank))
-            values[f"g:{key}:U2"] = np.zeros((width, rank))
+    for name, shape in _tensor_shapes(rank, variant, layer_group, group_dims).items():
+        part = name.rsplit(":", 1)[1]
+        if part in drawn:
+            values[name] = xavier_uniform(*shape, rng)
+        elif part == "alpha":
+            values[name] = np.array(float(alpha_init))
         else:
-            values[f"g:{key}:U1"] = xavier_uniform(width, rank, rng)
-            values[f"g:{key}:U2"] = xavier_uniform(width, rank, rng)
-        values[f"g:{key}:b1"] = np.zeros(width)
-    for l in layers:
-        width = variant.editor_width(*model.layer_shape(l))
-        values[f"l:{l}:s1"] = np.ones(width)
-        values[f"l:{l}:o1"] = np.zeros(width)
-        values[f"l:{l}:s2"] = np.ones(width)
-        values[f"l:{l}:o2"] = np.zeros(width)
-        values[f"l:{l}:alpha"] = np.array(float(alpha_init))
+            values[name] = np.ones(shape) if part in ("s1", "s2") else np.zeros(shape)
     return EditorParams(rank, variant, layers, layer_group, group_dims, flatten(values))
 
 
@@ -277,18 +275,6 @@ def _editor_apply(
             out_d = seg
         off += width
     return out_u, out_d, _EditorTape(z, v1z, a1, pre1, h, v2h, a2)
-
-
-def editor_forward(
-    params: EditorParams,
-    layer: int,
-    u: Array,
-    delta: Array,
-    normalizer: Normalizer | None = None,
-) -> tuple[Array, Array]:
-    """Map one (m,) u / (n,) delta factor pair through `layer`'s editor."""
-    u_t, d_t, _ = _editor_apply(params, layer, u[None, :], delta[None, :], normalizer)
-    return u_t[0], d_t[0]
 
 
 def _editor_backward(
@@ -548,72 +534,51 @@ def save_editor(
     Path(path).write_text(json.dumps(payload))
 
 
-def _check_tensors(tensors: dict[str, Array], shapes: dict, what: str) -> None:
-    missing, extra = sorted(set(shapes) - set(tensors)), sorted(set(tensors) - set(shapes))
-    if missing or extra:
-        raise DataError(f"{what}: missing tensors {missing}, unexpected tensors {extra}")
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
-            raise DataError(f"{what}: tensor {name} has shape {tensors[name].shape}, want {shape}")
+def _read_tensors(section: object, shapes: dict, what: str) -> dict[str, Array]:
+    """The arrays of a checkpoint section, a JSON object that must name
+    exactly the tensors of `shapes`, each nested lists of finite numbers of
+    its shape; in the order of `shapes`."""
+    if not isinstance(section, dict) or section.keys() != shapes.keys():
+        names = set(section) if isinstance(section, dict) else set()
+        raise DataError(f"{what}: missing tensors {sorted(set(shapes) - names)}, "
+                        f"unexpected tensors {sorted(names - set(shapes))}")
+    return {name: json_floats(section[name], shape, f"{what}: tensor {name}")
+            for name, shape in shapes.items()}
 
 
 def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
     """Read a `save_editor` checkpoint; the tensor names and shapes must be
     those its header (rank, variant, layers, group dims) implies, every
-    tensor and normalizer value must be finite, every normalizer variance
-    above 0, and the normalizer's `eps` a number above 0."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"malformed editor checkpoint {path}: {e}") from e
-    if not isinstance(payload, dict):
-        raise DataError(f"editor checkpoint {path} must hold a JSON object")
-    if payload.get("format_version") != EDITOR_FORMAT_VERSION:
-        raise DataError(
-            f"editor checkpoint version {payload.get('format_version')} "
-            f"unsupported (want {EDITOR_FORMAT_VERSION})"
-        )
+    tensor and normalizer value a finite JSON number, every normalizer
+    variance above 0, and the normalizer's `eps` a finite number above 0."""
     what = f"editor checkpoint {path}"
+    payload = json_file(path, what, EDITOR_FORMAT_VERSION)
     try:
         layers = [json_int(l, f"{what}: an editable layer") for l in payload["editable_layers"]]
-        params = EditorParams(
-            rank=json_int(payload["rank"], f"{what}: rank"),
-            variant=VariantConfig(**payload["variant"]),
-            editable_layers=layers,
-            layer_group={l: payload["layer_group"][str(l)] for l in layers},
-            group_dims={k: (json_int(m, f"{what}: a width of group {k}"),
-                            json_int(n, f"{what}: a width of group {k}"))
-                        for k, (m, n) in payload["group_dims"].items()},
-            values=flatten({k: np.array(v, dtype=np.float64)
-                            for k, v in payload["values"].items()}),
-        )
-        shapes = _tensor_shapes(params.rank, params.variant, params.layer_group, params.group_dims)
-        nz = payload["normalizer"]
-        stats = None if nz is None else {
-            stat: {k: np.array(v, dtype=np.float64) for k, v in nz[stat].items()}
-            for stat in _NORM_STATS}
-        eps = None if nz is None else nz["eps"]
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, ConfigError) as e:
+        rank = json_int(payload["rank"], f"{what}: rank")
+        variant = VariantConfig(**payload["variant"])
+        layer_group = {l: payload["layer_group"][str(l)] for l in layers}
+        group_dims = {k: (json_int(m, f"{what}: a width of group {k}", 1),
+                          json_int(n, f"{what}: a width of group {k}", 1))
+                      for k, (m, n) in payload["group_dims"].items()}
+        shapes = _tensor_shapes(rank, variant, layer_group, group_dims)
+        values, nz = payload["values"], payload["normalizer"]
+        if nz is not None:
+            eps = json_number(nz["eps"], f"{what}: normalizer eps", 0, strict=True)
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
         raise DataError(f"malformed editor checkpoint {path}: {e!r}") from e
-    _check_tensors(params.values, shapes, what)
-    if stats is not None:
-        for stat in _NORM_STATS:
-            dim = 0 if stat.endswith("_u") else 1
-            shapes = {k: (mn[dim],) for k, mn in params.group_dims.items()}
-            _check_tensors(stats[stat], shapes, f"{what}, normalizer {stat}")
-    elif params.variant.normalize:
-        raise DataError(f"{what}: a normalizing editor needs its normalizer")
-    arrays = list(params.values.values())
-    if stats is not None:
-        arrays += [a for tensors in stats.values() for a in tensors.values()]
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DataError(f"{what} holds non-finite values")
-    if stats is None:
+    params = EditorParams(rank, variant, layers, layer_group, group_dims,
+                          flatten(_read_tensors(values, shapes, what)))
+    if nz is None:
+        if variant.normalize:
+            raise DataError(f"{what}: a normalizing editor needs its normalizer")
         return params, None
+    stats = {}
+    for stat in _NORM_STATS:
+        dim = 0 if stat.endswith("_u") else 1
+        stats[stat] = _read_tensors(nz.get(stat), {k: (mn[dim],) for k, mn in group_dims.items()},
+                                    f"{what}, normalizer {stat}")
     # a variance of 0 or below divides by zero or takes a root of a negative
     if not all((v > 0).all() for stat in ("var_u", "var_d") for v in stats[stat].values()):
         raise DataError(f"{what}: every normalizer variance must be above 0")
-    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
-            or not 0 < eps <= sys.float_info.max):
-        raise DataError(f"{what}: normalizer eps must be a finite number above 0, got {eps!r}")
-    return params, Normalizer(float(eps), **stats)
+    return params, Normalizer(eps, **stats)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, ShapeError
+from .errors import ContractError, DataError, ShapeError, json_file, json_floats, json_int
 from .ndops import Array, check_finite, log_softmax, relu, relu_grad, xavier_uniform
 
 MODEL_FORMAT_VERSION = 1
@@ -88,10 +88,6 @@ class GradFactors:
     layer: int
     u: Array  # (B, m)
     delta: Array  # (B, n)
-
-    @property
-    def batch_size(self) -> int:
-        return self.u.shape[0]
 
 
 def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
@@ -183,13 +179,6 @@ def outer_sum(delta: Array, u: Array) -> Array:
     return delta.T @ u
 
 
-def reconstruct_gradient(factors: GradFactors) -> Array:
-    """Sum of per-example outer products; equals the dense weight gradient."""
-    if factors.batch_size == 0:
-        raise ShapeError("empty factors")
-    return outer_sum(factors.delta, factors.u)
-
-
 def clone_with_weights(model: Mlp, replacements: dict[int, Array]) -> Mlp:
     """A copy of `model` with some weight matrices replaced, sharing no memory
     with `model`.
@@ -234,39 +223,23 @@ def save_model(model: Mlp, path: str | Path) -> None:
 def load_model(path: str | Path) -> Mlp:
     """Read a `save_model` checkpoint. Any defect in the file raises
     DataError: malformed JSON or keys, arrays whose shapes disagree with the
-    checkpoint's `layer_dims`, or a non-finite value."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"malformed model checkpoint {path}: {e}") from e
-    if not isinstance(payload, dict):
-        raise DataError(f"model checkpoint {path} must hold a JSON object")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"model checkpoint version {payload.get('format_version')} "
-            f"unsupported (want {MODEL_FORMAT_VERSION})"
-        )
+    checkpoint's `layer_dims`, or a value that is not a finite JSON number."""
+    what = f"model checkpoint {path}"
+    payload = json_file(path, what, MODEL_FORMAT_VERSION)
     if set(payload) != _MODEL_KEYS:
         raise DataError(
-            f"model checkpoint {path}: missing keys {sorted(_MODEL_KEYS - set(payload))}, "
+            f"{what}: missing keys {sorted(_MODEL_KEYS - set(payload))}, "
             f"unexpected keys {sorted(set(payload) - _MODEL_KEYS)}"
         )
-    dims = payload["layer_dims"]
-    if not (isinstance(dims, list) and len(dims) >= 2
-            and all(type(d) is int and d >= 1 for d in dims)):
-        raise DataError(f"model checkpoint {path}: bad layer_dims {dims!r}")
-    try:
-        weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    except (TypeError, ValueError) as e:
-        raise DataError(f"malformed model checkpoint {path}: {e!r}") from e
-    want_w = [(n, m) for m, n in zip(dims, dims[1:])]
-    got_w, got_b = [w.shape for w in weights], [b.shape for b in biases]
-    if got_w != want_w or got_b != [(n,) for n, _ in want_w]:
-        raise DataError(
-            f"model checkpoint {path}: weight shapes {got_w} and bias shapes {got_b} "
-            f"do not match layer_dims {dims}"
-        )
-    if not all(np.isfinite(a).all() for a in weights + biases):
-        raise DataError(f"model checkpoint {path} holds non-finite values")
+    dims, weights, biases = payload["layer_dims"], payload["weights"], payload["biases"]
+    if not (isinstance(dims, list) and len(dims) >= 2):
+        raise DataError(f"{what}: bad layer_dims {dims!r}")
+    dims = [json_int(d, f"{what}: a layer dim", 1) for d in dims]
+    if not (isinstance(weights, list) and isinstance(biases, list)
+            and len(weights) == len(biases) == len(dims) - 1):
+        raise DataError(f"{what}: {len(dims) - 1} layers need as many weights and biases")
+    weights = [json_floats(w, (n, m), f"{what}: weight {l}")
+               for l, (w, m, n) in enumerate(zip(weights, dims, dims[1:]))]
+    biases = [json_floats(b, (n,), f"{what}: bias {l}")
+              for l, (b, n) in enumerate(zip(biases, dims[1:]))]
     return Mlp(weights, biases)

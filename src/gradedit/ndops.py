@@ -1,6 +1,5 @@
 """Deterministic numerical core: seeded RNG, activations, softmax,
-KL divergence, flat parameter trees, Adam, and a finite-difference gradient
-oracle.
+KL divergence, flat parameter trees and Adam.
 
 All arrays are float64 numpy arrays. Every public operation asserts finite
 outputs. All randomness flows through explicitly passed numpy Generators
@@ -11,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ShapeError
 
 Array = np.ndarray
-ParamTree = dict[str, np.ndarray]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -143,27 +141,3 @@ def adam_step(params: Array, grads: Array, state: AdamState) -> None:
     np.add(b, state.eps, out=b)
     np.subtract(params, np.divide(a, b, out=a), out=params)
 
-
-def finite_diff_grad(
-    f: Callable[[ParamTree], float], params: Mapping[str, Array], h: float = 1e-5
-) -> ParamTree:
-    """Central-difference gradient estimate of a scalar function of a
-    parameter tree; the test oracle used throughout the suite."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    base = {k: np.array(v, dtype=np.float64, copy=True) for k, v in params.items()}
-    grads: ParamTree = {}
-    for k, p in base.items():
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            f_plus = f(base)
-            flat_p[i] = orig - h
-            f_minus = f(base)
-            flat_p[i] = orig
-            flat_g[i] = (f_plus - f_minus) / (2.0 * h)
-        grads[k] = g
-    return grads

@@ -46,7 +46,7 @@ from .editor import (
     tape_from_factors,
     zero_grads,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, json_int, json_number, layer_indices
 from .mlp import (
     Mlp,
     backward,
@@ -85,24 +85,14 @@ class TrainConfig:
     editable_layers: list[int] | None = None
 
     def __post_init__(self) -> None:
-        # (field, lowest allowed value, whether the field counts steps or items)
-        bounds = [("c_e", 0, False), ("max_steps", 0, True), ("eval_every", 0, True),
-                  ("edits_per_step", 1, True), ("batch_size", 1, True),
-                  ("patience", 1, True), ("rank", 1, True)]
-        for name, low, integral in bounds:
-            value = getattr(self, name)
-            kinds = (int,) if integral else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds) or not value >= low:
-                kind = "an integer" if integral else "a number"
-                raise ConfigError(f"{name} must be {kind} >= {low}, got {value!r}")
-        lr = self.meta_lr
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not lr > 0:
-            raise ConfigError(f"meta_lr must be a number > 0, got {lr!r}")
-        layers = self.editable_layers
-        if layers is not None and not (isinstance(layers, (list, tuple)) and layers
-                                       and all(type(l) is int for l in layers)):
-            raise ConfigError(f"editable_layers must be null (every layer) or a non-empty "
-                              f"list of layer indices, got {layers!r}")
+        for name, low in (("max_steps", 0), ("eval_every", 0), ("edits_per_step", 1),
+                          ("batch_size", 1), ("patience", 1), ("rank", 1), ("seed", 0)):
+            json_int(getattr(self, name), name, low, ConfigError)
+        json_number(self.c_e, "c_e", 0, error=ConfigError)
+        json_number(self.meta_lr, "meta_lr", 0, strict=True, error=ConfigError)
+        json_number(self.alpha_init, "alpha_init", None, error=ConfigError)
+        if self.editable_layers is not None:
+            layer_indices(self.editable_layers, None)
 
 
 @dataclass
@@ -381,12 +371,8 @@ def finetune_kl_edit(
     its weight gradient adds only zeros: that step draws its locality input,
     so that later steps draw the same inputs, but runs no KL pass."""
     # each layer once: its gradient buffer is updated in place
-    editable = list(dict.fromkeys(editable_layers if editable_layers is not None
-                                  else range(model.num_layers)))
-    if not editable or not all(type(l) is int and 0 <= l < model.num_layers
-                               for l in editable):
-        raise ConfigError(f"editable_layers must be null (every layer) or a non-empty list of "
-                          f"layer indices below {model.num_layers}, got {editable_layers!r}")
+    editable = layer_indices(range(model.num_layers) if editable_layers is None
+                             else editable_layers, model.num_layers)
     xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
     current, steps = model, max_steps
@@ -441,6 +427,14 @@ def pretrain_model(
 ) -> tuple[Mlp, float]:
     """Fit a base classifier on the pretrain split with Adam; returns the
     model and its final pretrain accuracy."""
+    for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
+                             ("seed", seed, 0)):
+        json_int(value, name, low, ConfigError)
+    json_number(lr, "lr", 0, strict=True, error=ConfigError)
+    if not isinstance(hidden_dims, (list, tuple)):
+        raise ConfigError(f"hidden_dims must be a list of layer widths, got {hidden_dims!r}")
+    for width in hidden_dims:
+        json_int(width, "a hidden layer width", 1, ConfigError)
     cfg = world.config
     if len(world.pretrain_x) == 0:
         raise DataError("the world has no pretrain examples")

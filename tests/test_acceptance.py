@@ -17,7 +17,6 @@ from gradedit.bench import WorldConfig, generate_world, interleave_by_fact
 from gradedit.editor import (
     VariantConfig,
     apply_edit,
-    editor_forward,
     init_editor,
 )
 from gradedit.evaluation import (
@@ -30,14 +29,16 @@ from gradedit.evaluation import (
     reports_to_json,
     run_ablations,
 )
-from gradedit.mlp import backward_nll, forward, init_mlp, reconstruct_gradient
-from gradedit.ndops import finite_diff_grad, make_rng
+from gradedit.mlp import backward_nll, forward, init_mlp
+from gradedit.ndops import make_rng
 from gradedit.training import (
     TrainConfig,
     group_losses_and_grads,
     pretrain_model,
     train_editor,
 )
+
+from oracles import editor_forward, finite_diff_grad, reconstruct_gradient
 
 
 def _ok(criterion: str) -> None:

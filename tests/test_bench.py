@@ -194,6 +194,9 @@ def test_load_dataset_rejects_empty_and_bad_version(tmp_path):
     path.write_text('{"format_version": 42}\n')
     with pytest.raises(DataError):
         load_dataset(path)
+    path.write_bytes(b'\xff{"format_version": 1}\n')  # not UTF-8
+    with pytest.raises(DataError):
+        load_dataset(path)
 
 
 def test_load_dataset_rejects_unknown_split(tmp_path):
@@ -248,6 +251,14 @@ def _first(split):
         lambda lines: _first("edit_train")(lines).__setitem__("y_loc", 1.0),
         lambda lines: _first("edit_train")(lines)["neighborhood"][1].__setitem__("y", 2.0),
         lambda lines: _first("edit_test")(lines).__setitem__("fact_id", 3.0),
+        # every number is a JSON number: np.array would read true as 1 and
+        # "1" as 1.0, and a 400-digit integer overflows a float
+        lambda lines: lines[0]["fact_labels"].__setitem__(0, True),
+        lambda lines: lines[0].__setitem__("format_version", True),
+        lambda lines: _first("pretrain")(lines)["x"].__setitem__(0, "1"),
+        lambda lines: _first("pretrain")(lines)["x"].__setitem__(0, True),
+        lambda lines: _first("edit_train")(lines)["x_loc"].__setitem__(0, None),
+        lambda lines: _first("edit_test")(lines)["x"].__setitem__(0, 10**400),
     ],
     ids=[
         "unknown_config_key", "invalid_config", "missing_config", "pretrain_label",
@@ -256,7 +267,9 @@ def _first(split):
         "fractional_count", "short_fact_labels", "fact_label_outside_classes",
         "nan_fact_label", "fractional_fact_label", "line_not_an_object",
         "float_label", "string_label", "bool_label", "whole_float_locality_label",
-        "whole_float_neighborhood_label", "float_fact_id",
+        "whole_float_neighborhood_label", "float_fact_id", "bool_fact_label",
+        "bool_format_version", "string_input_entry", "bool_input_entry",
+        "null_locality_entry", "huge_input_entry",
     ],
 )
 def test_load_dataset_rejects_bad_config_labels_and_shapes(tmp_path, edit):

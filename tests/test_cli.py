@@ -173,6 +173,10 @@ def test_config_error_exit_code(tmp_path):
     assert main(["gen-data", "--config", str(bad_cfg), "--out-dir", str(tmp_path)]) == 2
     bad_cfg.write_text("{broken json")
     assert main(["gen-data", "--config", str(bad_cfg), "--out-dir", str(tmp_path)]) == 2
+    # a JSON value other than an object, and bytes that are not UTF-8 text
+    for text in (b"5", b'\xff{"seed": 1}'):
+        bad_cfg.write_bytes(text)
+        assert main(["gen-data", "--config", str(bad_cfg), "--out-dir", str(tmp_path)]) == 2
     # missing required input is a config error too
     assert main(["pretrain", "--out-dir", str(tmp_path)]) == 2
 
@@ -186,6 +190,15 @@ def test_gen_data_bad_count_exit_code(tmp_path, bad):
     cfg.write_text(json.dumps({**WORLD_CFG, **bad}))
     assert main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert not (tmp_path / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("bad", [{"epochs": "40"}, {"lr": float("inf")}, {"hidden_dims": [0]}])
+def test_pretrain_bad_config_value_exit_code(pipeline, tmp_path, bad):
+    cfg = tmp_path / "pretrain.json"
+    cfg.write_text(json.dumps(bad))
+    assert main(["pretrain", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_pretrain_without_pretrain_examples_exit_code(pipeline, tmp_path):
@@ -327,6 +340,24 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
     next(iter(payload["normalizer"]["var_u"].values()))[0] = 0.0
     zero_var = tmp_path / "zero_var_editor.json"
     zero_var.write_text(json.dumps(payload))
+    # every number in an input file must be a JSON number that fits a float
+    model = json.loads((pipeline / "model.json").read_text())
+    model["weights"][0][0][0] = 10**400
+    huge_weight = tmp_path / "huge_weight_model.json"
+    huge_weight.write_text(json.dumps(model))
+    edit = json.loads(_edit_input(pipeline, tmp_path).read_text())
+    edit["x"][0] = "0.5"
+    string_x = tmp_path / "string_x_edit.json"
+    string_x.write_text(json.dumps(edit))
+    payload = json.loads((pipeline / "editor.json").read_text())
+    payload["values"]["l:0:s1"][0] = True
+    bool_tensor = tmp_path / "bool_tensor_editor.json"
+    bool_tensor.write_text(json.dumps(payload))
+    lines = (pipeline / "dataset.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["fact_labels"] = [True] * len(header["fact_labels"])
+    bool_labels = tmp_path / "bool_labels.jsonl"
+    bool_labels.write_text("\n".join([json.dumps(header)] + lines[1:]))
     runs = [
         (2, ["train-editor", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
              "--model", str(pipeline / "model.json")]),
@@ -340,6 +371,14 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
              "--edit-input", str(_edit_input(pipeline, tmp_path))]),
         (4, ["edit", "--model", str(short_model), "--editor", str(pipeline / "editor.json"),
              "--edit-input", str(_edit_input(pipeline, tmp_path))]),
+        (3, ["edit", "--model", str(huge_weight), "--editor", str(pipeline / "editor.json"),
+             "--edit-input", str(_edit_input(pipeline, tmp_path))]),
+        (3, ["edit", "--model", str(pipeline / "model.json"),
+             "--editor", str(pipeline / "editor.json"), "--edit-input", str(string_x)]),
+        (3, ["edit", "--model", str(pipeline / "model.json"), "--editor", str(bool_tensor),
+             "--edit-input", str(_edit_input(pipeline, tmp_path))]),
+        (3, ["eval", "--dataset", str(bool_labels), "--model", str(pipeline / "model.json"),
+             "--editor", str(pipeline / "editor.json"), "--k-edits", "1"]),
     ]
     for code, args in runs:
         proc = subprocess.run(
@@ -352,7 +391,8 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
     assert not (tmp_path / "edited_model.json").exists()
 
 
-@pytest.mark.parametrize("bad", [{"c_e": -1}, {"batch_size": 0}, {"patience": 0}])
+@pytest.mark.parametrize("bad", [{"c_e": -1}, {"batch_size": 0}, {"patience": 0},
+                                 {"c_e": float("inf")}, {"meta_lr": float("inf")}])
 def test_train_editor_bad_config_value_exit_code(pipeline, tmp_path, bad):
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps({"max_steps": 3, "eval_every": 1, **bad}))

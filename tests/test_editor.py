@@ -15,11 +15,11 @@ from gradedit.editor import (
     EditorParams,
     Normalizer,
     VariantConfig,
+    _editor_apply,
     apply_edit,
     apply_edit_with_tape,
     backprop_edit,
     edited_forward,
-    editor_forward,
     fit_normalizer,
     init_editor,
     load_editor,
@@ -29,7 +29,9 @@ from gradedit.editor import (
 from gradedit.errors import ConfigError, DataError, ShapeError
 from gradedit.evaluation import ABLATION_VARIANTS
 from gradedit.mlp import backward, backward_nll, forward, init_mlp
-from gradedit.ndops import finite_diff_grad, make_rng, relu, relu_grad
+from gradedit.ndops import make_rng, relu, relu_grad
+
+from oracles import editor_forward, finite_diff_grad
 
 
 def _editor_for(model, rank=2, variant=None, alpha=1e-2, seed=0, layers=None):
@@ -43,6 +45,14 @@ def _editor_for(model, rank=2, variant=None, alpha=1e-2, seed=0, layers=None):
 def test_variant_rejects_unknown_transform():
     with pytest.raises(ConfigError):
         VariantConfig(transform="everything")
+
+
+@pytest.mark.parametrize("name", ["share_params", "normalize", "identity_init"])
+def test_variant_switches_must_be_bools(name):
+    # "" or 0 would silently turn a switch off, "no" would turn it on
+    for bad in ("", "no", 0, 1, None):
+        with pytest.raises(ConfigError, match=name):
+            VariantConfig(**{name: bad})
 
 
 def test_transformed_parts_and_width():
@@ -66,6 +76,10 @@ def test_init_editor_validates_layers_and_rank():
         init_editor(model, [], 2, VariantConfig(), make_rng(0))
     with pytest.raises(ConfigError):
         init_editor(model, [7], 2, VariantConfig(), make_rng(0))
+    # a float index or a bool is not a layer: [True] would name tensors "l:True:s1"
+    for layers in ([1.0], [True], [-1], "0"):
+        with pytest.raises(ConfigError):
+            init_editor(model, layers, 2, VariantConfig(), make_rng(0))
     with pytest.raises(ConfigError):
         init_editor(model, [0], 0, VariantConfig(), make_rng(0))
     with pytest.raises(ConfigError):
@@ -333,7 +347,7 @@ def test_editor_forward_shape_check():
     model = init_mlp([6, 5], make_rng(1))
     params = _editor_for(model, variant=VariantConfig(normalize=False))
     with pytest.raises(ShapeError):
-        editor_forward(params, 0, np.zeros(4), np.zeros(5))
+        _editor_apply(params, 0, np.zeros((1, 4)), np.zeros((1, 5)), None)
 
 
 # -------------------------------------------------------------- reverse pass
@@ -684,6 +698,14 @@ def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
         lambda p: p["normalizer"].__setitem__("eps", float("inf")),
         lambda p: p["normalizer"].__setitem__("eps", 10**400),
         lambda p: p["normalizer"].__setitem__("eps", [1e-6]),
+        # every tensor entry is a JSON number that fits a float, and every
+        # variant switch a bool
+        lambda p: p["values"]["l:0:s1"].__setitem__(0, True),
+        lambda p: p["values"]["l:0:s1"].__setitem__(0, "2.0"),
+        lambda p: p["values"]["l:0:s1"].__setitem__(0, 10**400),
+        lambda p: p["values"].__setitem__("l:0:alpha", None),
+        lambda p: _first_stat(p, "mean_d").__setitem__(0, False),
+        lambda p: p["variant"].__setitem__("normalize", ""),
     ],
     ids=[
         "missing_tensor", "extra_tensor", "short_tensor", "alpha_not_scalar",
@@ -693,6 +715,8 @@ def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
         "string_rank", "float_rank", "bool_rank", "float_layers", "float_group_dims",
         "zero_var_u", "negative_var_u", "negative_var_d", "string_eps", "bool_eps",
         "zero_eps", "negative_eps", "inf_eps", "huge_int_eps", "list_eps",
+        "bool_tensor_entry", "string_tensor_entry", "huge_int_tensor_entry", "null_alpha",
+        "bool_normalizer_stat", "string_variant_switch",
     ],
 )
 def test_load_editor_checks_tensor_names_and_shapes(

@@ -18,10 +18,11 @@ from gradedit.mlp import (
     load_model,
     nll_grad,
     outer_sum,
-    reconstruct_gradient,
     save_model,
 )
-from gradedit.ndops import finite_diff_grad, make_rng, relu, softmax
+from gradedit.ndops import make_rng, relu, softmax
+
+from oracles import finite_diff_grad, reconstruct_gradient
 
 
 def _nll_of_params(model, xs, ys):

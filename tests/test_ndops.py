@@ -14,7 +14,6 @@ from gradedit.ndops import (
     FlatTree,
     adam_step,
     check_finite,
-    finite_diff_grad,
     flatten,
     kl_divergence,
     log_softmax,
@@ -24,6 +23,8 @@ from gradedit.ndops import (
     softmax,
     xavier_uniform,
 )
+
+from oracles import finite_diff_grad
 
 
 def test_make_rng_is_deterministic():

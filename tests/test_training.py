@@ -26,7 +26,7 @@ from gradedit.editor import (
 from gradedit.errors import ConfigError, DataError
 from gradedit.evaluation import ABLATION_VARIANTS
 from gradedit.mlp import backward, backward_nll, clone_with_weights, forward, init_mlp
-from gradedit.ndops import finite_diff_grad, kl_divergence, log_softmax, make_rng, softmax
+from gradedit.ndops import kl_divergence, log_softmax, make_rng, softmax
 from gradedit.training import (
     ACCURACY_BLOCK_ROWS,
     TableGroups,
@@ -40,6 +40,8 @@ from gradedit.training import (
     train_editor,
     validation_loss,
 )
+
+from oracles import finite_diff_grad
 
 
 def test_train_config_validation():
@@ -55,11 +57,23 @@ def test_train_config_validation():
     {"meta_lr": 0.0}, {"meta_lr": -1e-3}, {"max_steps": -1}, {"eval_every": -1},
     {"patience": 0}, {"rank": 0}, {"batch_size": 2.5}, {"max_steps": "10"},
     {"patience": True}, {"editable_layers": []}, {"editable_layers": "0"},
-    {"editable_layers": [0.0]},
+    {"editable_layers": [0.0]}, {"editable_layers": [True]}, {"editable_layers": [-1]},
+    {"c_e": float("inf")}, {"meta_lr": float("inf")}, {"c_e": 10**400}, {"c_e": "0.1"},
+    {"alpha_init": "x"}, {"alpha_init": float("nan")}, {"seed": -1}, {"seed": 1.0},
 ])
 def test_train_config_rejects_every_bad_field(bad):
     with pytest.raises(ConfigError):
         TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"epochs": "x"}, {"epochs": -1}, {"batch_size": 0}, {"lr": "x"}, {"lr": 0.0},
+    {"lr": float("inf")}, {"seed": -1}, {"hidden_dims": 5}, {"hidden_dims": [0]},
+    {"hidden_dims": [8.0]},
+])
+def test_pretrain_model_rejects_every_bad_argument(small_world, bad):
+    with pytest.raises(ConfigError):
+        pretrain_model(small_world, **bad)
 
 
 def test_train_config_accepts_its_bounds():
