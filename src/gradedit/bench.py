@@ -22,6 +22,10 @@ from .ndops import Array, make_rng
 
 DATASET_FORMAT_VERSION = 1
 
+# A world's inputs (the pretrain inputs, and each record's neighborhood and
+# x_loc) fit in 2 GiB of float64, and its classes in a 2**16-wide output layer.
+MAX_WORLD_FLOATS, MAX_CLASSES = 2**28, 2**16
+
 
 @dataclass
 class WorldConfig:
@@ -53,6 +57,13 @@ class WorldConfig:
             )
         if self.train_fraction >= 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
+        if self.num_classes > MAX_CLASSES:
+            raise ConfigError(f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}")
+        floats = self.num_facts * self.feature_dim * (
+            self.pretrain_per_fact + self.records_per_fact * (self.paraphrases_per_fact + 1))
+        if floats > MAX_WORLD_FLOATS:
+            raise ConfigError(f"the world's inputs would hold {floats} floats, "
+                              f"above the {MAX_WORLD_FLOATS} allowed")
 
     @property
     def num_facts(self) -> int:
@@ -63,8 +74,9 @@ class WorldConfig:
 class EditRecord:
     """One benchmark tuple: edit pair, paraphrase neighborhood, locality pair.
 
-    The neighborhood always lists the edit pair itself first and every
-    neighborhood label equals y_e; x_loc comes from a different fact.
+    Checked when built, else DataError: x_e and x_loc are present, the
+    neighborhood lists the edit pair itself first and every neighborhood
+    label equals y_e. x_loc comes from a different fact.
     """
 
     x_e: Array
@@ -73,6 +85,14 @@ class EditRecord:
     x_loc: Array
     y_loc: int
     fact_id: int
+
+    def __post_init__(self) -> None:
+        if self.x_e is None or self.x_loc is None or not self.neighborhood:
+            raise DataError("a record needs an edit input, a locality input and a neighborhood")
+        if not np.array_equal(self.neighborhood[0][0], self.x_e):
+            raise DataError("the neighborhood must start with the edit pair")
+        if any(y != self.y_e for _, y in self.neighborhood):
+            raise DataError(f"every neighborhood label must equal y_e={self.y_e}")
 
 
 @dataclass
@@ -174,23 +194,17 @@ def save_dataset(world: World, path: str | Path) -> None:
 
 
 def _example(
-    cfg: WorldConfig, obj: dict, lineno: int, x: str = "x", y: str = "y"
+    cfg: WorldConfig, obj: object, what: str, x: str = "x", y: str = "y"
 ) -> tuple[Array, int]:
-    """`json_example` of a dataset line, against the world's dims."""
-    return json_example(obj, cfg.feature_dim, cfg.num_classes, f"line {lineno}", x, y)
+    """`json_example` of a dataset example, against the world's dims."""
+    return json_example(obj, cfg.feature_dim, cfg.num_classes, what, x, y)
 
 
-def _parse_record(cfg: WorldConfig, obj: dict, lineno: int) -> EditRecord:
-    x_e, y_e = _example(cfg, obj, lineno)
-    x_loc, y_loc = _example(cfg, obj, lineno, "x_loc", "y_loc")
-    try:
-        neighborhood = [_example(cfg, p, lineno) for p in obj["neighborhood"]]
-        fact_id = json_int(obj["fact_id"], f"line {lineno}: 'fact_id'")
-    except (KeyError, TypeError) as e:
-        raise DataError(f"line {lineno}: missing or malformed field: {e!r}") from e
-    if not neighborhood or not np.array_equal(neighborhood[0][0], x_e):
-        raise DataError(f"line {lineno}: neighborhood must start with the edit pair")
-    return EditRecord(x_e, y_e, neighborhood, x_loc, y_loc, fact_id)
+def _parse_record(cfg: WorldConfig, obj: dict) -> EditRecord:
+    x_e, y_e = _example(cfg, obj, "the edit pair")
+    x_loc, y_loc = _example(cfg, obj, "the locality pair", "x_loc", "y_loc")
+    neighborhood = [_example(cfg, p, "a paraphrase") for p in obj["neighborhood"]]
+    return EditRecord(x_e, y_e, neighborhood, x_loc, y_loc, json_int(obj["fact_id"], "'fact_id'"))
 
 
 def load_dataset(path: str | Path) -> World:
@@ -213,12 +227,18 @@ def load_dataset(path: str | Path) -> World:
     for i in range(1, len(lines)):
         obj = json_object(lines[i], f"{path}: line {i + 1}")
         split = obj.get("split")
-        if split == "pretrain":
-            pretrain.append(_example(cfg, obj, i + 1))
-        elif split in ("edit_train", "edit_test"):
-            edits[split].append(_parse_record(cfg, obj, i + 1))
-        else:
-            raise DataError(f"{path}: line {i + 1}: unknown split {split!r}")
+        # the line of every error below is named here, the record's own checks' too
+        try:
+            if split == "pretrain":
+                pretrain.append(_example(cfg, obj, "the example"))
+            elif split in ("edit_train", "edit_test"):
+                edits[split].append(_parse_record(cfg, obj))
+            else:
+                raise DataError(f"unknown split {split!r}")
+        except (KeyError, TypeError) as e:
+            raise DataError(f"{path}: line {i + 1}: missing or malformed field: {e!r}") from e
+        except DataError as e:
+            raise DataError(f"{path}: line {i + 1}: {e}") from e
     xs = np.stack([x for x, _ in pretrain]) if pretrain else np.zeros((0, cfg.feature_dim))
     ys = np.array([y for _, y in pretrain], dtype=np.int64)
     return World(cfg, np.array(fact_labels, dtype=np.int64), xs, ys, **edits)

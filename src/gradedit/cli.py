@@ -231,9 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gradedit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
+    def common(p: argparse.ArgumentParser, configurable: bool = True) -> None:
+        # edit and eval read no config values, so they take no --config or --seed
+        if configurable:
+            p.add_argument("--config", help="JSON config file; flags override its values")
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None, help="default: $GRADEDIT_OUT_DIR or .")
 
     p = sub.add_parser("gen-data", help="generate the synthetic edit benchmark")
@@ -254,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_editor)
 
     p = sub.add_parser("edit", help="apply a trained editor to one edit input")
-    common(p)
+    common(p, configurable=False)
     p.add_argument("--model")
     p.add_argument("--editor")
     p.add_argument("--edit-input")
     p.set_defaults(func=cmd_edit)
 
     p = sub.add_parser("eval", help="evaluate an editor (optionally batched edits)")
-    common(p)
+    common(p, configurable=False)
     p.add_argument("--dataset")
     p.add_argument("--model")
     p.add_argument("--editor")

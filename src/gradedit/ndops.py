@@ -1,9 +1,10 @@
 """Deterministic numerical core: seeded RNG, activations, softmax,
 KL divergence, flat parameter trees and Adam.
 
-All arrays are float64 numpy arrays. Every public operation asserts finite
-outputs. All randomness flows through explicitly passed numpy Generators
-seeded with PCG64, so identical seeds give identical draws on any platform.
+All arrays are float64 numpy arrays. `check_finite` raises on a non-finite
+array; the model and edited-model forward passes call it on their logits.
+All randomness flows through explicitly passed numpy Generators seeded with
+PCG64, so identical seeds give identical draws on any platform.
 """
 
 from __future__ import annotations

@@ -105,9 +105,8 @@ class StepLosses:
 @dataclass
 class FactorTable:
     """The frozen base model's state for meta-training, one row per record:
-    its raw factors at the edit pair, its log-probabilities and probabilities
-    at the locality input, and the record's paraphrase neighborhood,
-    zero-padded to the longest one."""
+    raw factors and label at x_e, log-probabilities and probabilities at
+    x_loc, and paraphrase inputs zero-padded to the longest neighborhood."""
 
     u: dict[int, Array]  # editable layer -> (N, m) raw u rows at x_e
     delta: dict[int, Array]  # editable layer -> (N, n) raw delta rows at x_e
@@ -115,7 +114,7 @@ class FactorTable:
     pre_logp: Array  # (N, C) base-model log_softmax at x_loc
     pre_p: Array  # (N, C) base-model softmax at x_loc
     nb_x: Array  # (N, max neighborhood, d)
-    nb_y: Array  # (N, max neighborhood)
+    y_e: Array  # (N,) int64 edit labels, every paraphrase's label too
     nb_count: Array  # (N,) int64 neighborhood sizes
 
 
@@ -127,11 +126,6 @@ class TableGroups:
     rows: Array  # (G, k) row indices
 
 
-def _check_record(record: EditRecord) -> None:
-    if record.x_e is None or not record.neighborhood or record.x_loc is None:
-        raise DataError("record must carry an edit pair, a neighborhood, and x_loc")
-
-
 def build_factor_table(
     model: Mlp, layers: Sequence[int], records: Sequence[EditRecord]
 ) -> FactorTable:
@@ -140,25 +134,21 @@ def build_factor_table(
     `layers`."""
     if not records:
         raise DataError("edit batch is empty")
-    for rec in records:
-        _check_record(rec)
     # the locality forward's trace is freed at once, and the factor pass's
     # before the neighborhood arrays are made: no two traces are held at once
     x_loc = np.stack([rec.x_loc for rec in records])
     pre_logits = forward(model, x_loc)[0]
     _, trace = forward(model, np.stack([rec.x_e for rec in records]))
-    _, dlogits = nll_grad(model, trace, [rec.y_e for rec in records])
+    y_e = np.array([rec.y_e for rec in records], dtype=np.int64)
+    _, dlogits = nll_grad(model, trace, y_e)
     factors = backward_factors(model, trace, dlogits)
     del trace
-    counts = [len(rec.neighborhood) for rec in records]
-    nb_x = np.zeros((len(records), max(counts), model.input_dim))
-    nb_y = np.zeros((len(records), max(counts)), dtype=np.int64)
-    for i, rec in enumerate(records):
-        nb_x[i, : counts[i]] = [x for x, _ in rec.neighborhood]
-        nb_y[i, : counts[i]] = [y for _, y in rec.neighborhood]
+    counts = np.array([len(rec.neighborhood) for rec in records], dtype=np.int64)
+    slots = np.arange(counts.max()) < counts[:, None]  # (N, max neighborhood)
+    nb_x = np.zeros((*slots.shape, model.input_dim))
+    nb_x[slots] = [x for rec in records for x, _ in rec.neighborhood]  # record by record
     return FactorTable({l: factors[l].u for l in layers}, {l: factors[l].delta for l in layers},
-                       x_loc, log_softmax(pre_logits), softmax(pre_logits), nb_x, nb_y,
-                       np.array(counts, dtype=np.int64))
+                       x_loc, log_softmax(pre_logits), softmax(pre_logits), nb_x, y_e, counts)
 
 
 def _tabulate(
@@ -207,7 +197,7 @@ def group_losses_and_grads(
     idx = rows.reshape(-1)
     n = idx.size
     picks = rng.integers(table.nb_count[idx])
-    ys_eq = table.nb_y[idx, picks]
+    ys_eq = table.y_e[idx]
     tape = tape_from_factors(model, params, normalizer, {l: u[idx] for l, u in table.u.items()},
                              {l: d[idx] for l, d in table.delta.items()})
     # one edited forward: group g's k paraphrases, then its k locality inputs

@@ -1,6 +1,7 @@
 """Benchmark generator tests: encoding structure, record invariants, fact
 splits, interleaving, and the dataset file format."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedit.bench import (
+    MAX_CLASSES,
+    MAX_WORLD_FLOATS,
     EditRecord,
     WorldConfig,
     fact_groups,
@@ -52,6 +55,22 @@ def test_config_validation():
         for bad in (-1.0, float("nan"), float("inf"), True, "0.5", None):
             with pytest.raises(ConfigError, match=name):
                 _tiny_cfg(**{name: bad})
+
+
+def test_config_bounds_the_world_size():
+    # 2**12 facts of 2**14 inputs, 1 pretrain example and 1 record of 2
+    # paraphrases each: 4 inputs per fact, exactly the bound
+    at_bound = dict(num_entities=2**12, num_relations=1, feature_dim=2**14,
+                    paraphrases_per_fact=2, pretrain_per_fact=1, records_per_fact=1)
+    assert 2**12 * 2**14 * (1 + 1 * (2 + 1)) == MAX_WORLD_FLOATS
+    WorldConfig(**at_bound)
+    WorldConfig(num_classes=MAX_CLASSES)
+    for bad in ({**at_bound, "feature_dim": 2**14 + 1}, {"feature_dim": 10**30},
+                {"num_entities": 10**8, "num_relations": 1, "feature_dim": 10**8 + 1},
+                {"records_per_fact": 10**30}, {"num_classes": MAX_CLASSES + 1},
+                {"num_classes": 10**30}):
+        with pytest.raises(ConfigError):
+            WorldConfig(**bad)
 
 
 def test_generation_is_deterministic():
@@ -98,6 +117,29 @@ def test_record_invariants():
         e, r = divmod(rec.fact_id, cfg.num_relations)
         assert set(loc_slots) != {e, cfg.num_entities + r}
         assert 0 <= rec.y_loc < cfg.num_classes
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda rec: {"neighborhood": []},
+        lambda rec: {"neighborhood": rec.neighborhood[1:]},
+        lambda rec: {"neighborhood": [rec.neighborhood[0],
+                                      (rec.neighborhood[1][0], (rec.y_e + 1) % 5),
+                                      *rec.neighborhood[2:]]},
+        lambda rec: {"x_loc": None},
+        lambda rec: {"x_e": None},
+    ],
+    ids=["empty_neighborhood", "first_pair_not_edit_pair", "paraphrase_label_other_class",
+         "no_x_loc", "no_x_e"],
+)
+def test_edit_record_checks_its_invariant_when_built(defect):
+    # the paraphrase's other label is a valid class of the 5: only the
+    # record's own check rejects it
+    rec = generate_world(_tiny_cfg()).edit_train[0]
+    dataclasses.replace(rec)  # the record as generated builds
+    with pytest.raises(DataError):
+        dataclasses.replace(rec, **defect(rec))
 
 
 def test_splits_are_disjoint_by_fact():
@@ -186,6 +228,14 @@ def test_load_dataset_error_messages_name_lines(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_names_the_line_of_a_record_that_breaks_its_invariant(tmp_path):
+    path = _rewrite_dataset(tmp_path, _relabel_paraphrase)
+    lines = path.read_text().splitlines()
+    lineno = 1 + next(i for i, line in enumerate(lines) if '"edit_train"' in line)
+    with pytest.raises(DataError, match=f"line {lineno}: every neighborhood label"):
+        load_dataset(path)
+
+
 def test_load_dataset_rejects_empty_and_bad_version(tmp_path):
     path = tmp_path / "dataset.jsonl"
     path.write_text("")
@@ -223,6 +273,19 @@ def _first(split):
     return lambda lines: next(obj for obj in lines[1:] if obj["split"] == split)
 
 
+def _huge_feature_dim_header_only(lines):
+    """A header whose inputs would not fit in memory, and no lines to read:
+    only the world-size bound rejects it."""
+    lines[0]["config"]["feature_dim"] = 10**30
+    del lines[1:]
+
+
+def _relabel_paraphrase(lines):
+    """Give the first train record's second paraphrase another valid class."""
+    rec = _first("edit_train")(lines)
+    rec["neighborhood"][1]["y"] = (rec["y"] + 1) % lines[0]["config"]["num_classes"]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -235,10 +298,14 @@ def _first(split):
         lambda lines: _first("edit_test")(lines).__setitem__("y", 99),
         lambda lines: _first("edit_train")(lines).__setitem__("y_loc", -1),
         lambda lines: _first("edit_train")(lines)["neighborhood"][1].__setitem__("y", 5),
+        _relabel_paraphrase,
+        lambda lines: _first("edit_test")(lines)["neighborhood"].pop(0),
         lambda lines: _first("edit_test")(lines).__setitem__("x_loc", [0.0, 1.0]),
         lambda lines: _first("edit_test")(lines).__setitem__("fact_id", "one"),
         lambda lines: _first("edit_test")(lines).__setitem__("y", float("inf")),
         lambda lines: lines[0]["config"].__setitem__("records_per_fact", 1.5),
+        _huge_feature_dim_header_only,
+        lambda lines: lines[0]["config"].__setitem__("num_classes", 10**30),
         lambda lines: lines[0]["fact_labels"].pop(),
         lambda lines: lines[0]["fact_labels"].__setitem__(0, 5),
         lambda lines: lines[0]["fact_labels"].__setitem__(0, float("nan")),
@@ -263,8 +330,10 @@ def _first(split):
     ids=[
         "unknown_config_key", "invalid_config", "missing_config", "pretrain_label",
         "pretrain_shape", "pretrain_missing_x", "edit_label", "locality_label",
-        "neighborhood_label", "locality_shape", "bad_fact_id", "infinite_label",
-        "fractional_count", "short_fact_labels", "fact_label_outside_classes",
+        "neighborhood_label", "neighborhood_label_other_class",
+        "neighborhood_without_edit_pair", "locality_shape", "bad_fact_id", "infinite_label",
+        "fractional_count", "huge_feature_dim", "huge_class_count", "short_fact_labels",
+        "fact_label_outside_classes",
         "nan_fact_label", "fractional_fact_label", "line_not_an_object",
         "float_label", "string_label", "bool_label", "whole_float_locality_label",
         "whole_float_neighborhood_label", "float_fact_id", "bool_fact_label",

@@ -181,6 +181,27 @@ def test_config_error_exit_code(tmp_path):
     assert main(["pretrain", "--out-dir", str(tmp_path)]) == 2
 
 
+def test_edit_and_eval_take_no_config_or_seed(pipeline, tmp_path):
+    # neither subcommand reads a config value, so argparse rejects both
+    # options with the config-error code rather than ignoring them
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"not_a_real_key": 1}))
+    runs = [
+        ["eval", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
+         "--model", str(pipeline / "model.json"), "--editor", str(pipeline / "editor.json"),
+         "--k-edits", "1"],
+        ["edit", "--seed", "1", "--model", str(pipeline / "model.json"),
+         "--editor", str(pipeline / "editor.json"),
+         "--edit-input", str(_edit_input(pipeline, tmp_path))],
+    ]
+    for args in runs:
+        with pytest.raises(SystemExit) as exit_:
+            main([*args, "--out-dir", str(tmp_path)])
+        assert exit_.value.code == 2
+    assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "edited_model.json").exists()
+
+
 @pytest.mark.parametrize("bad", [
     {"pretrain_per_fact": 0}, {"num_entities": 0}, {"num_relations": 0},
     {"records_per_fact": 1.5}, {"records_per_fact": True}, {"seed": -1}, {"noise_scale": "x"},
@@ -358,6 +379,21 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
     header["fact_labels"] = [True] * len(header["fact_labels"])
     bool_labels = tmp_path / "bool_labels.jsonl"
     bool_labels.write_text("\n".join([json.dumps(header)] + lines[1:]))
+    # a paraphrase labelled with another valid class than its edit's
+    relabelled = [json.loads(line) for line in lines]
+    rec = next(obj for obj in relabelled[1:] if obj["split"] == "edit_train")
+    rec["neighborhood"][1]["y"] = (rec["y"] + 1) % WORLD_CFG["num_classes"]
+    (tmp_path / "relabelled").mkdir()
+    relabelled_path = tmp_path / "relabelled" / "dataset.jsonl"
+    relabelled_path.write_text("".join(json.dumps(obj) + "\n" for obj in relabelled))
+    # worlds too large to hold: as a config, and as a header with no lines
+    huge_dim, huge_classes = tmp_path / "huge_dim.json", tmp_path / "huge_classes.json"
+    huge_dim.write_text(json.dumps({"feature_dim": 10**30}))
+    huge_classes.write_text(json.dumps({"num_classes": 10**30}))
+    header = json.loads(lines[0])
+    header["config"]["feature_dim"] = 10**30
+    huge_header = tmp_path / "huge_header.jsonl"
+    huge_header.write_text(json.dumps(header) + "\n")
     runs = [
         (2, ["train-editor", "--config", str(cfg), "--dataset", str(pipeline / "dataset.jsonl"),
              "--model", str(pipeline / "model.json")]),
@@ -379,6 +415,11 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
              "--edit-input", str(_edit_input(pipeline, tmp_path))]),
         (3, ["eval", "--dataset", str(bool_labels), "--model", str(pipeline / "model.json"),
              "--editor", str(pipeline / "editor.json"), "--k-edits", "1"]),
+        (3, ["train-editor", "--dataset", str(relabelled_path),
+             "--model", str(pipeline / "model.json")]),
+        (2, ["gen-data", "--config", str(huge_dim)]),
+        (2, ["gen-data", "--config", str(huge_classes)]),
+        (3, ["pretrain", "--dataset", str(huge_header)]),
     ]
     for code, args in runs:
         proc = subprocess.run(
@@ -389,6 +430,8 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
         assert "Traceback" not in proc.stderr
     assert not (tmp_path / "editor.json").exists()
     assert not (tmp_path / "edited_model.json").exists()
+    assert not (tmp_path / "dataset.jsonl").exists()
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("bad", [{"c_e": -1}, {"batch_size": 0}, {"patience": 0},

@@ -54,14 +54,15 @@ def test_edit_success_counts_neighborhood():
     assert es.tolist() == [1.0, 2.0 / 3.0, 0.0]
 
 
-def test_edit_success_rejects_sizes_that_do_not_split_the_rows(small_world, small_model):
+def test_edit_success_rejects_sizes_that_do_not_split_the_rows(small_world):
     logits = _logits_with_argmax([2, 2, 0])
     for counts in ([0, 3], [1, 1], [2, 2]):
         with pytest.raises(ShapeError):
             edit_success(logits, np.full(3, 2), counts)
-    records = [replace(small_world.edit_test[0], neighborhood=[])]
-    with pytest.raises(ShapeError):
-        evaluate_editor(IdentityEditor(), small_model, records)
+    # a record with an empty neighborhood never reaches evaluate_editor: it
+    # is rejected when it is built
+    with pytest.raises(DataError):
+        replace(small_world.edit_test[0], neighborhood=[])
 
 
 def test_drawdown_identical_models_is_zero(small_model, small_world):

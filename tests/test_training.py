@@ -357,9 +357,18 @@ def test_train_time_validation_equals_validation_loss(small_world, small_model, 
 @pytest.mark.parametrize("defect", [{"x_loc": None}, {"neighborhood": []}, {"y_e": 99}],
                          ids=["x_loc", "neighborhood", "label"])
 def test_train_editor_rejects_bad_record_before_any_step(small_world, small_model, defect):
-    # the table checks every train record, not only those a step draws
     recs = list(small_world.edit_train)
-    recs[len(recs) // 2] = dataclasses.replace(recs[len(recs) // 2], **defect)
+    mid = recs[len(recs) // 2]
+    if "y_e" not in defect:
+        # a record without x_loc or a neighborhood cannot be built at all
+        with pytest.raises(DataError):
+            dataclasses.replace(mid, **defect)
+        return
+    # a label outside the model's classes builds, on the edit pair and on
+    # every paraphrase, but the table rejects it: every train record is
+    # checked, not only those a step draws
+    recs[len(recs) // 2] = dataclasses.replace(
+        mid, neighborhood=[(x, 99) for x, _ in mid.neighborhood], **defect)
     calls = []
     with patch("gradedit.training.group_losses_and_grads",
                side_effect=lambda *a, **kw: calls.append(a)):
