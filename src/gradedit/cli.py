@@ -3,12 +3,16 @@
 Subcommands: gen-data, pretrain, train-editor, edit, eval, ablate. All state
 lives on disk; every run writes its fully resolved config snapshot next to
 its outputs. Exit codes are stable: 0 success, 2 config error, 3 data error,
-4 contract violation.
+4 contract violation. `edit` and `eval` read no config, so non-finite
+logits there (`check_finite`'s FloatingPointError), such as from a checkpoint
+with finite but huge weights, are a data error. A training run that diverges
+is left unmapped: its config or its data may be the cause.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -69,6 +73,16 @@ def _require_file(path: str | None, what: str) -> Path:
     if not p.exists():
         raise DataError(f"{what} file not found: {path}")
     return p
+
+
+@contextlib.contextmanager
+def _checkpoints_run():
+    """Turns non-finite logits into a DataError, for a block that runs only
+    loaded files."""
+    try:
+        yield
+    except FloatingPointError as e:
+        raise DataError(f"the loaded model or editor gives {e}") from e
 
 
 def _load_world(args):
@@ -155,10 +169,11 @@ def cmd_edit(args) -> int:
     params, normalizer = load_editor(_require_file(args.editor, "editor"))
     xs, ys = _load_edit_inputs(_require_file(args.edit_input, "edit-input"), model)
     out = _out_dir(args)
-    edited = LearnedEditor(params, normalizer).edit(model, list(zip(xs, ys.tolist())))
+    with _checkpoints_run():
+        edited = LearnedEditor(params, normalizer).edit(model, list(zip(xs, ys.tolist())))
+        argmax_pre = np.argmax(forward(model, xs)[0], axis=1)
+        argmax_post = np.argmax(forward(edited, xs)[0], axis=1)
     save_model(edited, out / "edited_model.json")
-    argmax_pre = np.argmax(forward(model, xs)[0], axis=1)
-    argmax_post = np.argmax(forward(edited, xs)[0], axis=1)
     preds = [
         {"target": y, "argmax_pre": int(pre), "argmax_post": int(post)}
         for y, pre, post in zip(ys.tolist(), argmax_pre, argmax_post)
@@ -187,18 +202,19 @@ def cmd_eval(args) -> int:
     ks = _parse_k_list(args.k_edits or "1,5,25")
     out = _out_dir(args)
     reports = []
-    for k in ks:
-        editor = LearnedEditor(params, normalizer, name=f"learned@k={k}")
-        reports.append(evaluate_editor(editor, model, world.edit_test, k))
-    if args.baselines:
-        loc_pool = [r.x_loc for r in world.edit_train]
+    with _checkpoints_run():
         for k in ks:
-            ft = FtEditor(editable_layers=params.editable_layers, name=f"ft@k={k}")
-            reports.append(evaluate_editor(ft, model, world.edit_test, k))
-            ft_kl = FtKlEditor(
-                loc_pool, editable_layers=params.editable_layers, name=f"ft_kl@k={k}"
-            )
-            reports.append(evaluate_editor(ft_kl, model, world.edit_test, k))
+            editor = LearnedEditor(params, normalizer, name=f"learned@k={k}")
+            reports.append(evaluate_editor(editor, model, world.edit_test, k))
+        if args.baselines:
+            loc_pool = [r.x_loc for r in world.edit_train]
+            for k in ks:
+                ft = FtEditor(editable_layers=params.editable_layers, name=f"ft@k={k}")
+                reports.append(evaluate_editor(ft, model, world.edit_test, k))
+                ft_kl = FtKlEditor(
+                    loc_pool, editable_layers=params.editable_layers, name=f"ft_kl@k={k}"
+                )
+                reports.append(evaluate_editor(ft_kl, model, world.edit_test, k))
     reports_to_csv(reports, out / "report.csv")
     reports_to_json(reports, out / "report.json")
     write_timing(reports, out / "report_timing.json")

@@ -165,16 +165,27 @@ def backward_nll(
     return loss, factors, wgrads, bgrads
 
 
+# Entries n*m at or above which one row's outer product is formed by einsum.
+OUTER_EINSUM_MIN = 1 << 16
+
+
 def outer_sum(delta: Array, u: Array) -> Array:
     """D^T U for (B, n) delta rows and (B, m) u rows: the sum over the rows of
     outer(delta_i, u_i), as a fresh (n, m) array.
 
-    With one row each entry is a single product, so np.dot and `@` agree bit
-    for bit, and np.dot is faster: at 512x512 with one BLAS thread `@` took
-    0.51-0.75 ms and np.dot 0.33-0.35 ms. With more rows `@` is faster
-    (B = 2/5/25/64: 0.17/0.20/0.37/0.71 ms against 0.23/0.27/0.45/0.85 ms),
-    so it stays there."""
+    With one row each entry is a single product, so np.dot, `@` and
+    einsum("i,j->ij") agree bit for bit, and the size picks the fastest.
+    On a 2-core Xeon with one OpenBLAS thread, np.dot against einsum took
+    258 against 140 us at 512x512, but 17.7 against 19.8 us at 512x64, 5.4
+    against 6.5 us at 128x64 and 1.2 against 3.0 us at 16x128: below
+    `OUTER_EINSUM_MIN` entries einsum's fixed cost outweighs its faster
+    writes, so np.dot stays there. `@` is slower than np.dot on one row
+    (0.51-0.75 against 0.33-0.35 ms at 512x512) but faster on more (B =
+    2/5/25/64: 0.17/0.20/0.37/0.71 ms against 0.23/0.27/0.45/0.85 ms), so
+    it forms every product of more than one row."""
     if delta.shape[0] == 1:
+        if delta.shape[1] * u.shape[1] >= OUTER_EINSUM_MIN:
+            return np.einsum("i,j->ij", delta[0], u[0])
         return np.dot(delta.T, u)
     return delta.T @ u
 

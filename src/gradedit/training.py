@@ -372,8 +372,11 @@ def finetune_kl_edit(
             steps = step
             break
         _, _, wgrads, _ = backward_nll(current, trace, ys)
-        # W - lr * ((c_edit / B) * g + g_KL), written into the fresh g
-        grads = {l: np.multiply(c_edit / len(ys), wgrads[l], out=wgrads[l]) for l in editable}
+        # W - lr * ((c_edit / B) * g + g_KL), written into the fresh g; FT's
+        # scale of exactly 1.0 is skipped, as x * 1.0 == x bit for bit
+        scale = c_edit / len(ys)
+        grads = {l: wgrads[l] if scale == 1.0 else np.multiply(scale, wgrads[l], out=wgrads[l])
+                 for l in editable}
         if loc_sampler is not None:
             x_loc = loc_sampler()
             if current is not model:  # at step 0 the KL gradient is exactly zero

@@ -1,5 +1,6 @@
-"""Shared fixtures: a small benchmark world and base classifier; and
-`table_normalizer`, which fits a normalizer as `train_editor` does.
+"""Shared fixtures: a small benchmark world, a small base classifier and a
+wide one; and `table_normalizer`, which fits a normalizer as
+`train_editor` does.
 
 Session-scoped so the expensive pieces (world generation, pretraining) run
 once. Tests must never mutate these objects; anything that edits a model
@@ -38,6 +39,15 @@ def small_world():
 def small_model(small_world):
     model, acc = pretrain_model(small_world, hidden_dims=(24,), epochs=40)
     assert acc > 0.9
+    return model
+
+
+@pytest.fixture(scope="session")
+def wide_model(small_world):
+    """A base classifier on `small_world` whose middle layer, (256, 300), is
+    above `mlp.OUTER_EINSUM_MIN`: one row's outer product there is formed by
+    einsum."""
+    model, _ = pretrain_model(small_world, hidden_dims=(300, 256), epochs=10)
     return model
 
 

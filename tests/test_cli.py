@@ -366,6 +366,11 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
     model["weights"][0][0][0] = 10**400
     huge_weight = tmp_path / "huge_weight_model.json"
     huge_weight.write_text(json.dumps(model))
+    # finite weights whose logits overflow
+    model = json.loads((pipeline / "model.json").read_text())
+    model["weights"][0][0] = [1e308] * len(model["weights"][0][0])
+    overflowing = tmp_path / "overflowing_model.json"
+    overflowing.write_text(json.dumps(model))
     edit = json.loads(_edit_input(pipeline, tmp_path).read_text())
     edit["x"][0] = "0.5"
     string_x = tmp_path / "string_x_edit.json"
@@ -409,6 +414,10 @@ def test_exit_codes_survive_python_O(pipeline, tmp_path):
              "--edit-input", str(_edit_input(pipeline, tmp_path))]),
         (3, ["edit", "--model", str(huge_weight), "--editor", str(pipeline / "editor.json"),
              "--edit-input", str(_edit_input(pipeline, tmp_path))]),
+        (3, ["edit", "--model", str(overflowing), "--editor", str(pipeline / "editor.json"),
+             "--edit-input", str(_edit_input(pipeline, tmp_path))]),
+        (3, ["eval", "--dataset", str(pipeline / "dataset.jsonl"), "--model", str(overflowing),
+             "--editor", str(pipeline / "editor.json"), "--k-edits", "1"]),
         (3, ["edit", "--model", str(pipeline / "model.json"),
              "--editor", str(pipeline / "editor.json"), "--edit-input", str(string_x)]),
         (3, ["edit", "--model", str(pipeline / "model.json"), "--editor", str(bool_tensor),
@@ -615,3 +624,25 @@ def test_edit_malformed_checkpoint_exit_code(pipeline, tmp_path, name, corrupt):
         "--edit-input", str(_edit_input(pipeline, tmp_path)), "--out-dir", str(tmp_path),
     ]) == 3
     assert not (tmp_path / "edited_model.json").exists()
+
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("pretrain", {"hidden_dims": [16], "epochs": 2, "lr": 1e300}),
+    ("train-editor", {"max_steps": 3, "eval_every": 0, "meta_lr": 1e300}),
+])
+def test_diverging_training_is_not_a_data_error(pipeline, tmp_path, command, cfg):
+    # a run that diverges may owe it to its config or to its data, so it
+    # claims neither exit code; only edit and eval, which read no config,
+    # turn non-finite logits into a data error (exit 3)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    model = ["--model", str(pipeline / "model.json")] if command == "train-editor" else []
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "gradedit.cli", command, "--config", str(path),
+         "--dataset", str(pipeline / "dataset.jsonl"), *model, "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "FloatingPointError: non-finite values in logits" in proc.stderr
+    assert sorted(tmp_path.iterdir()) == [path]

@@ -278,21 +278,28 @@ def test_apply_edit_rule_and_isolation():
         assert np.array_equal(w0, w1)
 
 
-@pytest.mark.parametrize("k", [1, 5])
-def test_apply_edit_is_bitwise_the_dense_rule(small_world, small_model, k, table_normalizer):
-    params = _editor_for(small_model, seed=3)
+# at k=1 the outer product of the wide model's (256, 300) layer is formed by
+# einsum
+@pytest.mark.parametrize("model_name, k", [pytest.param("small_model", 1, id="1"),
+                                           pytest.param("small_model", 5, id="5"),
+                                           pytest.param("wide_model", 1, id="wide-1"),
+                                           pytest.param("wide_model", 5, id="wide-5")])
+def test_apply_edit_is_bitwise_the_dense_rule(request, small_world, model_name, k,
+                                              table_normalizer):
+    model = request.getfixturevalue(model_name)
+    params = _editor_for(model, seed=3)
     rng = make_rng(k)
     # move off the identity init so the pseudo-factors differ from the raw ones
     params.values = {name: v + 0.3 * np.asarray(rng.standard_normal(v.shape))
                      for name, v in params.values.items()}
-    normalizer = table_normalizer(small_model, small_world.edit_train, params)
+    normalizer = table_normalizer(model, small_world.edit_train, params)
     pairs = [(r.x_e, r.y_e) for r in small_world.edit_test[:k]]
-    edited = apply_edit(small_model, params, normalizer, pairs)
-    tape = apply_edit_with_tape(small_model, params, normalizer, pairs)
+    edited = apply_edit(model, params, normalizer, pairs)
+    tape = apply_edit_with_tape(model, params, normalizer, pairs)
     for l, alpha in tape.alpha.items():
-        want = small_model.weights[l] - alpha * (tape.pseudo_d[l].T @ tape.pseudo_u[l])
+        want = model.weights[l] - alpha * (tape.pseudo_d[l].T @ tape.pseudo_u[l])
         assert np.array_equal(edited.weights[l], want), l
-    base = small_model.weights + small_model.biases
+    base = model.weights + model.biases
     for a in edited.weights + edited.biases:
         assert not any(np.shares_memory(a, b) for b in base)
 

@@ -8,6 +8,7 @@ import pytest
 
 from gradedit.errors import ContractError, DataError, ShapeError
 from gradedit.mlp import (
+    OUTER_EINSUM_MIN,
     Mlp,
     backward,
     backward_factors,
@@ -187,13 +188,20 @@ def test_clone_with_weights_is_isolated(rng):
     assert clone.biases[0][0] != model.biases[0][0]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 5])
-def test_outer_sum_is_bitwise_the_matmul(rows):
+# one row at 256x300 is above the einsum gate
+@pytest.mark.parametrize("rows, n, m", [pytest.param(1, 48, 64, id="1"),
+                                        pytest.param(2, 48, 64, id="2"),
+                                        pytest.param(5, 48, 64, id="5"),
+                                        pytest.param(1, 256, 300, id="1-einsum")])
+def test_outer_sum_is_bitwise_the_matmul(rows, n, m):
     rng = make_rng(rows)
-    d, u = rng.standard_normal((rows, 48)), rng.standard_normal((rows, 64))
+    d, u = rng.standard_normal((rows, n)), rng.standard_normal((rows, m))
     got = outer_sum(d, u)
-    assert got.shape == (48, 64)
+    assert got.shape == (n, m) and got.flags.c_contiguous
     assert np.array_equal(got, d.T @ u)
+    if rows == 1:
+        assert np.array_equal(got, np.outer(d[0], u[0]))
+        assert (n * m >= OUTER_EINSUM_MIN) == (n == 256)
 
 
 def test_clone_with_weights_validates(rng):

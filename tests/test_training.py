@@ -695,10 +695,17 @@ def _counting_sampler(pool, seed):
     return sampler
 
 
+# at k=1 the outer products of the wide model's (256, 300) layer are formed by
+# einsum; at lr 0.1 it takes one step at k=1, so it never reaches the KL pass
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
-@pytest.mark.parametrize("layers", [None, [1]], ids=["all_layers", "layer_1"])
-def test_finetune_kl_edit_matches_parent_loop(small_world, small_model, k, kl, layers):
+@pytest.mark.parametrize("model_name, layers, lr", [("small_model", None, 0.1),
+                                                    ("small_model", [1], 0.1),
+                                                    ("wide_model", None, 0.03)],
+                         ids=["all_layers", "layer_1", "wide"])
+def test_finetune_kl_edit_matches_parent_loop(request, small_world, model_name, k, kl, layers,
+                                              lr):
+    model = request.getfixturevalue(model_name)
     pool = [r.x_loc for r in small_world.edit_train[:20]]
     most_steps = 0
     for seed in range(3):
@@ -706,10 +713,10 @@ def test_finetune_kl_edit_matches_parent_loop(small_world, small_model, k, kl, l
         xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
         c_edit = 0.5 if kl else 1.0
         got_sampler, want_sampler = _counting_sampler(pool, seed), _counting_sampler(pool, seed)
-        got, steps = finetune_kl_edit(small_model, xs, ys, got_sampler if kl else None,
-                                      c_edit, layers)
-        want, want_steps = _reference_finetune(small_model, xs, ys,
-                                               want_sampler if kl else None, c_edit, layers)
+        got, steps = finetune_kl_edit(model, xs, ys, got_sampler if kl else None,
+                                      c_edit, layers, lr)
+        want, want_steps = _reference_finetune(model, xs, ys, want_sampler if kl else None,
+                                               c_edit, layers, lr)
         assert steps == want_steps
         assert got_sampler.calls == want_sampler.calls == (steps if kl else 0)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
@@ -847,3 +854,21 @@ def test_accuracy_holds_one_block_of_activations():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_finetune_step_peak_memory_is_its_dense_gradients():
+    # one FT step writes the new weights into the dense gradients that
+    # backward_nll returns, and allocates no other weight-sized array
+    model = init_mlp([16, 256, 256, 4], make_rng(2))
+    x = make_rng(5).standard_normal(16)
+    y = (int(np.argmax(forward(model, x)[0][0])) + 1) % 4
+    finetune_kl_edit(model, x, y, None, 1.0, max_steps=1)
+    tracemalloc.start()
+    try:
+        edited, steps = finetune_kl_edit(model, x, y, None, 1.0, max_steps=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps == 1
+    out_bytes = sum(a.nbytes for a in edited.weights + edited.biases)
+    assert peak < out_bytes + 256 * 256 * 8
