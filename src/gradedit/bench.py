@@ -105,12 +105,15 @@ class World:
     edit_test: list[EditRecord] = field(default_factory=list)
 
 
-def _encode_fact(cfg: WorldConfig, fact_id: int, rng: np.random.Generator) -> Array:
-    e, r = divmod(fact_id, cfg.num_relations)
-    x = cfg.noise_scale * rng.standard_normal(cfg.feature_dim)
-    x[e] += 1.0
-    x[cfg.num_entities + r] += 1.0
-    return x
+def _encode_facts(cfg: WorldConfig, fact_ids: Array, rng: np.random.Generator) -> Array:
+    """One noisy input row per fact id: the noise of all rows comes from one
+    draw, which yields the same stream as one draw per row."""
+    e, r = np.divmod(fact_ids, cfg.num_relations)
+    xs = cfg.noise_scale * rng.standard_normal((len(fact_ids), cfg.feature_dim))
+    rows = np.arange(len(fact_ids))
+    xs[rows, e] += 1.0
+    xs[rows, cfg.num_entities + r] += 1.0
+    return xs
 
 
 def _make_record(
@@ -121,15 +124,14 @@ def _make_record(
     y_e = int(rng.integers(cfg.num_classes - 1))
     if y_e >= gt:
         y_e += 1
-    x_e = _encode_fact(cfg, fact_id, rng)
-    neighborhood = [(x_e, y_e)]
-    for _ in range(cfg.paraphrases_per_fact - 1):
-        neighborhood.append((_encode_fact(cfg, fact_id, rng), y_e))
+    neighborhood = [(x, y_e) for x in
+                    _encode_facts(cfg, np.full(cfg.paraphrases_per_fact, fact_id), rng)]
     loc_fact = int(rng.integers(cfg.num_facts - 1))
     if loc_fact >= fact_id:
         loc_fact += 1
-    x_loc = _encode_fact(cfg, loc_fact, rng)
-    return EditRecord(x_e, y_e, neighborhood, x_loc, int(fact_labels[loc_fact]), fact_id)
+    x_loc = _encode_facts(cfg, np.array([loc_fact]), rng)[0]
+    return EditRecord(neighborhood[0][0], y_e, neighborhood, x_loc,
+                      int(fact_labels[loc_fact]), fact_id)
 
 
 def generate_world(cfg: WorldConfig) -> World:
@@ -138,13 +140,9 @@ def generate_world(cfg: WorldConfig) -> World:
     rng = make_rng(cfg.seed)
     fact_labels = make_rng(cfg.seed ^ 0x5EED).integers(cfg.num_classes, size=cfg.num_facts)
 
-    xs, ys = [], []
-    for fact_id in range(cfg.num_facts):
-        for _ in range(cfg.pretrain_per_fact):
-            xs.append(_encode_fact(cfg, fact_id, rng))
-            ys.append(int(fact_labels[fact_id]))
-    pretrain_x = np.stack(xs)
-    pretrain_y = np.array(ys, dtype=np.int64)
+    pretrain_facts = np.repeat(np.arange(cfg.num_facts), cfg.pretrain_per_fact)
+    pretrain_x = _encode_facts(cfg, pretrain_facts, rng)
+    pretrain_y = fact_labels[pretrain_facts].astype(np.int64)
 
     order = rng.permutation(cfg.num_facts)
     n_train = int(round(cfg.num_facts * cfg.train_fraction))

@@ -189,11 +189,12 @@ def init_editor(
     return EditorParams(rank, variant, layers, layer_group, group_dims, flatten(values))
 
 
+# The floor of every normalizer variance.
+NORM_EPS = 1e-6
+
+
 def fit_normalizer(
-    params: EditorParams,
-    u_rows: Mapping[int, Array],
-    delta_rows: Mapping[int, Array],
-    eps: float = 1e-6,
+    params: EditorParams, u_rows: Mapping[int, Array], delta_rows: Mapping[int, Array]
 ) -> Normalizer:
     """Per-dimension stats of the raw factor rows, u_rows[l] (N, m) and
     delta_rows[l] (N, n) for each editable layer l, pooled over all member
@@ -208,10 +209,10 @@ def fit_normalizer(
         us = np.concatenate([u_rows[l] for l in members])
         ds = np.concatenate([delta_rows[l] for l in members])
         mean_u[key] = us.mean(axis=0)
-        var_u[key] = np.maximum(us.var(axis=0), eps)
+        var_u[key] = np.maximum(us.var(axis=0), NORM_EPS)
         mean_d[key] = ds.mean(axis=0)
-        var_d[key] = np.maximum(ds.var(axis=0), eps)
-    return Normalizer(eps, mean_u, var_u, mean_d, var_d)
+        var_d[key] = np.maximum(ds.var(axis=0), NORM_EPS)
+    return Normalizer(NORM_EPS, mean_u, var_u, mean_d, var_d)
 
 
 @dataclass

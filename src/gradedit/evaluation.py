@@ -18,7 +18,6 @@ separate sidecar so the canonical CSV/JSON reproduce byte-for-byte.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .errors import ContractError, DataError, ShapeError
 from .mlp import Mlp, forward
 from .ndops import Array, kl_divergence, make_rng
 from .training import (
+    FT_MAX_STEPS,
     TrainConfig,
     block_logits,
     finetune_edit,
@@ -67,48 +67,39 @@ class LearnedEditor:
 @dataclass
 class FtEditor:
     editable_layers: list[int] | None = None
-    lr: float = 0.1
-    max_steps: int = 100
     name: str = "ft"
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
         xs, ys = zip(*pairs)
-        return finetune_edit(model, xs, ys, self.editable_layers, self.lr, self.max_steps)[0]
+        return finetune_edit(model, xs, ys, self.editable_layers)[0]
 
     def param_count(self) -> int:
         return 0
 
 
-@functools.lru_cache(maxsize=32)
-def _loc_draws(seed: int, pool_size: int, max_steps: int) -> tuple[int, ...]:
-    """The locality-pool indices that a fresh generator seeded with `seed`
-    yields, one `integers` call per fine-tuning step."""
-    rng = make_rng(seed)
-    return tuple(int(rng.integers(pool_size)) for _ in range(max_steps))
-
-
 @dataclass
 class FtKlEditor:
+    """FT+KL over `loc_pool`: when built, it draws `FT_MAX_STEPS` pool
+    indices, one `integers` call each, from a generator seeded with `seed`,
+    and every edit fine-tunes against those same locality inputs."""
+
     loc_pool: list[Array]
-    c_edit: float = 0.5
     editable_layers: list[int] | None = None
-    lr: float = 0.1
-    max_steps: int = 100
     seed: int = 0
     name: str = "ft_kl"
+    loc_inputs: tuple[Array, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.loc_pool) == 0:
             raise DataError("FT+KL needs a non-empty pool of locality inputs")
+        rng = make_rng(self.seed)
+        self.loc_inputs = tuple(self.loc_pool[int(rng.integers(len(self.loc_pool)))]
+                                for _ in range(FT_MAX_STEPS))
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
-        # every edit walks the same pool indices, drawn once per seed
-        draws = iter(_loc_draws(self.seed, len(self.loc_pool), self.max_steps))
-        sampler = lambda: self.loc_pool[next(draws)]
         xs, ys = zip(*pairs)
-        return finetune_kl_edit(
-            model, xs, ys, sampler, self.c_edit, self.editable_layers, self.lr, self.max_steps
-        )[0]
+        return finetune_kl_edit(model, xs, ys, self.loc_inputs,
+                                editable_layers=self.editable_layers)[0]
 
     def param_count(self) -> int:
         return 0

@@ -30,7 +30,7 @@ stream is the same without `choice`'s per-call set-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .editor import (
     tape_from_factors,
     zero_grads,
 )
-from .errors import ConfigError, DataError, json_int, json_number, layer_indices
+from .errors import ConfigError, DataError, ShapeError, json_int, json_number, layer_indices
 from .mlp import (
     Mlp,
     backward,
@@ -263,8 +263,7 @@ def train_editor(
     params = init_editor(model, editable, config.rank, variant, rng, config.alpha_init)
     # the base model's state for every record, built once before the first
     # step; the train table's factor rows are also the normalizer's input
-    if config.max_steps or variant.normalize:
-        train_table = build_factor_table(model, params.editable_layers, train_records)
+    train_table = build_factor_table(model, params.editable_layers, train_records)
     if validates:
         val_table = _tabulate(model, params.editable_layers, val_groups)
     normalizer = (
@@ -273,7 +272,7 @@ def train_editor(
     grads = zero_grads(params)  # rewritten by every step
     adam_state = AdamState(lr=config.meta_lr)
     log: list[dict] = []
-    best = params.copy()
+    best = params  # the live params, until a validation improves on them
     best_val = float("inf")
     evals_since_best = 0
     # bucket table rows by fact so a sampled group edits k distinct facts
@@ -321,9 +320,12 @@ def train_editor(
         log.append(entry)
         if evals_since_best >= config.patience:
             break
-    if best_val == float("inf"):
-        best = params
     return best, normalizer, log
+
+
+# The step cap of both fine-tuning baselines, and the number of locality
+# inputs `evaluation.FtKlEditor` draws.
+FT_MAX_STEPS = 100
 
 
 def finetune_edit(
@@ -332,7 +334,7 @@ def finetune_edit(
     y_e,
     editable_layers: Sequence[int] | None = None,
     lr: float = 0.1,
-    max_steps: int = 100,
+    max_steps: int = FT_MAX_STEPS,
 ) -> tuple[Mlp, int]:
     """Plain fine-tuning baseline: `finetune_kl_edit` without the locality
     term."""
@@ -343,28 +345,35 @@ def finetune_kl_edit(
     model: Mlp,
     x_e,
     y_e,
-    loc_sampler: Callable[[], Array] | None,
+    loc_inputs: Sequence[Array] | None,
     c_edit: float = 0.5,
     editable_layers: Sequence[int] | None = None,
     lr: float = 0.1,
-    max_steps: int = 100,
+    max_steps: int = FT_MAX_STEPS,
 ) -> tuple[Mlp, int]:
     """Fine-tuning on the edit example(s) over the editable weight matrices:
-    each step descends c_edit * NLL(edit examples) + KL(pre || current) at
-    one fresh locality input from `loc_sampler` (no KL term when it is None),
+    step s descends c_edit * NLL(edit examples) + KL(pre || current) at the
+    locality input `loc_inputs[s]` (no KL term when `loc_inputs` is None),
     stopping once every edit label is the argmax prediction; capped at
-    `max_steps` (100 per convention). Returns a fresh model, even after zero
-    steps, and the number of steps taken.
+    `max_steps`. `loc_inputs` holds at least `max_steps` inputs, else
+    ShapeError. Returns a fresh model, even after zero steps, and the number
+    of steps taken.
 
     At step 0 the current model is the pre-edit model itself, so the KL
     term's logit gradient softmax(current) - softmax(pre) is exactly zero and
-    its weight gradient adds only zeros: that step draws its locality input,
-    so that later steps draw the same inputs, but runs no KL pass."""
+    its weight gradient adds only zeros: that step reads no locality input."""
     # each layer once: its gradient buffer is updated in place
     editable = layer_indices(range(model.num_layers) if editable_layers is None
                              else editable_layers, model.num_layers)
+    if loc_inputs is not None and len(loc_inputs) < max_steps:
+        raise ShapeError(f"{max_steps} fine-tuning steps need as many locality inputs, "
+                         f"got {len(loc_inputs)}")
     xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
+    # W - lr * ((c_edit / B) * g + g_KL), written into the fresh g; FT's
+    # scale of exactly 1.0 is skipped, as x * 1.0 == x bit for bit. An edit
+    # of no examples stops at step 0 and never reads the scale.
+    scale = c_edit / max(len(ys), 1)
     current, steps = model, max_steps
     for step in range(max_steps):
         logits, trace = forward(current, xs)
@@ -372,20 +381,15 @@ def finetune_kl_edit(
             steps = step
             break
         _, _, wgrads, _ = backward_nll(current, trace, ys)
-        # W - lr * ((c_edit / B) * g + g_KL), written into the fresh g; FT's
-        # scale of exactly 1.0 is skipped, as x * 1.0 == x bit for bit
-        scale = c_edit / len(ys)
         grads = {l: wgrads[l] if scale == 1.0 else np.multiply(scale, wgrads[l], out=wgrads[l])
                  for l in editable}
-        if loc_sampler is not None:
-            x_loc = loc_sampler()
-            if current is not model:  # at step 0 the KL gradient is exactly zero
-                pre_logits, _ = forward(model, x_loc)
-                cur_logits, trace_loc = forward(current, x_loc)
-                dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-                _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
-                for l in editable:
-                    grads[l] += wgrads_kl[l]
+        if loc_inputs is not None and current is not model:
+            pre_logits, _ = forward(model, loc_inputs[step])
+            cur_logits, trace_loc = forward(current, loc_inputs[step])
+            dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
+            _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
+            for l in editable:
+                grads[l] += wgrads_kl[l]
         for l, g in grads.items():
             np.subtract(current.weights[l], np.multiply(lr, g, out=g), out=g)
         current = clone_with_weights(current, grads)

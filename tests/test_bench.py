@@ -86,6 +86,58 @@ def test_generation_is_deterministic():
     assert not np.array_equal(a.pretrain_x, c.pretrain_x)
 
 
+def _encode_fact(cfg, fact_id, rng):
+    """One fact's input, one noise draw per row: the encoder that the
+    many-row `bench._encode_facts` replaced."""
+    e, r = divmod(fact_id, cfg.num_relations)
+    x = cfg.noise_scale * rng.standard_normal(cfg.feature_dim)
+    x[e] += 1.0
+    x[cfg.num_entities + r] += 1.0
+    return x
+
+
+def _reference_world(cfg):
+    """`generate_world`'s arrays and records as its per-row loops built them:
+    (pretrain_x, pretrain_y, [(x_e, y_e, neighborhood xs, x_loc, y_loc,
+    fact_id) per edit_train then edit_test record])."""
+    rng = np.random.default_rng(cfg.seed)
+    labels = np.random.default_rng(cfg.seed ^ 0x5EED).integers(cfg.num_classes,
+                                                               size=cfg.num_facts)
+    xs = [_encode_fact(cfg, f, rng) for f in range(cfg.num_facts)
+          for _ in range(cfg.pretrain_per_fact)]
+    ys = [int(labels[f]) for f in range(cfg.num_facts) for _ in range(cfg.pretrain_per_fact)]
+    order = rng.permutation(cfg.num_facts)
+    records = []
+    for f in order.tolist():
+        for _ in range(cfg.records_per_fact):
+            gt = int(labels[f])
+            y_e = int(rng.integers(cfg.num_classes - 1))
+            y_e += y_e >= gt
+            nb = [_encode_fact(cfg, f, rng) for _ in range(cfg.paraphrases_per_fact)]
+            loc = int(rng.integers(cfg.num_facts - 1))
+            loc += loc >= f
+            records.append((nb[0], y_e, nb, _encode_fact(cfg, loc, rng), int(labels[loc]), f))
+    return np.stack(xs), np.array(ys), records
+
+
+@pytest.mark.parametrize("cfg", [_tiny_cfg(), WorldConfig(records_per_fact=3, seed=4),
+                                 _tiny_cfg(paraphrases_per_fact=1, noise_scale=0.0)],
+                         ids=["tiny", "default_shape", "one_paraphrase_no_noise"])
+def test_world_matches_per_row_reference(cfg):
+    world = generate_world(cfg)
+    ref_x, ref_y, ref_records = _reference_world(cfg)
+    assert np.array_equal(world.pretrain_x, ref_x)
+    assert np.array_equal(world.pretrain_y, ref_y)
+    got = world.edit_train + world.edit_test
+    assert len(got) == len(ref_records)
+    for rec, (x_e, y_e, nb, x_loc, y_loc, fact_id) in zip(got, ref_records):
+        assert (rec.y_e, rec.y_loc, rec.fact_id) == (y_e, y_loc, fact_id)
+        assert np.array_equal(rec.x_e, x_e) and np.array_equal(rec.x_loc, x_loc)
+        assert len(rec.neighborhood) == len(nb)
+        for (x, _), want in zip(rec.neighborhood, nb):
+            assert np.array_equal(x, want)
+
+
 def test_encoding_has_one_hot_blocks():
     cfg = _tiny_cfg(noise_scale=0.01)
     world = generate_world(cfg)

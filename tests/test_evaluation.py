@@ -26,7 +26,7 @@ from gradedit.evaluation import (
 )
 from gradedit.mlp import clone_with_weights, forward
 from gradedit.ndops import kl_divergence, make_rng
-from gradedit.training import TrainConfig, finetune_kl_edit, train_editor
+from gradedit.training import FT_MAX_STEPS, TrainConfig, finetune_kl_edit, train_editor
 
 
 class IdentityEditor:
@@ -247,14 +247,17 @@ def test_ft_kl_editor_achieves_the_edit(small_world, small_model):
 
 
 def test_ft_kl_editor_draws_as_a_fresh_generator_per_edit(small_world, small_model):
-    # the editor walks one cached draw sequence; each edit must see the
+    # the editor draws its inputs once, when built; each edit must see the
     # inputs that a generator seeded afresh for that edit would give
     pool = [r.x_loc for r in small_world.edit_train[:10]]
     editor = FtKlEditor(pool, seed=3)
+    rng = make_rng(3)
+    want_inputs = [pool[int(rng.integers(len(pool)))] for _ in range(FT_MAX_STEPS)]
+    assert len(editor.loc_inputs) == len(want_inputs)
+    for got_x, want_x in zip(editor.loc_inputs, want_inputs):
+        assert got_x is want_x
     for rec in small_world.edit_test[:4] * 2:
-        rng = make_rng(3)
-        want, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e,
-                                       lambda: pool[int(rng.integers(len(pool)))])
+        want, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, want_inputs)
         assert steps >= 2
         got = editor.edit(small_model, [(rec.x_e, rec.y_e)])
         for a, b in zip(got.weights, want.weights):

@@ -23,12 +23,13 @@ from gradedit.editor import (
     init_editor,
     zero_grads,
 )
-from gradedit.errors import ConfigError, DataError
+from gradedit.errors import ConfigError, DataError, ShapeError
 from gradedit.evaluation import ABLATION_VARIANTS
 from gradedit.mlp import backward, backward_nll, clone_with_weights, forward, init_mlp
 from gradedit.ndops import kl_divergence, log_softmax, make_rng, softmax
 from gradedit.training import (
     ACCURACY_BLOCK_ROWS,
+    FT_MAX_STEPS,
     TableGroups,
     TrainConfig,
     build_factor_table,
@@ -630,18 +631,13 @@ def test_finetune_loops_match_reference_loops(small_world, small_model, batch, e
     recs = small_world.edit_test[: 4 * batch : 4]
     xs = np.stack([r.x_e for r in recs])
     ys = np.array([r.y_e for r in recs])
-    pool = [r.x_loc for r in small_world.edit_train[:20]]
-
-    def sampler(seed):
-        rng = make_rng(seed)
-        return lambda: pool[int(rng.integers(len(pool)))]
-
+    loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 4)
     x_arg, y_arg = (xs[0], int(ys[0])) if batch == 1 else (xs, ys)
     runs = [
         (finetune_edit(small_model, x_arg, y_arg, editable),
          _separate_finetune(small_model, xs, ys, editable)),
-        (finetune_kl_edit(small_model, x_arg, y_arg, sampler(4), 0.5, editable),
-         _separate_finetune_kl(small_model, xs, ys, sampler(4), 0.5, editable)),
+        (finetune_kl_edit(small_model, x_arg, y_arg, loc_inputs, 0.5, editable),
+         _separate_finetune_kl(small_model, xs, ys, iter(loc_inputs).__next__, 0.5, editable)),
     ]
     # one edit repeats the reference arithmetic to the last bit; a batch
     # scales the gradient before lr, which moves the weights by a few ulps
@@ -683,16 +679,11 @@ def _reference_finetune(model, x_e, y_e, loc_sampler, c_edit=0.5, editable_layer
     return current, max_steps
 
 
-def _counting_sampler(pool, seed):
-    """A locality sampler over `pool` that counts its calls in `.calls`."""
+def _loc_draws(pool, seed):
+    """`FT_MAX_STEPS` locality inputs from `pool`, one `integers` call each on
+    a generator seeded with `seed`."""
     rng = make_rng(seed)
-
-    def sampler():
-        sampler.calls += 1
-        return pool[int(rng.integers(len(pool)))]
-
-    sampler.calls = 0
-    return sampler
+    return [pool[int(rng.integers(len(pool)))] for _ in range(FT_MAX_STEPS)]
 
 
 # at k=1 the outer products of the wide model's (256, 300) layer are formed by
@@ -712,27 +703,33 @@ def test_finetune_kl_edit_matches_parent_loop(request, small_world, model_name, 
         recs = small_world.edit_test[seed : seed + 4 * k : 4]
         xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
         c_edit = 0.5 if kl else 1.0
-        got_sampler, want_sampler = _counting_sampler(pool, seed), _counting_sampler(pool, seed)
-        got, steps = finetune_kl_edit(model, xs, ys, got_sampler if kl else None,
-                                      c_edit, layers, lr)
-        want, want_steps = _reference_finetune(model, xs, ys, want_sampler if kl else None,
+        loc_inputs = _loc_draws(pool, seed) if kl else None
+        got, steps = finetune_kl_edit(model, xs, ys, loc_inputs, c_edit, layers, lr)
+        want, want_steps = _reference_finetune(model, xs, ys,
+                                               iter(loc_inputs).__next__ if kl else None,
                                                c_edit, layers, lr)
         assert steps == want_steps
-        assert got_sampler.calls == want_sampler.calls == (steps if kl else 0)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.array_equal(a, b)
+        if kl:  # step 0 reads no locality input: a NaN one changes nothing
+            nan_first = [np.full_like(loc_inputs[0], np.nan)] + loc_inputs[1:]
+            again, _ = finetune_kl_edit(model, xs, ys, nan_first, c_edit, layers, lr)
+            for a, b in zip(again.weights + again.biases, got.weights + got.biases):
+                assert np.array_equal(a, b)
         most_steps = max(most_steps, steps)
     assert most_steps >= 2
 
 
 def test_finetune_kl_edit_runs_no_kl_pass_at_step_0(small_world, small_model):
     rec = small_world.edit_test[0]
-    pool = [r.x_loc for r in small_world.edit_train[:20]]
+    loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
     counts = {}
-    for name, fn, target in [("new", finetune_kl_edit, "gradedit.training.forward"),
-                             ("parent", _reference_finetune, f"{__name__}.forward")]:
+    for name, fn, target, locs in [
+        ("new", finetune_kl_edit, "gradedit.training.forward", loc_inputs),
+        ("parent", _reference_finetune, f"{__name__}.forward", iter(loc_inputs).__next__),
+    ]:
         with patch(target, side_effect=forward) as spy:
-            _, steps = fn(small_model, rec.x_e, rec.y_e, _counting_sampler(pool, 0), lr=1.0)
+            _, steps = fn(small_model, rec.x_e, rec.y_e, locs, lr=1.0)
         assert steps == 1
         counts[name] = spy.call_count
     # one forward at the edit input per step and a final check; the parent
@@ -745,8 +742,8 @@ def test_finetune_kl_edit_runs_no_kl_pass_at_step_0(small_world, small_model):
 def test_finetune_zero_steps_returns_a_copy(small_world, small_model, kl, max_steps):
     rec = small_world.edit_test[0]
     y_now = int(np.argmax(forward(small_model, rec.x_e)[0][0]))
-    sampler = (lambda: rec.x_loc) if kl else None
-    out, steps = finetune_kl_edit(small_model, rec.x_e, y_now, sampler, max_steps=max_steps)
+    loc_inputs = [rec.x_loc] * max_steps if kl else None
+    out, steps = finetune_kl_edit(small_model, rec.x_e, y_now, loc_inputs, max_steps=max_steps)
     assert steps == 0
     assert out is not small_model
     for a, b in zip(out.weights + out.biases, small_model.weights + small_model.biases):
@@ -760,10 +757,20 @@ def test_finetune_kl_edit_rejects_impossible_layers(small_world, small_model, la
     rec = small_world.edit_test[0]
     with patch("gradedit.training.forward", side_effect=forward) as spy:
         with pytest.raises(ConfigError):
-            finetune_kl_edit(small_model, rec.x_e, rec.y_e, lambda: rec.x_loc,
+            finetune_kl_edit(small_model, rec.x_e, rec.y_e, [rec.x_loc] * FT_MAX_STEPS,
                              editable_layers=layers)
         with pytest.raises(ConfigError):
             finetune_edit(small_model, rec.x_e, rec.y_e, editable_layers=layers)
+    assert spy.call_count == 0
+
+
+@pytest.mark.parametrize("max_steps", [1, FT_MAX_STEPS])
+def test_finetune_kl_edit_rejects_too_few_locality_inputs(small_world, small_model, max_steps):
+    rec = small_world.edit_test[0]
+    with patch("gradedit.training.forward", side_effect=forward) as spy:
+        with pytest.raises(ShapeError):
+            finetune_kl_edit(small_model, rec.x_e, rec.y_e, [rec.x_loc] * (max_steps - 1),
+                             max_steps=max_steps)
     assert spy.call_count == 0
 
 
@@ -806,12 +813,8 @@ def test_finetune_edit_batch_of_edits(small_world, small_model):
 
 def test_finetune_kl_edit_flips_argmax_with_less_drift(small_world, small_model):
     rec = small_world.edit_test[2]
-    pool = [r.x_loc for r in small_world.edit_train[:20]]
-    sampler_rng = make_rng(0)
-    edited, _ = finetune_kl_edit(
-        small_model, rec.x_e, rec.y_e,
-        lambda: pool[int(sampler_rng.integers(len(pool)))],
-    )
+    loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
+    edited, _ = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs)
     logits, _ = forward(edited, rec.x_e)
     assert int(np.argmax(logits[0])) == rec.y_e
 
@@ -819,7 +822,7 @@ def test_finetune_kl_edit_flips_argmax_with_less_drift(small_world, small_model)
 def test_finetune_kl_edit_zero_edit_weight_changes_little(small_world, small_model):
     rec = small_world.edit_test[3]
     edited, steps = finetune_kl_edit(
-        small_model, rec.x_e, rec.y_e, lambda: rec.x_loc, c_edit=0.0, max_steps=20
+        small_model, rec.x_e, rec.y_e, [rec.x_loc] * 20, c_edit=0.0, max_steps=20
     )
     assert steps == 20  # the argmax never flips without an edit term
     for a, b in zip(edited.weights, small_model.weights):
