@@ -50,6 +50,8 @@ class WorldConfig:
             json_int(getattr(self, name), name, low, ConfigError)
         json_number(self.noise_scale, "noise_scale", 0, error=ConfigError)
         json_number(self.train_fraction, "train_fraction", 0, strict=True, error=ConfigError)
+        if self.num_facts < 2:
+            raise ConfigError("a world needs at least 2 facts: a locality input comes from another")
         if self.feature_dim < self.num_entities + self.num_relations:
             raise ConfigError(
                 "feature_dim must be >= num_entities + num_relations "

@@ -22,7 +22,7 @@ forms an (n, m) matrix; only `apply_edit` materializes W~.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -85,27 +85,26 @@ class EditorParams:
     "l:<layer>:{s1,o1,s2,o2,alpha}". `init_editor`, `load_editor` and
     `copy` lay the tree out as a `FlatTree`, views into one vector
     `values.flat`, so that Adam updates the whole editor in one operation.
+    `layer_group` maps each editable layer to its group key; its keys, in
+    their order, are the editable layers.
     """
 
     rank: int
     variant: VariantConfig
-    editable_layers: list[int]
     layer_group: dict[int, str]
     group_dims: dict[str, tuple[int, int]]  # group key -> (m, n)
     values: dict[str, Array] = field(default_factory=dict)
+
+    @property
+    def editable_layers(self) -> list[int]:
+        return list(self.layer_group)
 
     def num_parameters(self) -> int:
         return sum(int(v.size) for v in self.values.values())
 
     def copy(self) -> "EditorParams":
-        return EditorParams(
-            rank=self.rank,
-            variant=self.variant,
-            editable_layers=list(self.editable_layers),
-            layer_group=dict(self.layer_group),
-            group_dims=dict(self.group_dims),
-            values=flatten(self.values),
-        )
+        return replace(self, layer_group=dict(self.layer_group),
+                       group_dims=dict(self.group_dims), values=flatten(self.values))
 
 
 _NORM_STATS = ("mean_u", "var_u", "mean_d", "var_d")
@@ -186,7 +185,7 @@ def init_editor(
             values[name] = np.array(float(alpha_init))
         else:
             values[name] = np.ones(shape) if part in ("s1", "s2") else np.zeros(shape)
-    return EditorParams(rank, variant, layers, layer_group, group_dims, flatten(values))
+    return EditorParams(rank, variant, layer_group, group_dims, flatten(values))
 
 
 # The floor of every normalizer variance.
@@ -263,18 +262,10 @@ def _editor_apply(
     a2 = v2h @ U2.T
     g = h + s2 * a2 + o2
 
-    # Split g back into the transformed halves; untransformed factors pass
-    # through raw (gradient units), not normalized.
-    out_u, out_d = u, delta
-    off = 0
-    for p in parts:
-        width = m if p == "u" else n
-        seg = g[:, off : off + width]
-        if p == "u":
-            out_u = seg
-        else:
-            out_d = seg
-        off += width
+    # Split g back into the transformed halves (u before delta); untransformed
+    # factors pass through raw (gradient units), not normalized.
+    out_u = g[:, :m] if "u" in parts else u
+    out_d = g[:, -n:] if "delta" in parts else delta
     return out_u, out_d, _EditorTape(z, v1z, a1, pre1, h, v2h, a2)
 
 
@@ -512,12 +503,7 @@ def save_editor(
     payload = {
         "format_version": EDITOR_FORMAT_VERSION,
         "rank": params.rank,
-        "variant": {
-            "share_params": params.variant.share_params,
-            "normalize": params.variant.normalize,
-            "identity_init": params.variant.identity_init,
-            "transform": params.variant.transform,
-        },
+        "variant": asdict(params.variant),
         "editable_layers": params.editable_layers,
         "layer_group": {str(k): v for k, v in params.layer_group.items()},
         "group_dims": {k: list(v) for k, v in params.group_dims.items()},
@@ -555,7 +541,7 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
     what = f"editor checkpoint {path}"
     payload = json_file(path, what, EDITOR_FORMAT_VERSION)
     try:
-        layers = [json_int(l, f"{what}: an editable layer") for l in payload["editable_layers"]]
+        layers = layer_indices(payload["editable_layers"], None)
         rank = json_int(payload["rank"], f"{what}: rank")
         variant = VariantConfig(**payload["variant"])
         layer_group = {l: payload["layer_group"][str(l)] for l in layers}
@@ -568,7 +554,7 @@ def load_editor(path: str | Path) -> tuple[EditorParams, Normalizer | None]:
             eps = json_number(nz["eps"], f"{what}: normalizer eps", 0, strict=True)
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as e:
         raise DataError(f"malformed editor checkpoint {path}: {e!r}") from e
-    params = EditorParams(rank, variant, layers, layer_group, group_dims,
+    params = EditorParams(rank, variant, layer_group, group_dims,
                           flatten(_read_tensors(values, shapes, what)))
     if nz is None:
         if variant.normalize:

@@ -96,15 +96,16 @@ def flatten(tree: Mapping[str, Array]) -> FlatTree:
     return FlatTree(flat, {k: np.shape(v) for k, v in tree.items()})
 
 
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam accumulators for one flat parameter vector, and two scratch
     vectors of its size for the update."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: Array | None = None
     v: Array | None = None
@@ -130,15 +131,15 @@ def adam_step(params: Array, grads: Array, state: AdamState) -> None:
     state.t += 1
     m, v, (a, b) = state.m, state.v, state.scratch
     # m = beta1 * m + (1 - beta1) * g
-    np.multiply(state.beta1, m, out=m)
-    np.add(m, np.multiply(1.0 - state.beta1, grads, out=a), out=m)
+    np.multiply(ADAM_BETA1, m, out=m)
+    np.add(m, np.multiply(1.0 - ADAM_BETA1, grads, out=a), out=m)
     # v = beta2 * v + (1 - beta2) * g * g
-    np.multiply(state.beta2, v, out=v)
-    np.multiply(np.multiply(1.0 - state.beta2, grads, out=a), grads, out=a)
+    np.multiply(ADAM_BETA2, v, out=v)
+    np.multiply(np.multiply(1.0 - ADAM_BETA2, grads, out=a), grads, out=a)
     np.add(v, a, out=v)
     # params -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
-    np.multiply(state.lr, np.divide(m, 1.0 - state.beta1**state.t, out=a), out=a)
-    np.sqrt(np.divide(v, 1.0 - state.beta2**state.t, out=b), out=b)
-    np.add(b, state.eps, out=b)
+    np.multiply(state.lr, np.divide(m, 1.0 - ADAM_BETA1**state.t, out=a), out=a)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**state.t, out=b), out=b)
+    np.add(b, ADAM_EPS, out=b)
     np.subtract(params, np.divide(a, b, out=a), out=params)
 

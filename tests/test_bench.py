@@ -46,6 +46,10 @@ def test_config_validation():
         _tiny_cfg(feature_dim=7)  # < entities + relations
     with pytest.raises(ConfigError):
         _tiny_cfg(train_fraction=1.0)
+    # a locality input comes from another fact, so a world needs two
+    with pytest.raises(ConfigError, match="2 facts"):
+        _tiny_cfg(num_entities=1, num_relations=1)
+    _tiny_cfg(num_entities=2, num_relations=1)
     for name in ("num_entities", "num_relations", "num_classes", "feature_dim",
                  "paraphrases_per_fact", "pretrain_per_fact", "records_per_fact", "seed"):
         for bad in (-1, 2.0, True, "3", None):

@@ -205,6 +205,8 @@ def test_edit_and_eval_take_no_config_or_seed(pipeline, tmp_path):
 @pytest.mark.parametrize("bad", [
     {"pretrain_per_fact": 0}, {"num_entities": 0}, {"num_relations": 0},
     {"records_per_fact": 1.5}, {"records_per_fact": True}, {"seed": -1}, {"noise_scale": "x"},
+    # one fact leaves no other fact to draw a locality input from
+    {"num_entities": 1, "num_relations": 1},
 ])
 def test_gen_data_bad_count_exit_code(tmp_path, bad):
     cfg = tmp_path / "world.json"
@@ -469,7 +471,8 @@ def test_train_editor_k_above_validation_set_exit_code(pipeline, tmp_path):
     assert not (tmp_path / "editor.json").exists()
 
 
-@pytest.mark.parametrize("corrupt", ["missing", "short", "nan", "inf_normalizer_stat"])
+@pytest.mark.parametrize("corrupt",
+                         ["missing", "short", "nan", "inf_normalizer_stat", "no_layers"])
 def test_edit_bad_editor_tensor_exit_code(pipeline, tmp_path, corrupt):
     payload = json.loads((pipeline / "editor.json").read_text())
     if corrupt == "missing":
@@ -478,15 +481,24 @@ def test_edit_bad_editor_tensor_exit_code(pipeline, tmp_path, corrupt):
         payload["values"]["l:0:s1"] = payload["values"]["l:0:s1"][:-1]
     elif corrupt == "nan":
         payload["values"]["l:0:s1"][0] = float("nan")
-    else:
+    elif corrupt == "inf_normalizer_stat":
         next(iter(payload["normalizer"]["var_u"].values()))[0] = float("inf")
+    else:
+        for key in ("editable_layers", "layer_group", "group_dims", "values"):
+            payload[key] = type(payload[key])()
+        payload["normalizer"].update({stat: {} for stat in ("mean_u", "var_u", "mean_d", "var_d")})
     editor = tmp_path / "editor.json"
     editor.write_text(json.dumps(payload))
     assert main([
         "edit", "--model", str(pipeline / "model.json"), "--editor", str(editor),
         "--edit-input", str(_edit_input(pipeline, tmp_path)), "--out-dir", str(tmp_path),
     ]) == 3
+    assert main([
+        "eval", "--dataset", str(pipeline / "dataset.jsonl"), "--model", str(pipeline / "model.json"),
+        "--editor", str(editor), "--k-edits", "1", "--out-dir", str(tmp_path),
+    ]) == 3
     assert not (tmp_path / "edited_model.json").exists()
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_edit_ragged_inputs_exit_code(pipeline, tmp_path):

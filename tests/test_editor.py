@@ -615,13 +615,21 @@ def test_zero_grads_mirrors_params():
 # ------------------------------------------------------------- persistence
 
 
-def test_editor_checkpoint_round_trip(tmp_path, small_world, small_model, table_normalizer):
-    params = _editor_for(small_model, variant=VariantConfig(identity_init=False), seed=11)
-    norm = table_normalizer(small_model, small_world.edit_train[:10], params)
+@pytest.mark.parametrize("variant", ABLATION_VARIANTS.values(), ids=ABLATION_VARIANTS.keys())
+def test_editor_checkpoint_round_trip(tmp_path, small_world, small_model, table_normalizer,
+                                      variant):
+    params = _editor_for(small_model, variant=variant, seed=11)
+    norm = (table_normalizer(small_model, small_world.edit_train[:10], params)
+            if variant.normalize else None)
     path = tmp_path / "editor.json"
     save_editor(params, norm, path)
     loaded, loaded_norm = load_editor(path)
+    # the layer list and the variant are read back from what was written, so
+    # saving the loaded editor writes the same bytes
+    save_editor(loaded, loaded_norm, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     assert loaded.rank == params.rank
+    assert loaded.variant == params.variant
     assert loaded.editable_layers == params.editable_layers
     assert set(loaded.values) == set(params.values)
     for k in params.values:
@@ -654,6 +662,14 @@ def test_load_editor_rejects_garbage(tmp_path):
 
 def _first_stat(payload, stat):
     return next(iter(payload["normalizer"][stat].values()))
+
+
+def _drop_every_layer(payload):
+    """Empty every per-layer and per-group section of a checkpoint."""
+    for key in ("editable_layers", "layer_group", "group_dims", "values"):
+        payload[key] = type(payload[key])()
+    for stat in ("mean_u", "var_u", "mean_d", "var_d"):
+        payload["normalizer"][stat] = {}
 
 
 def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
@@ -713,6 +729,10 @@ def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
         lambda p: p["values"].__setitem__("l:0:alpha", None),
         lambda p: _first_stat(p, "mean_d").__setitem__(0, False),
         lambda p: p["variant"].__setitem__("normalize", ""),
+        # an editor edits at least one layer, each named once by index
+        _drop_every_layer,
+        lambda p: p.__setitem__("editable_layers", [-1]),
+        lambda p: p.__setitem__("editable_layers", [True]),
     ],
     ids=[
         "missing_tensor", "extra_tensor", "short_tensor", "alpha_not_scalar",
@@ -723,7 +743,8 @@ def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
         "zero_var_u", "negative_var_u", "negative_var_d", "string_eps", "bool_eps",
         "zero_eps", "negative_eps", "inf_eps", "huge_int_eps", "list_eps",
         "bool_tensor_entry", "string_tensor_entry", "huge_int_tensor_entry", "null_alpha",
-        "bool_normalizer_stat", "string_variant_switch",
+        "bool_normalizer_stat", "string_variant_switch", "no_layers", "negative_layer",
+        "bool_layer",
     ],
 )
 def test_load_editor_checks_tensor_names_and_shapes(

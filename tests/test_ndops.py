@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from gradedit.errors import ShapeError
 from gradedit.ndops import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     FlatTree,
     adam_step,
@@ -155,11 +158,11 @@ def _reference_adam_tree(params, grads, state, m, v):
     out = {}
     for k, p in params.items():
         g = grads[k]
-        m[k] = state.beta1 * m[k] + (1.0 - state.beta1) * g
-        v[k] = state.beta2 * v[k] + (1.0 - state.beta2) * g * g
-        m_hat = m[k] / (1.0 - state.beta1**state.t)
-        v_hat = v[k] / (1.0 - state.beta2**state.t)
-        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+        v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m[k] / (1.0 - ADAM_BETA1**state.t)
+        v_hat = v[k] / (1.0 - ADAM_BETA2**state.t)
+        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out
 
 
