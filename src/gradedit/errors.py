@@ -87,12 +87,15 @@ def json_int(value: object, what: str, low: int | None = None, error: Error = Da
 
 
 def json_number(value: object, what: str, low: float | None, strict: bool = False,
-                error: Error = DataError) -> float:
+                error: Error = DataError, high: float | None = None) -> float:
     """`value`, a finite JSON number (`json_floats` of shape ()), as a
-    float; at least `low` (above it if `strict`) when `low` is given."""
+    float; at least `low` (above it if `strict`) when `low` is given, and
+    at most `high` when `high` is given."""
     number = float(json_floats(value, (), what, error))
     if low is not None and not (number > low if strict else number >= low):
         raise error(f"{what} must be {'>' if strict else '>='} {low}, got {value!r}")
+    if high is not None and number > high:
+        raise error(f"{what} must be <= {high}, got {value!r}")
     return number
 
 

@@ -3,6 +3,8 @@ KL divergence, flat parameter trees and Adam.
 
 All arrays are float64 numpy arrays. `check_finite` raises on a non-finite
 array; the model and edited-model forward passes call it on their logits.
+Reductions call ndarray methods: the same ufunc reductions as the `np.max`
+and `np.sum` wrappers, without the wrappers' per-call dispatch.
 All randomness flows through explicitly passed numpy Generators seeded with
 PCG64, so identical seeds give identical draws on any platform.
 """
@@ -26,7 +28,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def check_finite(x: Array, what: str = "array") -> Array:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise FloatingPointError(f"non-finite values in {what}")
     return x
 
@@ -49,14 +51,14 @@ def relu_grad(x: Array) -> Array:
 
 def softmax(logits: Array) -> Array:
     """Stable softmax along the last axis."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=-1, keepdims=True)
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: Array) -> Array:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def kl_divergence(p_logits: Array, q_logits: Array) -> Array:
@@ -70,7 +72,7 @@ def kl_divergence(p_logits: Array, q_logits: Array) -> Array:
 def kl_log_probs(logp: Array, logq: Array) -> Array:
     """`kl_divergence` from log-probabilities: sum of exp(logp) * (logp - logq)
     over the last axis, for callers that keep logp of a fixed distribution."""
-    return np.sum(np.exp(logp) * (logp - logq), axis=-1)
+    return (np.exp(logp) * (logp - logq)).sum(axis=-1)
 
 
 class FlatTree(dict):

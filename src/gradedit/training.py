@@ -70,6 +70,11 @@ from .ndops import (
 )
 
 
+# The largest learning rate of meta-training and pretraining: Adam moves each
+# parameter by about lr per step, and every shipped config uses 1e-3.
+MAX_LR = 1.0
+
+
 @dataclass
 class TrainConfig:
     c_e: float = 0.1
@@ -89,7 +94,7 @@ class TrainConfig:
                           ("batch_size", 1), ("patience", 1), ("rank", 1), ("seed", 0)):
             json_int(getattr(self, name), name, low, ConfigError)
         json_number(self.c_e, "c_e", 0, error=ConfigError)
-        json_number(self.meta_lr, "meta_lr", 0, strict=True, error=ConfigError)
+        json_number(self.meta_lr, "meta_lr", 0, strict=True, error=ConfigError, high=MAX_LR)
         json_number(self.alpha_init, "alpha_init", None, error=ConfigError)
         if self.editable_layers is not None:
             layer_indices(self.editable_layers, None)
@@ -361,7 +366,10 @@ def finetune_kl_edit(
 
     At step 0 the current model is the pre-edit model itself, so the KL
     term's logit gradient softmax(current) - softmax(pre) is exactly zero and
-    its weight gradient adds only zeros: that step reads no locality input."""
+    its weight gradient adds only zeros: that step reads no locality input.
+    A later step forwards its locality input stacked under the B edit rows
+    and makes one reverse pass over the (B+1)-row logit gradient: rows
+    (c_edit / B) * (softmax - onehot), then the KL row."""
     # each layer once: its gradient buffer is updated in place
     editable = layer_indices(range(model.num_layers) if editable_layers is None
                              else editable_layers, model.num_layers)
@@ -370,26 +378,34 @@ def finetune_kl_edit(
                          f"got {len(loc_inputs)}")
     xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
-    # W - lr * ((c_edit / B) * g + g_KL), written into the fresh g; FT's
-    # scale of exactly 1.0 is skipped, as x * 1.0 == x bit for bit. An edit
-    # of no examples stops at step 0 and never reads the scale.
-    scale = c_edit / max(len(ys), 1)
+    # W - lr * g, written into the fresh gradient g of (c_edit / B) * NLL +
+    # KL. The scale falls on the edit rows' logit gradient, or on g when a
+    # step has no KL term; there FT's scale of exactly 1.0 is skipped, as
+    # x * 1.0 == x bit for bit. An edit of no examples stops at step 0 and
+    # never reads the scale.
+    b = len(ys)
+    scale = c_edit / max(b, 1)
     current, steps = model, max_steps
     for step in range(max_steps):
-        logits, trace = forward(current, xs)
-        if np.all(np.argmax(logits, axis=1) == ys):
+        kl = loc_inputs is not None and current is not model
+        logits, trace = forward(current, np.vstack([xs, loc_inputs[step]]) if kl else xs)
+        if (logits[:b].argmax(axis=1) == ys).all():
             steps = step
             break
-        _, _, wgrads, _ = backward_nll(current, trace, ys)
-        grads = {l: wgrads[l] if scale == 1.0 else np.multiply(scale, wgrads[l], out=wgrads[l])
-                 for l in editable}
-        if loc_inputs is not None and current is not model:
+        if kl:
             pre_logits, _ = forward(model, loc_inputs[step])
-            cur_logits, trace_loc = forward(current, loc_inputs[step])
-            dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-            _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
-            for l in editable:
-                grads[l] += wgrads_kl[l]
+            dlogits = np.concatenate([np.exp(log_softmax(logits[:b])),
+                                      softmax(logits[b:]) - softmax(pre_logits)])
+            # nll_grad's formula on the edit rows, whose labels step 0 checked
+            dlogits[np.arange(b), ys] -= 1.0
+            dlogits[:b] *= scale
+            _, wgrads, _ = backward(current, trace, dlogits)
+        else:
+            _, _, wgrads, _ = backward_nll(current, trace, ys)
+            if scale != 1.0:
+                for l in editable:
+                    wgrads[l] *= scale
+        grads = {l: wgrads[l] for l in editable}
         for l, g in grads.items():
             np.subtract(current.weights[l], np.multiply(lr, g, out=g), out=g)
         current = clone_with_weights(current, grads)
@@ -427,7 +443,7 @@ def pretrain_model(
     for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
                              ("seed", seed, 0)):
         json_int(value, name, low, ConfigError)
-    json_number(lr, "lr", 0, strict=True, error=ConfigError)
+    json_number(lr, "lr", 0, strict=True, error=ConfigError, high=MAX_LR)
     if not isinstance(hidden_dims, (list, tuple)):
         raise ConfigError(f"hidden_dims must be a list of layer widths, got {hidden_dims!r}")
     for width in hidden_dims:

@@ -644,9 +644,8 @@ def test_edit_malformed_checkpoint_exit_code(pipeline, tmp_path, name, corrupt):
     ("train-editor", {"max_steps": 3, "eval_every": 0, "meta_lr": 1e300}),
 ])
 def test_diverging_training_is_not_a_data_error(pipeline, tmp_path, command, cfg):
-    # a run that diverges may owe it to its config or to its data, so it
-    # claims neither exit code; only edit and eval, which read no config,
-    # turn non-finite logits into a data error (exit 3)
+    # a learning rate above training.MAX_LR is a config error (exit 2) before
+    # any step, so a rate of 1e300 never reaches an overflow in the logits
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     model = ["--model", str(pipeline / "model.json")] if command == "train-editor" else []
@@ -655,6 +654,7 @@ def test_diverging_training_is_not_a_data_error(pipeline, tmp_path, command, cfg
          "--dataset", str(pipeline / "dataset.jsonl"), *model, "--out-dir", str(tmp_path)],
         capture_output=True, text=True, env=_child_env(),
     )
-    assert proc.returncode == 1, proc.stderr
-    assert "FloatingPointError: non-finite values in logits" in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert "must be <= 1.0, got 1e+300" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == [path]

@@ -1,20 +1,80 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "gradedit").glob("*.py"))
+# the package runs on the standard library and numpy alone; `random` is left
+# out, since every draw must come from a seeded `ndops.make_rng` generator
+ALLOWED_MODULES = (sys.stdlib_module_names - {"random"}) | {"numpy"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_package_has_no_assert_statements(path):
     # `python -O` strips asserts, so an invariant resting on one vanishes
     # there; every check must raise an error of its own
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} asserts on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_imports_only_the_standard_library_and_numpy(path):
+    outside = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not `from .x`
+            modules = [node.module]
+        else:
+            continue
+        outside += [(m, node.lineno) for m in modules if m.split(".")[0] not in ALLOWED_MODULES]
+    assert outside == [], f"{path.name} imports {outside}"
+
+
+def _dotted(node):
+    """`a.b.c` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_builds_generators_only_in_make_rng(path):
+    # a generator built or drawn from anywhere else (np.random.default_rng,
+    # np.random.rand, ...) would escape the seeded, byte-deterministic stream
+    tree = _tree(path)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    random_prefixes = {f"{name}.random." for name in numpy_names}
+    in_make_rng = set()
+    if path.name == "ndops.py":
+        make_rng = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "make_rng")
+        in_make_rng = {id(node) for node in ast.walk(make_rng)}
+    found, allowed = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            found.append((node.module, node.lineno))
+        elif isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names
+                      if a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.Call):
+            name = _dotted(node.func) or ""
+            if any(name.startswith(prefix) for prefix in random_prefixes):
+                (allowed if id(node) in in_make_rng else found).append((name, node.lineno))
+    assert found == [], f"{path.name} builds or draws from a generator at {found}"
+    if path.name == "ndops.py":  # the check sees make_rng's own generator
+        assert [name for name, _ in allowed] == ["np.random.Generator", "np.random.PCG64"]
 
 
 def test_sources_are_found():

@@ -61,6 +61,7 @@ def test_train_config_validation():
     {"editable_layers": [0.0]}, {"editable_layers": [True]}, {"editable_layers": [-1]},
     {"c_e": float("inf")}, {"meta_lr": float("inf")}, {"c_e": 10**400}, {"c_e": "0.1"},
     {"alpha_init": "x"}, {"alpha_init": float("nan")}, {"seed": -1}, {"seed": 1.0},
+    {"meta_lr": 1.0 + 1e-9}, {"meta_lr": 1e300},
 ])
 def test_train_config_rejects_every_bad_field(bad):
     with pytest.raises(ConfigError):
@@ -70,7 +71,7 @@ def test_train_config_rejects_every_bad_field(bad):
 @pytest.mark.parametrize("bad", [
     {"epochs": "x"}, {"epochs": -1}, {"batch_size": 0}, {"lr": "x"}, {"lr": 0.0},
     {"lr": float("inf")}, {"seed": -1}, {"hidden_dims": 5}, {"hidden_dims": [0]},
-    {"hidden_dims": [8.0]},
+    {"hidden_dims": [8.0]}, {"lr": 1.0 + 1e-9}, {"lr": 1e300},
 ])
 def test_pretrain_model_rejects_every_bad_argument(small_world, bad):
     with pytest.raises(ConfigError):
@@ -80,6 +81,10 @@ def test_pretrain_model_rejects_every_bad_argument(small_world, bad):
 def test_train_config_accepts_its_bounds():
     TrainConfig(c_e=0, max_steps=0, eval_every=0, edits_per_step=1, batch_size=1,
                 patience=1, rank=1, meta_lr=1, editable_layers=[0])
+
+
+def test_pretrain_model_accepts_its_largest_lr(small_world):
+    pretrain_model(small_world, hidden_dims=(4,), epochs=0, lr=1.0)
 
 
 def _fresh_editor(fit, model, records, variant=None, seed=0):
@@ -591,6 +596,11 @@ def test_train_editor_rejects_k_above_validation_set_before_any_step(small_world
     assert calls == []
 
 
+def _close_to_reference(a, b):
+    """Whether `a` matches the reference `b` within 1e-12 of b's largest entry."""
+    return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 def _separate_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
     """The separate plain fine-tuning loop that `finetune_edit` replaced."""
     current = model
@@ -634,20 +644,21 @@ def test_finetune_loops_match_reference_loops(small_world, small_model, batch, e
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 4)
     x_arg, y_arg = (xs[0], int(ys[0])) if batch == 1 else (xs, ys)
     runs = [
-        (finetune_edit(small_model, x_arg, y_arg, editable),
+        (False, finetune_edit(small_model, x_arg, y_arg, editable),
          _separate_finetune(small_model, xs, ys, editable)),
-        (finetune_kl_edit(small_model, x_arg, y_arg, loc_inputs, 0.5, editable),
+        (True, finetune_kl_edit(small_model, x_arg, y_arg, loc_inputs, 0.5, editable),
          _separate_finetune_kl(small_model, xs, ys, iter(loc_inputs).__next__, 0.5, editable)),
     ]
-    # one edit repeats the reference arithmetic to the last bit; a batch
-    # scales the gradient before lr, which moves the weights by a few ulps
-    for (got, steps), (want, want_steps) in runs:
+    # one FT edit repeats the reference arithmetic to the last bit; a batch
+    # scales the gradient before lr, and FT+KL sums its edit and KL rows in
+    # one reverse pass, which moves the weights by a few ulps
+    for kl, (got, steps), (want, want_steps) in runs:
         assert steps == want_steps > 0
         for a, b in zip(got.weights, want.weights):
-            if batch == 1:
+            if batch == 1 and not kl:
                 assert np.array_equal(a, b)
             else:
-                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+                assert _close_to_reference(a, b)
 
 
 def _reference_finetune(model, x_e, y_e, loc_sampler, c_edit=0.5, editable_layers=None,
@@ -708,9 +719,11 @@ def test_finetune_kl_edit_matches_parent_loop(request, small_world, model_name, 
         want, want_steps = _reference_finetune(model, xs, ys,
                                                iter(loc_inputs).__next__ if kl else None,
                                                c_edit, layers, lr)
+        # FT repeats the parent's arithmetic to the last bit; FT+KL sums its
+        # edit and KL rows in one reverse pass, a few ulps from the parent's two
         assert steps == want_steps
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-            assert np.array_equal(a, b)
+            assert _close_to_reference(a, b) if kl else np.array_equal(a, b)
         if kl:  # step 0 reads no locality input: a NaN one changes nothing
             nan_first = [np.full_like(loc_inputs[0], np.nan)] + loc_inputs[1:]
             again, _ = finetune_kl_edit(model, xs, ys, nan_first, c_edit, layers, lr)
@@ -735,6 +748,38 @@ def test_finetune_kl_edit_runs_no_kl_pass_at_step_0(small_world, small_model):
     # one forward at the edit input per step and a final check; the parent
     # added a pristine and a current forward at x_loc on step 0
     assert counts == {"new": 2, "parent": 4}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
+def test_finetune_passes_per_step(small_world, small_model, k, kl):
+    # a step with a KL term forwards the current model once over the B edit
+    # rows and the locality row, forwards the pristine model at that row,
+    # and makes one reverse pass over all B+1 rows; a step without one (every
+    # FT step, FT+KL's step 0) makes one backward_nll call over the B rows
+    recs = small_world.edit_test[2 : 2 + 4 * k : 4]
+    xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
+    loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0) if kl else None
+    calls = []
+
+    def spy(name, fn, rows=lambda a: len(np.atleast_2d(a))):
+        # rows of the last argument: the input batch, logit gradient or labels
+        def call(model, *args):
+            calls.append((name, "pre" if model is small_model else "current", rows(args[-1])))
+            return fn(model, *args)
+        return call
+
+    with patch("gradedit.training.forward", spy("forward", forward)), \
+            patch("gradedit.training.backward", spy("backward", backward)), \
+            patch("gradedit.training.backward_nll", spy("backward_nll", backward_nll, len)):
+        _, steps = finetune_kl_edit(small_model, xs, ys, loc_inputs, 0.5 if kl else 1.0)
+    assert steps >= 2
+    b = len(ys)
+    later = ([("forward", "current", b + 1), ("forward", "pre", 1), ("backward", "current", b + 1)]
+             if kl else [("forward", "current", b), ("backward_nll", "current", b)])
+    final = ("forward", "current", b + 1 if kl else b)
+    assert calls == [("forward", "pre", b), ("backward_nll", "pre", b),
+                     *later * (steps - 1), final]
 
 
 @pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
