@@ -30,7 +30,6 @@ from .evaluation import (
     run_ablations,
 )
 from .mlp import (
-    GradFactors,
     Mlp,
     backward_nll,
     clone_with_weights,

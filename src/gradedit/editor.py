@@ -324,14 +324,14 @@ def tape_from_factors(
     model: Mlp,
     params: EditorParams,
     normalizer: Normalizer | None,
-    u: Mapping[int, Array],
-    delta: Mapping[int, Array],
+    u: Mapping[int, Array] | Sequence[Array],
+    delta: Mapping[int, Array] | Sequence[Array],
 ) -> EditTape:
-    """Transform each editable layer's raw (B, m) u rows and (B, n) delta
-    rows, taken on the un-edited `model`, into the edited model's factors
-    plus the reverse-pass tape: the one editor path of editing and
-    meta-training. Every editable layer must exist in `model` with its
-    group's (m, n), else ShapeError."""
+    """Transform each editable layer l's raw (B, m) u rows u[l] and (B, n)
+    delta rows delta[l], taken on the un-edited `model`, into the edited
+    model's factors plus the reverse-pass tape: the one editor path of
+    editing and meta-training. Every editable layer must exist in `model`
+    with its group's (m, n), else ShapeError."""
     tape = EditTape(model, {}, {}, {}, {})
     for l in params.editable_layers:
         mn = params.group_dims[params.layer_group[l]]
@@ -359,11 +359,9 @@ def apply_edit_with_tape(
         raise DataError("edit batch is empty")
     xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in edit_batch])
     ys = np.array([y for _, y in edit_batch], dtype=np.int64)
-    _, trace = forward(model, xs)
-    _, dlogits = nll_grad(model, trace, ys)
-    factors = backward_factors(model, trace, dlogits)
-    return tape_from_factors(model, params, normalizer, {f.layer: f.u for f in factors},
-                             {f.layer: f.delta for f in factors})
+    logits, trace = forward(model, xs)
+    deltas = backward_factors(model, trace, nll_grad(logits, ys)[1])
+    return tape_from_factors(model, params, normalizer, trace.inputs, deltas)
 
 
 def apply_edit(
@@ -391,7 +389,7 @@ class EditedTrace:
     """Cached rows of one `edited_forward` call, kept for `backprop_edit`."""
 
     tape: EditTape
-    logits_shape: tuple[int, ...]  # (B, C), or (G, B, C) for G groups
+    logits_shape: tuple[int, int, int]  # (G, B, C)
     inputs: list[Array]  # inputs[l]: (G*B, m_l)
     preacts: list[Array]  # preacts[l]: (G*B, n_l)
     proj: dict[int, Array]  # editable layer -> P = x U~^T, (G, B, k)
@@ -405,24 +403,22 @@ def _group_factors(tape: EditTape, layer: int, groups: int) -> tuple[Array, Arra
 
 
 def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
-    """Forward a (B, input_dim) batch through the edited model without forming
-    W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer.
+    """Forward a (G, B, input_dim) batch through the edited model without
+    forming W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer.
 
-    A (G, B, input_dim) batch holds G groups, each under its own edit: with
-    the tape's G*k rows, group g is edited by rows g*k:(g+1)*k. The base
-    product runs over all G*B rows at once; only the rank-k term is stacked
-    per group."""
+    The batch holds G groups, each under its own edit: with the tape's G*k
+    rows, group g is edited by rows g*k:(g+1)*k. The base product runs over
+    all G*B rows at once; only the rank-k term is stacked per group."""
     model = tape.model
     batch = np.asarray(batch, dtype=np.float64)
-    stacked = batch if batch.ndim == 3 else np.atleast_2d(batch)[None]
-    if stacked.ndim != 3 or stacked.shape[2] != model.input_dim:
-        raise ShapeError(f"batch shape {batch.shape} does not end in input dim {model.input_dim}")
-    groups, rows = stacked.shape[0], tape.pseudo_u[min(tape.alpha)].shape[0]
+    if batch.ndim != 3 or batch.shape[2] != model.input_dim:
+        raise ShapeError(f"batch shape {batch.shape} is not (G, B, {model.input_dim})")
+    groups, rows = batch.shape[0], tape.pseudo_u[min(tape.alpha)].shape[0]
     if groups == 0 or rows % groups:
         raise ShapeError(f"{groups} groups do not divide the tape's {rows} edit rows")
-    width = stacked.shape[1]
+    width = batch.shape[1]
     inputs, preacts, proj = [], [], {}
-    act = stacked.reshape(groups * width, model.input_dim)
+    act = batch.reshape(groups * width, model.input_dim)
     for l in range(model.num_layers):
         inputs.append(act)
         z = act @ model.weights[l].T + model.biases[l]
@@ -433,7 +429,7 @@ def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
         preacts.append(z)
         act = z if l == model.num_layers - 1 else relu(z)
     check_finite(act, "logits")
-    logits = act.reshape(groups, width, act.shape[1]) if batch.ndim == 3 else act
+    logits = act.reshape(groups, width, act.shape[1])
     return logits, EditedTrace(tape, logits.shape, inputs, preacts, proj)
 
 

@@ -116,7 +116,6 @@ class EditReport:
     param_count: int
     wall_time_s: float
     rows: list[dict] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
 
 def edit_success(logits: Array, labels: Array, counts: Sequence[int]) -> Array:
@@ -265,7 +264,7 @@ def reports_to_json(reports: Sequence[EditReport], path: str | Path) -> None:
                 "dd_kl": r.dd_kl,
                 "params": r.param_count,
                 "rows": r.rows,
-                "config": r.config,
+                "config": {},  # a key of report format version 1; always empty
             }
             for r in reports
         ],

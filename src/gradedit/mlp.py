@@ -81,15 +81,6 @@ class ForwardTrace:
     logits: Array  # (B, C)
 
 
-@dataclass
-class GradFactors:
-    """Per-example rank-1 factors of one layer's weight gradient."""
-
-    layer: int
-    u: Array  # (B, m)
-    delta: Array  # (B, n)
-
-
 def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
     """Forward pass over a (B, input_dim) batch; returns logits and trace."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -106,44 +97,44 @@ def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
     return act, ForwardTrace(model, inputs, preacts, act)
 
 
-def backward_factors(model: Mlp, trace: ForwardTrace, dlogits: Array) -> list[GradFactors]:
+def backward_factors(model: Mlp, trace: ForwardTrace, dlogits: Array) -> list[Array]:
     """Backprop arbitrary per-example logit gradients through the trace and
-    return every layer's per-example factors; no dense gradient is formed."""
+    return every layer's (B, n_l) delta rows; no dense gradient is formed.
+    Layer l's rank-1 factors are these rows and its u rows, `trace.inputs[l]`."""
     if trace.model is not model:
         raise ContractError("trace was produced by a different model")
-    factors: list[GradFactors] = [None] * model.num_layers  # type: ignore[list-item]
+    deltas: list[Array] = [None] * model.num_layers  # type: ignore[list-item]
     delta = np.asarray(dlogits, dtype=np.float64)
     for l in range(model.num_layers - 1, -1, -1):
-        factors[l] = GradFactors(l, trace.inputs[l], delta)
+        deltas[l] = delta
         if l > 0:
             delta = (delta @ model.weights[l]) * relu_grad(trace.preacts[l - 1])
-    return factors
+    return deltas
 
 
 def backward(
     model: Mlp, trace: ForwardTrace, dlogits: Array
-) -> tuple[list[GradFactors], list[Array], list[Array]]:
+) -> tuple[list[Array], list[Array], list[Array]]:
     """`backward_factors` plus the dense gradients.
 
-    Returns (factors per layer, dense weight grads, dense bias grads); the
+    Returns (delta rows per layer, dense weight grads, dense bias grads); the
     dense grads are the unaveraged sum over the batch, i.e. gradients of the
     summed per-example loss, matching the factor sum exactly.
     """
-    factors = backward_factors(model, trace, dlogits)
-    wgrads = [outer_sum(f.delta, f.u) for f in factors]
-    bgrads = [f.delta.sum(axis=0) for f in factors]
-    return factors, wgrads, bgrads
+    deltas = backward_factors(model, trace, dlogits)
+    wgrads = [outer_sum(d, u) for d, u in zip(deltas, trace.inputs)]
+    bgrads = [d.sum(axis=0) for d in deltas]
+    return deltas, wgrads, bgrads
 
 
-def nll_grad(model: Mlp, trace: ForwardTrace, labels: np.ndarray) -> tuple[float, Array]:
-    """Mean NLL loss of the trace's logits and the per-example logit gradient
-    of the *summed* NLL."""
+def nll_grad(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
+    """Mean NLL loss of (B, C) logits and the per-example logit gradient
+    of the *summed* NLL, softmax - onehot: the one place that forms it."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    logits = trace.logits
     if labels.shape[0] != logits.shape[0]:
         raise ShapeError("one label per example required")
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise DataError(f"labels must lie in [0, {model.num_classes}), got "
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise DataError(f"labels must lie in [0, {logits.shape[1]}), got "
                         f"{labels.min()}..{labels.max()}")
     logp = log_softmax(logits)
     # sum / n is np.mean's arithmetic, without its per-call set-up
@@ -155,15 +146,14 @@ def nll_grad(model: Mlp, trace: ForwardTrace, labels: np.ndarray) -> tuple[float
 
 def backward_nll(
     model: Mlp, trace: ForwardTrace, labels: np.ndarray
-) -> tuple[float, list[GradFactors], list[Array], list[Array]]:
-    """Mean NLL loss and its per-example factorized / dense gradients.
+) -> tuple[float, list[Array], list[Array], list[Array]]:
+    """Mean NLL loss and its per-example delta rows / dense gradients.
 
-    Factors and dense grads correspond to the *summed* per-example NLL; the
-    caller divides by B where a mean-loss gradient is wanted.
+    Delta rows and dense grads correspond to the *summed* per-example NLL;
+    the caller divides by B where a mean-loss gradient is wanted.
     """
-    loss, dlogits = nll_grad(model, trace, labels)
-    factors, wgrads, bgrads = backward(model, trace, dlogits)
-    return loss, factors, wgrads, bgrads
+    loss, dlogits = nll_grad(trace.logits, labels)
+    return (loss, *backward(model, trace, dlogits))
 
 
 # Entries n*m at or above which one row's outer product is formed by einsum.

@@ -143,17 +143,17 @@ def build_factor_table(
     # before the neighborhood arrays are made: no two traces are held at once
     x_loc = np.stack([rec.x_loc for rec in records])
     pre_logits = forward(model, x_loc)[0]
-    _, trace = forward(model, np.stack([rec.x_e for rec in records]))
+    logits, trace = forward(model, np.stack([rec.x_e for rec in records]))
     y_e = np.array([rec.y_e for rec in records], dtype=np.int64)
-    _, dlogits = nll_grad(model, trace, y_e)
-    factors = backward_factors(model, trace, dlogits)
-    del trace
+    deltas = backward_factors(model, trace, nll_grad(logits, y_e)[1])
+    u, delta = {l: trace.inputs[l] for l in layers}, {l: deltas[l] for l in layers}
+    del trace, logits
     counts = np.array([len(rec.neighborhood) for rec in records], dtype=np.int64)
     slots = np.arange(counts.max()) < counts[:, None]  # (N, max neighborhood)
     nb_x = np.zeros((*slots.shape, model.input_dim))
     nb_x[slots] = [x for rec in records for x, _ in rec.neighborhood]  # record by record
-    return FactorTable({l: factors[l].u for l in layers}, {l: factors[l].delta for l in layers},
-                       x_loc, log_softmax(pre_logits), softmax(pre_logits), nb_x, y_e, counts)
+    return FactorTable(u, delta, x_loc, log_softmax(pre_logits), softmax(pre_logits),
+                       nb_x, y_e, counts)
 
 
 def _tabulate(
@@ -209,18 +209,13 @@ def group_losses_and_grads(
     logits, trace = edited_forward(tape, np.concatenate(
         [table.nb_x[idx, picks].reshape(n_groups, k, -1),
          table.x_loc[idx].reshape(n_groups, k, -1)], axis=1))
-    logp = log_softmax(logits[:, :k].reshape(n, -1))
-    # sum / n is np.mean's arithmetic, without its per-call set-up
-    l_e = -float(logp[np.arange(n), ys_eq].sum()) / n
-
+    l_e, dlogits_e = nll_grad(logits[:, :k].reshape(n, -1), ys_eq)
     post_logits = logits[:, k:].reshape(n, -1)
     l_loc = float(kl_log_probs(table.pre_logp[idx], log_softmax(post_logits)).sum()) / n
     losses = StepLosses(l_e, l_loc, c_e * l_e + l_loc)
     if not want_grads:
         return losses, None
 
-    dlogits_e = np.exp(logp)
-    dlogits_e[np.arange(n), ys_eq] -= 1.0
     dlogits_loc = softmax(post_logits) - table.pre_p[idx]
     dlogits = np.concatenate([((c_e / n) * dlogits_e).reshape(n_groups, k, -1),
                               (dlogits_loc / n).reshape(n_groups, k, -1)], axis=1)
@@ -394,10 +389,8 @@ def finetune_kl_edit(
             break
         if kl:
             pre_logits, _ = forward(model, loc_inputs[step])
-            dlogits = np.concatenate([np.exp(log_softmax(logits[:b])),
+            dlogits = np.concatenate([nll_grad(logits[:b], ys)[1],
                                       softmax(logits[b:]) - softmax(pre_logits)])
-            # nll_grad's formula on the edit rows, whose labels step 0 checked
-            dlogits[np.arange(b), ys] -= 1.0
             dlogits[:b] *= scale
             _, wgrads, _ = backward(current, trace, dlogits)
         else:

@@ -8,7 +8,7 @@ import numpy as np
 
 from gradedit.editor import EditorParams, Normalizer, _editor_apply
 from gradedit.errors import ShapeError
-from gradedit.mlp import GradFactors, outer_sum
+from gradedit.mlp import outer_sum
 
 ParamTree = dict[str, np.ndarray]
 
@@ -38,11 +38,12 @@ def finite_diff_grad(
     return grads
 
 
-def reconstruct_gradient(factors: GradFactors) -> np.ndarray:
-    """Sum of per-example outer products; equals the dense weight gradient."""
-    if factors.u.shape[0] == 0:
+def reconstruct_gradient(delta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sum of the per-example outer products of a layer's (B, n) delta rows
+    and (B, m) u rows; equals the dense weight gradient."""
+    if u.shape[0] == 0:
         raise ShapeError("empty factors")
-    return outer_sum(factors.delta, factors.u)
+    return outer_sum(delta, u)
 
 
 def editor_forward(

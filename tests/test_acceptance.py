@@ -63,10 +63,10 @@ def test_criterion_1_rank1_factors_equal_dense_gradients():
         xs = rng.standard_normal((batch, dims[0]))
         ys = rng.integers(dims[-1], size=batch)
         _, trace = forward(model, xs)
-        _, factors, wgrads, _ = backward_nll(model, trace, ys)
+        _, deltas, wgrads, _ = backward_nll(model, trace, ys)
         for l in range(model.num_layers):
             dense = wgrads[l]
-            recon = reconstruct_gradient(factors[l])
+            recon = reconstruct_gradient(deltas[l], trace.inputs[l])
             rel = np.max(np.abs(recon - dense)) / max(np.max(np.abs(dense)), 1e-12)
             assert rel <= 1e-9
 

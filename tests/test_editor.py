@@ -141,10 +141,10 @@ def _per_record_normalizer_stats(model, records, params, eps=1e-6):
     pools_d = {k: [] for k in params.group_dims}
     for rec in records:
         _, trace = forward(model, rec.x_e)
-        _, factors, _, _ = backward_nll(model, trace, np.array([rec.y_e]))
+        _, deltas, _, _ = backward_nll(model, trace, np.array([rec.y_e]))
         for l in params.editable_layers:
-            pools_u[params.layer_group[l]].append(factors[l].u[0])
-            pools_d[params.layer_group[l]].append(factors[l].delta[0])
+            pools_u[params.layer_group[l]].append(trace.inputs[l][0])
+            pools_d[params.layer_group[l]].append(deltas[l][0])
     stats = {}
     for key in params.group_dims:
         us, ds = np.stack(pools_u[key]), np.stack(pools_d[key])
@@ -268,8 +268,8 @@ def test_apply_edit_rule_and_isolation():
     # row mapped by editor_forward; biases untouched
     for l in params.editable_layers:
         _, trace = forward(model, pairs[0][0])
-        _, factors, _, _ = backward_nll(model, trace, np.array([2]))
-        rows = [editor_forward(params, l, u, d) for u, d in zip(factors[l].u, factors[l].delta)]
+        _, deltas, _, _ = backward_nll(model, trace, np.array([2]))
+        rows = [editor_forward(params, l, u, d) for u, d in zip(trace.inputs[l], deltas[l])]
         pg = sum(np.outer(d_t, u_t) for u_t, d_t in rows)
         alpha = float(params.values[f"l:{l}:alpha"])
         assert np.allclose(edited.weights[l], model.weights[l] - alpha * pg, atol=1e-12)
@@ -379,8 +379,8 @@ def test_backprop_edit_matches_finite_differences():
         edited = apply_edit(model, p, None, pairs)
         return float(np.sum(R * forward(edited, xs)[0]))
 
-    _, trace = edited_forward(apply_edit_with_tape(model, params, None, pairs), xs)
-    grads = backprop_edit(params, trace, R)
+    _, trace = edited_forward(apply_edit_with_tape(model, params, None, pairs), xs[None])
+    grads = backprop_edit(params, trace, R[None])
     fd = finite_diff_grad(loss_of, params.values)
     for key in grads:
         denom = max(np.max(np.abs(fd[key])), np.max(np.abs(grads[key])), 1e-4)
@@ -394,11 +394,11 @@ def test_edited_forward_matches_materialized_edit():
     rng = make_rng(8)
     pairs = [(rng.standard_normal(5), int(rng.integers(3))) for _ in range(3)]
     xs = rng.standard_normal((6, 5))
-    got, _ = edited_forward(apply_edit_with_tape(model, params, None, pairs), xs)
+    got, _ = edited_forward(apply_edit_with_tape(model, params, None, pairs), xs[None])
     want, _ = forward(apply_edit(model, params, None, pairs), xs)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(ShapeError):
-        edited_forward(apply_edit_with_tape(model, params, None, pairs), xs[:, :4])
+        edited_forward(apply_edit_with_tape(model, params, None, pairs), xs[None, :, :4])
 
 
 def test_backprop_edit_into_out_equals_a_fresh_call(table_normalizer):
@@ -426,9 +426,9 @@ def test_backprop_edit_shape_check():
     model = init_mlp([5, 4], make_rng(2))
     params = _editor_for(model, variant=VariantConfig(normalize=False))
     tape = apply_edit_with_tape(model, params, None, [(np.zeros(5), 0), (np.ones(5), 1)])
-    _, trace = edited_forward(tape, np.zeros((3, 5)))
+    _, trace = edited_forward(tape, np.zeros((1, 3, 5)))
     with pytest.raises(ShapeError):
-        backprop_edit(params, trace, np.zeros((2, 4)))
+        backprop_edit(params, trace, np.zeros((1, 2, 4)))
     # logits of two groups are (2, 3, 4); their flattened rows are not
     _, trace = edited_forward(tape, np.zeros((2, 3, 5)))
     with pytest.raises(ShapeError):
@@ -443,8 +443,10 @@ def test_edited_forward_rejects_groups_that_do_not_divide_the_tape():
     for groups in (2, 0):
         with pytest.raises(ShapeError):
             edited_forward(tape, np.zeros((groups, 4, 5)))
-    with pytest.raises(ShapeError):
-        edited_forward(tape, np.zeros((1, 3, 4, 5)))
+    # a batch must be (G, B, d): neither a bare (B, d) batch nor a 4-D one
+    for batch in (np.zeros((3, 5)), np.zeros((1, 3, 4, 5))):
+        with pytest.raises(ShapeError):
+            edited_forward(tape, batch)
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
@@ -469,8 +471,9 @@ def test_grouped_edit_matches_separate_groups(name, table_normalizer):
     want = {"logits": np.zeros_like(logits), **zero_grads(params)}
     for g in range(n_groups):
         tape = apply_edit_with_tape(model, params, normalizer, pairs[g * k : (g + 1) * k])
-        want["logits"][g], trace = edited_forward(tape, xs[g])
-        for key, v in backprop_edit(params, trace, R[g]).items():
+        logits_g, trace = edited_forward(tape, xs[g][None])
+        want["logits"][g] = logits_g[0]
+        for key, v in backprop_edit(params, trace, R[g][None]).items():
             want[key] += v
     for key in want:
         scale = max(float(np.max(np.abs(want[key]))), 1e-300)
@@ -537,12 +540,12 @@ def _ref_edit(model, params, normalizer, pairs, weight_grads):
     """Edited weights and editor gradients from a loop over the edit rows."""
     xs = np.stack([x for x, _ in pairs])
     _, trace = forward(model, xs)
-    _, factors, _, _ = backward_nll(model, trace, np.array([y for _, y in pairs]))
+    _, deltas, _, _ = backward_nll(model, trace, np.array([y for _, y in pairs]))
     weights, grads = {}, zero_grads(params)
     for l in params.editable_layers:
         rows = [
             _ref_editor_row(params, l, u, d, normalizer)
-            for u, d in zip(factors[l].u, factors[l].delta)
+            for u, d in zip(trace.inputs[l], deltas[l])
         ]
         pg = np.zeros(model.weights[l].shape)
         for u_t, d_t, _ in rows:
@@ -584,8 +587,8 @@ def test_row_batched_edit_matches_per_row_loop(name):
         pairs = [(rng.standard_normal(5), int(rng.integers(4))) for _ in range(batch)]
         edited = apply_edit(model, params, normalizer, pairs)
         got = {f"W{l}": edited.weights[l] for l in params.editable_layers}
-        _, trace = edited_forward(apply_edit_with_tape(model, params, normalizer, pairs), xs)
-        got.update(backprop_edit(params, trace, R))
+        _, trace = edited_forward(apply_edit_with_tape(model, params, normalizer, pairs), xs[None])
+        got.update(backprop_edit(params, trace, R[None]))
         # the per-row reference takes dL/dW~ from a dense backward through W~
         _, dense_trace = forward(edited, xs)
         _, G, _ = backward(edited, dense_trace, R)

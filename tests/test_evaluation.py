@@ -330,6 +330,8 @@ def test_report_json_and_timing_sidecar(tmp_path):
     assert payload["format_version"] == 1
     assert [r["name"] for r in payload["reports"]] == ["a", "b"]
     assert payload["reports"][1]["es"] == 1.0 / 3.0
+    # format version 1 carries an empty "config" in every report
+    assert [r["config"] for r in payload["reports"]] == [{}, {}]
     assert "wall_time" not in jpath.read_text()
     timing = json.loads(tpath.read_text())
     assert timing == {"a": 1.23, "b": 4.56}

@@ -104,13 +104,13 @@ def test_rank1_factors_reconstruct_dense_gradient(rng):
     xs = rng.standard_normal((6, 5))
     ys = rng.integers(4, size=6)
     _, trace = forward(model, xs)
-    _, factors, wgrads, _ = backward_nll(model, trace, ys)
+    _, deltas, wgrads, _ = backward_nll(model, trace, ys)
     for l in range(model.num_layers):
-        recon = reconstruct_gradient(factors[l])
+        recon = reconstruct_gradient(deltas[l], trace.inputs[l])
         assert np.allclose(recon, wgrads[l], atol=1e-12)
         # also check the per-example outer-product sum explicitly
         manual = sum(
-            np.outer(factors[l].delta[i], factors[l].u[i]) for i in range(6)
+            np.outer(deltas[l][i], trace.inputs[l][i]) for i in range(6)
         )
         assert np.allclose(recon, manual, atol=1e-12)
 
@@ -121,27 +121,34 @@ def test_per_example_factor_is_that_examples_gradient(rng):
     xs = rng.standard_normal((4, 4))
     ys = rng.integers(3, size=4)
     _, trace = forward(model, xs)
-    _, factors, _, _ = backward_nll(model, trace, ys)
+    _, deltas, _, _ = backward_nll(model, trace, ys)
     for i in range(4):
         _, trace_i = forward(model, xs[i : i + 1])
         _, _, wgrads_i, _ = backward_nll(model, trace_i, ys[i : i + 1])
         for l in range(model.num_layers):
-            got = np.outer(factors[l].delta[i], factors[l].u[i])
+            got = np.outer(deltas[l][i], trace.inputs[l][i])
             assert np.allclose(got, wgrads_i[l], atol=1e-12)
 
 
 def test_factor_pass_matches_dense_backward(rng):
-    # the factor-only pass forms no dense gradient but yields the same factors
+    # the factor-only pass forms no dense gradient but yields the same delta
+    # rows; `backward` returns (deltas, wgrads, bgrads) in that order, and
+    # perf_harness's tracer reads the dense weight gradients at position 1
     model = init_mlp([4, 5, 5, 3], make_rng(3))
     xs = rng.standard_normal((4, 4))
     ys = rng.integers(3, size=4)
-    _, trace = forward(model, xs)
-    loss, factors, _, _ = backward_nll(model, trace, ys)
-    got_loss, dlogits = nll_grad(model, trace, ys)
+    logits, trace = forward(model, xs)
+    loss, deltas, _, _ = backward_nll(model, trace, ys)
+    got_loss, dlogits = nll_grad(logits, ys)
     assert got_loss == loss
-    for got, want in zip(backward_factors(model, trace, dlogits), factors, strict=True):
-        assert got.layer == want.layer
-        assert np.array_equal(got.u, want.u) and np.array_equal(got.delta, want.delta)
+    got = backward_factors(model, trace, dlogits)
+    for l, (d, want) in enumerate(zip(got, deltas, strict=True)):
+        assert d.shape == (4, model.weights[l].shape[0]) and np.array_equal(d, want)
+    d_rows, wgrads, bgrads = backward(model, trace, dlogits)
+    for l in range(model.num_layers):
+        assert np.array_equal(d_rows[l], deltas[l])
+        assert np.array_equal(wgrads[l], outer_sum(deltas[l], trace.inputs[l]))
+        assert np.array_equal(bgrads[l], deltas[l].sum(axis=0))
 
 
 def test_backward_rejects_stale_trace(rng):
@@ -154,13 +161,18 @@ def test_backward_rejects_stale_trace(rng):
 
 def test_backward_nll_label_validation(rng):
     model = init_mlp([3, 4], make_rng(0))
-    _, trace = forward(model, rng.standard_normal((2, 3)))
+    logits, trace = forward(model, rng.standard_normal((2, 3)))
+    for labels, error in (([0, 4], DataError), ([-1, 0], DataError), ([0], ShapeError)):
+        with pytest.raises(error):
+            backward_nll(model, trace, np.array(labels))
+        with pytest.raises(error):
+            nll_grad(logits, np.array(labels))
+    # the class count comes from the logits alone: 6 columns admit label 5
+    wide = rng.standard_normal((2, 6))
+    loss, dlogits = nll_grad(wide, np.array([5, 0]))
+    assert np.isfinite(loss) and dlogits.shape == (2, 6)
     with pytest.raises(DataError):
-        backward_nll(model, trace, np.array([0, 4]))
-    with pytest.raises(DataError):
-        backward_nll(model, trace, np.array([-1, 0]))
-    with pytest.raises(ShapeError):
-        backward_nll(model, trace, np.array([0]))
+        nll_grad(wide, np.array([6, 0]))
 
 
 def test_backward_nll_loss_value(rng):

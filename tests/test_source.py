@@ -77,5 +77,31 @@ def test_package_builds_generators_only_in_make_rng(path):
         assert [name for name, _ in allowed] == ["np.random.Generator", "np.random.PCG64"]
 
 
+def _subtracts_one_from_a_subscript(node):
+    """`x[...] -= 1`: the one-hot subtraction of the NLL logit gradient."""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.value, ast.Constant) and node.value.value == 1)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_forms_the_nll_gradient_only_in_nll_grad(path):
+    # softmax - onehot is formed once, by mlp.nll_grad; every edit loss and
+    # fine-tuning step takes it from there rather than keeping a copy
+    tree = _tree(path)
+    in_nll_grad = set()
+    if path.name == "mlp.py":
+        nll_grad = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "nll_grad")
+        in_nll_grad = {id(node) for node in ast.walk(nll_grad)}
+    found, allowed = [], []
+    for node in ast.walk(tree):
+        if _subtracts_one_from_a_subscript(node):
+            (allowed if id(node) in in_nll_grad else found).append(node.lineno)
+    assert found == [], f"{path.name} subtracts a one-hot on lines {found}"
+    if path.name == "mlp.py":  # the check sees nll_grad's own subtraction
+        assert len(allowed) == 1
+
+
 def test_sources_are_found():
     assert "cli.py" in {p.name for p in SOURCES}
