@@ -311,9 +311,10 @@ def _editor_backward(
 @dataclass
 class EditTape:
     """An edited model in factored form, W~_l = W_l - alpha_l * D~_l^T U~_l
-    at each editable layer, with what the reverse pass needs."""
+    at each editable layer, with its editor and what the reverse pass needs."""
 
     model: Mlp
+    params: EditorParams
     alpha: dict[int, float]
     pseudo_u: dict[int, Array]  # layer -> (k, m) rows u~
     pseudo_d: dict[int, Array]  # layer -> (k, n) rows delta~
@@ -332,7 +333,7 @@ def tape_from_factors(
     model's factors plus the reverse-pass tape: the one editor path of
     editing and meta-training. Every editable layer must exist in `model`
     with its group's (m, n), else ShapeError."""
-    tape = EditTape(model, {}, {}, {}, {})
+    tape = EditTape(model, params, {}, {}, {}, {})
     for l in params.editable_layers:
         mn = params.group_dims[params.layer_group[l]]
         if not 0 <= l < model.num_layers or model.layer_shape(l) != mn:
@@ -360,7 +361,7 @@ def apply_edit_with_tape(
     xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in edit_batch])
     ys = np.array([y for _, y in edit_batch], dtype=np.int64)
     logits, trace = forward(model, xs)
-    deltas = backward_factors(model, trace, nll_grad(logits, ys)[1])
+    deltas = backward_factors(trace, nll_grad(logits, ys)[1])
     return tape_from_factors(model, params, normalizer, trace.inputs, deltas)
 
 
@@ -440,13 +441,12 @@ def zero_grads(params: EditorParams) -> FlatTree:
     return FlatTree(np.zeros(params.num_parameters()), shapes)
 
 
-def backprop_edit(
-    params: EditorParams, trace: EditedTrace, dlogits: Array, out: FlatTree | None = None
-) -> FlatTree:
+def backprop_edit(trace: EditedTrace, dlogits: Array, out: FlatTree | None = None) -> FlatTree:
     """Chain per-example logit gradients of an `edited_forward` batch into
     editor-parameter gradients, summed over all rows and groups, in one pass
     down to the lowest editable layer. The gradients go into `out`, a
-    `zero_grads(params)` tree that is zeroed first, or into a fresh one.
+    `zero_grads(trace.tape.params)` tree that is zeroed first, or into a
+    fresh one.
 
     Per group, with X the layer's input rows, Delta = dL/dz, P = X U~^T and
     Q = Delta D~^T: dL/dalpha = -sum(P * Q), dL/dD~ = -alpha P^T Delta and
@@ -456,7 +456,7 @@ def backprop_edit(
     into the base model.
     """
     tape = trace.tape
-    model = tape.model
+    model, params = tape.model, tape.params
     delta = np.asarray(dlogits, dtype=np.float64)
     if delta.shape != trace.logits_shape:
         raise ShapeError(f"logit grad shape {delta.shape} != logits shape {trace.logits_shape}")

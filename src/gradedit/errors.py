@@ -32,7 +32,7 @@ class DataError(GradeditError):
 
 
 class ContractError(GradeditError):
-    """A caller broke an API contract (e.g. stale forward trace)."""
+    """A caller broke an API contract (e.g. an editor that mutates its input model)."""
 
 
 _NUMBER_TYPES = {int, float}

@@ -80,8 +80,8 @@ class FtEditor:
 @dataclass
 class FtKlEditor:
     """FT+KL over `loc_pool`: when built, it draws `FT_MAX_STEPS` pool
-    indices, one `integers` call each, from a generator seeded with `seed`,
-    and every edit fine-tunes against those same locality inputs."""
+    indices in one `integers` call from a generator seeded with `seed`, and
+    every edit fine-tunes against those same locality inputs."""
 
     loc_pool: list[Array]
     editable_layers: list[int] | None = None
@@ -93,8 +93,8 @@ class FtKlEditor:
         if len(self.loc_pool) == 0:
             raise DataError("FT+KL needs a non-empty pool of locality inputs")
         rng = make_rng(self.seed)
-        self.loc_inputs = tuple(self.loc_pool[int(rng.integers(len(self.loc_pool)))]
-                                for _ in range(FT_MAX_STEPS))
+        picks = rng.integers(len(self.loc_pool), size=FT_MAX_STEPS)
+        self.loc_inputs = tuple(self.loc_pool[i] for i in picks.tolist())
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
         xs, ys = zip(*pairs)
@@ -218,21 +218,16 @@ ABLATION_VARIANTS: dict[str, VariantConfig] = {
 }
 
 
-def run_ablations(
-    world: World,
-    model: Mlp,
-    config: TrainConfig,
-    k_edits: int = 1,
-) -> list[EditReport]:
+def run_ablations(world: World, model: Mlp, config: TrainConfig) -> list[EditReport]:
     """Train and evaluate every ablation variant under identical seeds, step
-    budgets, and data; one report per variant."""
+    budgets, and data; one report per variant, scored on single edits."""
     train_recs, val_recs = holdout_split(world.edit_train)
     reports = []
     for name, variant in ABLATION_VARIANTS.items():
         t0 = time.perf_counter()
         params, normalizer, _ = train_editor(model, train_recs, val_recs, config, variant)
         editor = LearnedEditor(params, normalizer, name=name)
-        report = evaluate_editor(editor, model, world.edit_test, k_edits)
+        report = evaluate_editor(editor, model, world.edit_test, 1)
         report.wall_time_s = time.perf_counter() - t0
         reports.append(report)
     return reports

@@ -97,12 +97,12 @@ def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
     return act, ForwardTrace(model, inputs, preacts, act)
 
 
-def backward_factors(model: Mlp, trace: ForwardTrace, dlogits: Array) -> list[Array]:
-    """Backprop arbitrary per-example logit gradients through the trace and
-    return every layer's (B, n_l) delta rows; no dense gradient is formed.
-    Layer l's rank-1 factors are these rows and its u rows, `trace.inputs[l]`."""
-    if trace.model is not model:
-        raise ContractError("trace was produced by a different model")
+def backward_factors(trace: ForwardTrace, dlogits: Array) -> list[Array]:
+    """Backprop arbitrary per-example logit gradients through the trace's
+    model and return every layer's (B, n_l) delta rows; no dense gradient is
+    formed. Layer l's rank-1 factors are these rows and its u rows,
+    `trace.inputs[l]`."""
+    model = trace.model
     deltas: list[Array] = [None] * model.num_layers  # type: ignore[list-item]
     delta = np.asarray(dlogits, dtype=np.float64)
     for l in range(model.num_layers - 1, -1, -1):
@@ -112,16 +112,14 @@ def backward_factors(model: Mlp, trace: ForwardTrace, dlogits: Array) -> list[Ar
     return deltas
 
 
-def backward(
-    model: Mlp, trace: ForwardTrace, dlogits: Array
-) -> tuple[list[Array], list[Array], list[Array]]:
+def backward(trace: ForwardTrace, dlogits: Array) -> tuple[list[Array], list[Array], list[Array]]:
     """`backward_factors` plus the dense gradients.
 
     Returns (delta rows per layer, dense weight grads, dense bias grads); the
     dense grads are the unaveraged sum over the batch, i.e. gradients of the
     summed per-example loss, matching the factor sum exactly.
     """
-    deltas = backward_factors(model, trace, dlogits)
+    deltas = backward_factors(trace, dlogits)
     wgrads = [outer_sum(d, u) for d, u in zip(deltas, trace.inputs)]
     bgrads = [d.sum(axis=0) for d in deltas]
     return deltas, wgrads, bgrads
@@ -145,7 +143,7 @@ def nll_grad(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
 
 
 def backward_nll(
-    model: Mlp, trace: ForwardTrace, labels: np.ndarray
+    trace: ForwardTrace, labels: np.ndarray
 ) -> tuple[float, list[Array], list[Array], list[Array]]:
     """Mean NLL loss and its per-example delta rows / dense gradients.
 
@@ -153,7 +151,7 @@ def backward_nll(
     the caller divides by B where a mean-loss gradient is wanted.
     """
     loss, dlogits = nll_grad(trace.logits, labels)
-    return (loss, *backward(model, trace, dlogits))
+    return (loss, *backward(trace, dlogits))
 
 
 # Entries n*m at or above which one row's outer product is formed by einsum.

@@ -145,7 +145,7 @@ def build_factor_table(
     pre_logits = forward(model, x_loc)[0]
     logits, trace = forward(model, np.stack([rec.x_e for rec in records]))
     y_e = np.array([rec.y_e for rec in records], dtype=np.int64)
-    deltas = backward_factors(model, trace, nll_grad(logits, y_e)[1])
+    deltas = backward_factors(trace, nll_grad(logits, y_e)[1])
     u, delta = {l: trace.inputs[l] for l in layers}, {l: deltas[l] for l in layers}
     del trace, logits
     counts = np.array([len(rec.neighborhood) for rec in records], dtype=np.int64)
@@ -157,16 +157,9 @@ def build_factor_table(
 
 
 def _tabulate(
-    model: Mlp,
-    layers: Sequence[int],
-    records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]],
+    model: Mlp, layers: Sequence[int], groups: Sequence[Sequence[EditRecord]]
 ) -> TableGroups:
-    """One group or a list of equal-size groups as rows of a table over
-    their records."""
-    groups = [records] if records and isinstance(records[0], EditRecord) else records
-    sizes = sorted({len(g) for g in groups})
-    if len(sizes) > 1:
-        raise ConfigError(f"groups must all have one size, got sizes {sizes}")
+    """Equal-size groups of records as rows of a table over their records."""
     flat = [rec for g in groups for rec in g]
     table = build_factor_table(model, layers, flat)
     return TableGroups(table, np.arange(len(flat)).reshape(len(groups), -1))
@@ -176,7 +169,7 @@ def group_losses_and_grads(
     model: Mlp,
     params: EditorParams,
     normalizer: Normalizer | None,
-    records: Sequence[EditRecord] | Sequence[Sequence[EditRecord]] | TableGroups,
+    records: Sequence[EditRecord] | TableGroups,
     c_e: float,
     rng: np.random.Generator,
     want_grads: bool = True,
@@ -187,16 +180,16 @@ def group_losses_and_grads(
     record (the neighborhood includes the edit pair itself) and L_loc the
     mean exact KL against the pre-edit model at the records' locality inputs.
 
-    `records` is one group, a list of equal-size groups, or `TableGroups`;
-    records are first tabulated. All G groups of k records run as one pass
-    over the table's rows: one editor apply over the G*k rows of raw
-    factors, one edited forward over a (G, 2k, d) batch and one reverse pass.
+    `records` is one group, which is first tabulated, or `TableGroups`. All
+    G groups of k records run as one pass over the table's rows: one editor
+    apply over the G*k rows of raw factors, one edited forward over a
+    (G, 2k, d) batch and one reverse pass.
     Paraphrases are drawn record by record, in one `integers` call with the
     records' neighborhood sizes as bounds (the stream of G*k scalar calls).
     Losses and gradients are means over all G*k records, i.e. over the
     groups' own means; the gradients go into `out` as in `backprop_edit`."""
     if not isinstance(records, TableGroups):
-        records = _tabulate(model, params.editable_layers, records)
+        records = _tabulate(model, params.editable_layers, [records])
     table, rows = records.table, records.rows
     n_groups, k = rows.shape
     idx = rows.reshape(-1)
@@ -219,7 +212,7 @@ def group_losses_and_grads(
     dlogits_loc = softmax(post_logits) - table.pre_p[idx]
     dlogits = np.concatenate([((c_e / n) * dlogits_e).reshape(n_groups, k, -1),
                               (dlogits_loc / n).reshape(n_groups, k, -1)], axis=1)
-    return losses, backprop_edit(params, trace, dlogits, out)
+    return losses, backprop_edit(trace, dlogits, out)
 
 
 def validation_loss(
@@ -233,9 +226,10 @@ def validation_loss(
 ) -> float:
     """Mean L_total over the `fact_groups` of `records`, in one pass; or
     over the groups of a `TableGroups` as they stand."""
-    groups = records if isinstance(records, TableGroups) else fact_groups(records, edits_per_step)
+    if not isinstance(records, TableGroups):
+        records = _tabulate(model, params.editable_layers, fact_groups(records, edits_per_step))
     losses, _ = group_losses_and_grads(
-        model, params, normalizer, groups, c_e, make_rng(seed), want_grads=False
+        model, params, normalizer, records, c_e, make_rng(seed), want_grads=False
     )
     return losses.l_total
 
@@ -252,6 +246,16 @@ def train_editor(
     if not train_records:
         raise DataError("empty edit train set")
     k = config.edits_per_step
+    # bucket table rows by fact so a sampled group edits k distinct facts
+    # (two conflicting rewrites of one fact in a single update are ill-posed)
+    fact_buckets: dict[int, list[int]] = {}
+    for row, rec in enumerate(train_records):
+        fact_buckets.setdefault(rec.fact_id, []).append(row)
+    buckets = [fact_buckets[f] for f in sorted(fact_buckets)]
+    n_facts = len(buckets)
+    # checked before the validation groups are cut, whatever eval_every is
+    if k > n_facts:
+        raise DataError(f"edits_per_step={k} exceeds the {n_facts} distinct train facts")
     validates = bool(val_records) and 0 < config.eval_every <= config.max_steps
     if validates:
         val_groups = fact_groups(val_records, k)  # raises ConfigError before any step runs
@@ -275,15 +279,6 @@ def train_editor(
     best = params  # the live params, until a validation improves on them
     best_val = float("inf")
     evals_since_best = 0
-    # bucket table rows by fact so a sampled group edits k distinct facts
-    # (two conflicting rewrites of one fact in a single update are ill-posed)
-    fact_buckets: dict[int, list[int]] = {}
-    for row, rec in enumerate(train_records):
-        fact_buckets.setdefault(rec.fact_id, []).append(row)
-    buckets = [fact_buckets[f] for f in sorted(fact_buckets)]
-    n_facts = len(buckets)
-    if k > n_facts:
-        raise DataError(f"edits_per_step={k} exceeds the {n_facts} distinct train facts")
     for step in range(config.max_steps):
         groups = []
         for _ in range(config.batch_size):
@@ -333,12 +328,10 @@ def finetune_edit(
     x_e,
     y_e,
     editable_layers: Sequence[int] | None = None,
-    lr: float = 0.1,
-    max_steps: int = FT_MAX_STEPS,
 ) -> tuple[Mlp, int]:
     """Plain fine-tuning baseline: `finetune_kl_edit` without the locality
-    term."""
-    return finetune_kl_edit(model, x_e, y_e, None, 1.0, editable_layers, lr, max_steps)
+    term, at its learning rate and step cap."""
+    return finetune_kl_edit(model, x_e, y_e, None, 1.0, editable_layers)
 
 
 def finetune_kl_edit(
@@ -392,9 +385,9 @@ def finetune_kl_edit(
             dlogits = np.concatenate([nll_grad(logits[:b], ys)[1],
                                       softmax(logits[b:]) - softmax(pre_logits)])
             dlogits[:b] *= scale
-            _, wgrads, _ = backward(current, trace, dlogits)
+            _, wgrads, _ = backward(trace, dlogits)
         else:
-            _, _, wgrads, _ = backward_nll(current, trace, ys)
+            _, _, wgrads, _ = backward_nll(trace, ys)
             if scale != 1.0:
                 for l in editable:
                     wgrads[l] *= scale
@@ -462,7 +455,7 @@ def pretrain_model(
             idx = order[start : start + batch_size]
             xs, ys = world.pretrain_x[idx], world.pretrain_y[idx]
             logits, trace = forward(model, xs)
-            _, _, wgrads, bgrads = backward_nll(model, trace, ys)
+            _, _, wgrads, bgrads = backward_nll(trace, ys)
             for g, out in zip(wgrads + bgrads, grads.values()):
                 np.divide(g, len(idx), out=out)
             adam_step(tree.flat, grads.flat, state)

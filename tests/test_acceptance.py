@@ -63,7 +63,7 @@ def test_criterion_1_rank1_factors_equal_dense_gradients():
         xs = rng.standard_normal((batch, dims[0]))
         ys = rng.integers(dims[-1], size=batch)
         _, trace = forward(model, xs)
-        _, deltas, wgrads, _ = backward_nll(model, trace, ys)
+        _, deltas, wgrads, _ = backward_nll(trace, ys)
         for l in range(model.num_layers):
             dense = wgrads[l]
             recon = reconstruct_gradient(deltas[l], trace.inputs[l])
@@ -82,7 +82,7 @@ def test_criterion_1_rank1_factors_equal_dense_gradients():
                 w = model.weights[l][i, j]
                 model.weights[l][i, j] = w + delta
                 _, t = forward(model, xs)
-                loss, _, _, _ = backward_nll(model, t, ys)
+                loss, _, _, _ = backward_nll(t, ys)
                 model.weights[l][i, j] = w
                 return loss
 
@@ -122,7 +122,7 @@ def test_criterion_2_identity_initialization():
     xs = np.stack([x for x, _ in pairs])
     ys = np.array([y for _, y in pairs])
     _, trace = forward(model, xs)
-    _, _, wgrads, _ = backward_nll(model, trace, ys)
+    _, _, wgrads, _ = backward_nll(trace, ys)
     for l in range(model.num_layers):
         want = model.weights[l] - lr * wgrads[l]
         assert np.max(np.abs(edited.weights[l] - want)) <= 1e-12

@@ -471,6 +471,26 @@ def test_train_editor_k_above_validation_set_exit_code(pipeline, tmp_path):
     assert not (tmp_path / "editor.json").exists()
 
 
+def test_train_editor_k_above_train_facts_exit_code(tmp_path):
+    # four train facts cannot fill a group of five distinct facts: a data
+    # error, whether or not the run would also validate
+    world_cfg = tmp_path / "world.json"
+    world_cfg.write_text(json.dumps({**WORLD_CFG, "num_entities": 4, "records_per_fact": 4}))
+    assert main(["gen-data", "--config", str(world_cfg), "--out-dir", str(tmp_path)]) == 0
+    dims = [WORLD_CFG["feature_dim"], 16, WORLD_CFG["num_classes"]]
+    save_model(init_mlp(dims, make_rng(0)), tmp_path / "model.json")
+    cfg = tmp_path / "train.json"
+    for eval_every in (0, 1):
+        cfg.write_text(json.dumps({"edits_per_step": 5, "max_steps": 3,
+                                   "eval_every": eval_every}))
+        assert main([
+            "train-editor", "--config", str(cfg),
+            "--dataset", str(tmp_path / "dataset.jsonl"),
+            "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path),
+        ]) == 3, eval_every
+    assert not (tmp_path / "editor.json").exists()
+
+
 @pytest.mark.parametrize("corrupt",
                          ["missing", "short", "nan", "inf_normalizer_stat", "no_layers"])
 def test_edit_bad_editor_tensor_exit_code(pipeline, tmp_path, corrupt):

@@ -141,7 +141,7 @@ def _per_record_normalizer_stats(model, records, params, eps=1e-6):
     pools_d = {k: [] for k in params.group_dims}
     for rec in records:
         _, trace = forward(model, rec.x_e)
-        _, deltas, _, _ = backward_nll(model, trace, np.array([rec.y_e]))
+        _, deltas, _, _ = backward_nll(trace, np.array([rec.y_e]))
         for l in params.editable_layers:
             pools_u[params.layer_group[l]].append(trace.inputs[l][0])
             pools_d[params.layer_group[l]].append(deltas[l][0])
@@ -221,7 +221,7 @@ def test_fresh_editor_edit_equals_sgd_step():
     xs = np.stack([x for x, _ in pairs])
     ys = np.array([y for _, y in pairs])
     _, trace = forward(model, xs)
-    _, _, wgrads, _ = backward_nll(model, trace, ys)
+    _, _, wgrads, _ = backward_nll(trace, ys)
     for l in range(model.num_layers):
         want = model.weights[l] - lr * wgrads[l]
         assert np.max(np.abs(edited.weights[l] - want)) <= 1e-12
@@ -268,7 +268,7 @@ def test_apply_edit_rule_and_isolation():
     # row mapped by editor_forward; biases untouched
     for l in params.editable_layers:
         _, trace = forward(model, pairs[0][0])
-        _, deltas, _, _ = backward_nll(model, trace, np.array([2]))
+        _, deltas, _, _ = backward_nll(trace, np.array([2]))
         rows = [editor_forward(params, l, u, d) for u, d in zip(trace.inputs[l], deltas[l])]
         pg = sum(np.outer(d_t, u_t) for u_t, d_t in rows)
         alpha = float(params.values[f"l:{l}:alpha"])
@@ -380,7 +380,7 @@ def test_backprop_edit_matches_finite_differences():
         return float(np.sum(R * forward(edited, xs)[0]))
 
     _, trace = edited_forward(apply_edit_with_tape(model, params, None, pairs), xs[None])
-    grads = backprop_edit(params, trace, R[None])
+    grads = backprop_edit(trace, R[None])
     fd = finite_diff_grad(loss_of, params.values)
     for key in grads:
         denom = max(np.max(np.abs(fd[key])), np.max(np.abs(grads[key])), 1e-4)
@@ -414,12 +414,12 @@ def test_backprop_edit_into_out_equals_a_fresh_call(table_normalizer):
     out = zero_grads(params)
     out.flat.fill(7.0)  # stale values from an earlier step
     for R in (rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))):
-        want = backprop_edit(params, trace, R)
-        got = backprop_edit(params, trace, R, out=out)
+        want = backprop_edit(trace, R)
+        got = backprop_edit(trace, R, out=out)
         assert got is out
         assert np.array_equal(got.flat, want.flat)
     with pytest.raises(ShapeError):
-        backprop_edit(params, trace, R, out=zero_grads(_editor_for(model, layers=[1])))
+        backprop_edit(trace, R, out=zero_grads(_editor_for(model, layers=[1])))
 
 
 def test_backprop_edit_shape_check():
@@ -428,11 +428,11 @@ def test_backprop_edit_shape_check():
     tape = apply_edit_with_tape(model, params, None, [(np.zeros(5), 0), (np.ones(5), 1)])
     _, trace = edited_forward(tape, np.zeros((1, 3, 5)))
     with pytest.raises(ShapeError):
-        backprop_edit(params, trace, np.zeros((1, 2, 4)))
+        backprop_edit(trace, np.zeros((1, 2, 4)))
     # logits of two groups are (2, 3, 4); their flattened rows are not
     _, trace = edited_forward(tape, np.zeros((2, 3, 5)))
     with pytest.raises(ShapeError):
-        backprop_edit(params, trace, np.zeros((6, 4)))
+        backprop_edit(trace, np.zeros((6, 4)))
 
 
 def test_edited_forward_rejects_groups_that_do_not_divide_the_tape():
@@ -467,13 +467,13 @@ def test_grouped_edit_matches_separate_groups(name, table_normalizer):
     xs = rng.standard_normal((n_groups, 4, 5))
     R = rng.standard_normal((n_groups, 4, 3))
     logits, trace = edited_forward(apply_edit_with_tape(model, params, normalizer, pairs), xs)
-    got = {"logits": logits, **backprop_edit(params, trace, R)}
+    got = {"logits": logits, **backprop_edit(trace, R)}
     want = {"logits": np.zeros_like(logits), **zero_grads(params)}
     for g in range(n_groups):
         tape = apply_edit_with_tape(model, params, normalizer, pairs[g * k : (g + 1) * k])
         logits_g, trace = edited_forward(tape, xs[g][None])
         want["logits"][g] = logits_g[0]
-        for key, v in backprop_edit(params, trace, R[g][None]).items():
+        for key, v in backprop_edit(trace, R[g][None]).items():
             want[key] += v
     for key in want:
         scale = max(float(np.max(np.abs(want[key]))), 1e-300)
@@ -540,7 +540,7 @@ def _ref_edit(model, params, normalizer, pairs, weight_grads):
     """Edited weights and editor gradients from a loop over the edit rows."""
     xs = np.stack([x for x, _ in pairs])
     _, trace = forward(model, xs)
-    _, deltas, _, _ = backward_nll(model, trace, np.array([y for _, y in pairs]))
+    _, deltas, _, _ = backward_nll(trace, np.array([y for _, y in pairs]))
     weights, grads = {}, zero_grads(params)
     for l in params.editable_layers:
         rows = [
@@ -588,10 +588,10 @@ def test_row_batched_edit_matches_per_row_loop(name):
         edited = apply_edit(model, params, normalizer, pairs)
         got = {f"W{l}": edited.weights[l] for l in params.editable_layers}
         _, trace = edited_forward(apply_edit_with_tape(model, params, normalizer, pairs), xs[None])
-        got.update(backprop_edit(params, trace, R[None]))
+        got.update(backprop_edit(trace, R[None]))
         # the per-row reference takes dL/dW~ from a dense backward through W~
         _, dense_trace = forward(edited, xs)
-        _, G, _ = backward(edited, dense_trace, R)
+        _, G, _ = backward(dense_trace, R)
         ref_weights, want = _ref_edit(model, params, normalizer, pairs, G)
         want.update({f"W{l}": w for l, w in ref_weights.items()})
         assert set(got) == set(want)

@@ -290,6 +290,7 @@ def test_run_ablations_smoke(small_world, small_model):
     reports = run_ablations(small_world, small_model, cfg)
     assert [r.name for r in reports] == list(ABLATION_VARIANTS)
     for r in reports:
+        assert r.k_edits == 1  # the ablation scores single edits
         assert 0.0 <= r.es <= 1.0
         assert r.param_count > 0
 

@@ -103,5 +103,20 @@ def test_package_forms_the_nll_gradient_only_in_nll_grad(path):
         assert len(allowed) == 1
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_reverse_passes_read_their_producer_from_the_trace(path):
+    # a trace holds the model (and an edited trace the editor) that made it,
+    # so a function that takes a trace and a model or editor besides could
+    # be handed a pair that do not match
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            if "trace" in names and names & {"model", "params"}:
+                found.append((node.name, node.lineno))
+    assert found == [], f"{path.name} takes a trace with its producer in {found}"
+
+
 def test_sources_are_found():
     assert "cli.py" in {p.name for p in SOURCES}

@@ -13,7 +13,7 @@ import pytest
 
 from gradedit import editor as editor_mod
 from gradedit import training as training_mod
-from gradedit.bench import EditRecord, WorldConfig, fact_groups, generate_world
+from gradedit.bench import WorldConfig, fact_groups, generate_world
 from gradedit.editor import (
     VariantConfig,
     _editor_backward,
@@ -32,6 +32,7 @@ from gradedit.training import (
     FT_MAX_STEPS,
     TableGroups,
     TrainConfig,
+    _tabulate,
     build_factor_table,
     accuracy,
     finetune_edit,
@@ -171,8 +172,8 @@ def _dense_group_losses_and_grads(model, params, normalizer, records, c_e, rng):
     post_logits, trace_loc = forward(edited, xs_loc)
     l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
     dlogits_loc = softmax(post_logits) - softmax(pre_logits)
-    _, wgrads_e, _ = backward(edited, trace_e, (c_e / k) * dlogits_e)
-    _, wgrads_loc, _ = backward(edited, trace_loc, dlogits_loc / k)
+    _, wgrads_e, _ = backward(trace_e, (c_e / k) * dlogits_e)
+    _, wgrads_loc, _ = backward(trace_loc, dlogits_loc / k)
 
     grads = zero_grads(params)
     for l, pg in pgs.items():
@@ -265,7 +266,8 @@ def test_grouped_meta_step_matches_per_group_loop(small_world, name, table_norma
             groups = [[records[i] for i in rng.choice(len(records), size=k, replace=False)]
                       for _ in range(n_groups)]
             rng_got, rng_want = make_rng(k + n_groups), make_rng(k + n_groups)
-            losses, grads = group_losses_and_grads(model, params, norm, groups, 0.1, rng_got)
+            tabled = _tabulate(model, params.editable_layers, groups)
+            losses, grads = group_losses_and_grads(model, params, norm, tabled, 0.1, rng_got)
             got = {"l_e": losses.l_e, "l_loc": losses.l_loc, "l_total": losses.l_total, **grads}
             want = _reference_batched_grads(model, params, norm, groups, 0.1, rng_want)
             _assert_close(got, want)
@@ -276,12 +278,11 @@ def test_grouped_meta_step_matches_per_group_loop(small_world, name, table_norma
         _assert_close({"val": val}, {"val": want})
 
 
-def _reference_record_step(model, params, normalizer, records, c_e, rng):
-    """The record path that the table path replaced: each call checks its
-    records, takes their factors on the base model through
-    `apply_edit_with_tape` and forwards the base model at their locality
-    inputs."""
-    groups = [records] if records and isinstance(records[0], EditRecord) else records
+def _reference_record_step(model, params, normalizer, groups, c_e, rng):
+    """The record path that the table path replaced: each call checks the
+    records of its equal-size groups, takes their factors on the base model
+    through `apply_edit_with_tape` and forwards the base model at their
+    locality inputs."""
     flat = [rec for g in groups for rec in g]
     for rec in flat:
         if rec.x_e is None or not rec.neighborhood or rec.x_loc is None:
@@ -306,7 +307,7 @@ def _reference_record_step(model, params, normalizer, records, c_e, rng):
     dlogits = np.concatenate([((c_e / n) * dlogits_e).reshape(n_groups, k, -1),
                               (dlogits_loc / n).reshape(n_groups, k, -1)], axis=1)
     return {"l_e": l_e, "l_loc": l_loc, "l_total": c_e * l_e + l_loc,
-            **backprop_edit(params, trace, dlogits)}
+            **backprop_edit(trace, dlogits)}
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
@@ -381,13 +382,6 @@ def test_train_editor_rejects_bad_record_before_any_step(small_world, small_mode
         with pytest.raises(DataError):
             train_editor(small_model, recs, [], TrainConfig(max_steps=5, batch_size=1))
     assert calls == []
-
-
-def test_group_losses_reject_unequal_groups(small_world, small_model, table_normalizer):
-    params, norm = _fresh_editor(table_normalizer, small_model, small_world.edit_train[:20])
-    groups = [small_world.edit_train[:2], small_world.edit_train[2:5]]
-    with pytest.raises(ConfigError):
-        group_losses_and_grads(small_model, params, norm, groups, 0.1, make_rng(0))
 
 
 def test_train_editor_zero_steps_returns_fresh_editor(small_world, small_model):
@@ -608,7 +602,7 @@ def _separate_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
-        _, _, wgrads, _ = backward_nll(current, trace, ys)
+        _, _, wgrads, _ = backward_nll(trace, ys)
         replacements = {l: current.weights[l] - (lr / len(ys)) * wgrads[l] for l in editable}
         current = clone_with_weights(current, replacements)
     return current, max_steps
@@ -621,12 +615,12 @@ def _separate_finetune_kl(model, xs, ys, loc_sampler, c_edit, editable, lr=0.1, 
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
-        _, _, wgrads_e, _ = backward_nll(current, trace, ys)
+        _, _, wgrads_e, _ = backward_nll(trace, ys)
         x_loc = loc_sampler()
         pre_logits, _ = forward(model, x_loc)
         cur_logits, trace_loc = forward(current, x_loc)
         dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-        _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
+        _, wgrads_kl, _ = backward(trace_loc, dlogits[None, :])
         replacements = {
             l: current.weights[l] - lr * ((c_edit / len(ys)) * wgrads_e[l] + wgrads_kl[l])
             for l in editable
@@ -674,14 +668,14 @@ def _reference_finetune(model, x_e, y_e, loc_sampler, c_edit=0.5, editable_layer
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
-        _, _, wgrads, _ = backward_nll(current, trace, ys)
+        _, _, wgrads, _ = backward_nll(trace, ys)
         grads = {l: np.multiply(c_edit / len(ys), wgrads[l], out=wgrads[l]) for l in editable}
         if loc_sampler is not None:
             x_loc = loc_sampler()
             pre_logits, _ = forward(model, x_loc)
             cur_logits, trace_loc = forward(current, x_loc)
             dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-            _, wgrads_kl, _ = backward(current, trace_loc, dlogits[None, :])
+            _, wgrads_kl, _ = backward(trace_loc, dlogits[None, :])
             for l in editable:
                 grads[l] += wgrads_kl[l]
         for l, g in grads.items():
@@ -763,10 +757,12 @@ def test_finetune_passes_per_step(small_world, small_model, k, kl):
     calls = []
 
     def spy(name, fn, rows=lambda a: len(np.atleast_2d(a))):
-        # rows of the last argument: the input batch, logit gradient or labels
-        def call(model, *args):
+        # rows of the last argument: the input batch, logit gradient or labels;
+        # a reverse pass reads its model from the trace it takes first
+        def call(first, *args):
+            model = first if name == "forward" else first.model
             calls.append((name, "pre" if model is small_model else "current", rows(args[-1])))
-            return fn(model, *args)
+            return fn(first, *args)
         return call
 
     with patch("gradedit.training.forward", spy("forward", forward)), \
