@@ -188,6 +188,17 @@ def init_editor(
     return EditorParams(rank, variant, layer_group, group_dims, flatten(values))
 
 
+def training_key(params: EditorParams) -> tuple:
+    """What training takes from `params.variant`: editors with equal keys when
+    built train alike. `share_params` and `transform` enter by what they decide
+    (shapes, layer groups, transformed parts); other fields enter as they are."""
+    variant, groups = params.variant, list(params.group_dims)
+    rest = [(k, v) for k, v in asdict(variant).items() if k not in ("share_params", "transform")]
+    return (tuple(a.shape for a in params.values.values()), tuple(rest),
+            tuple((l, groups.index(key), variant.transformed_parts(*params.group_dims[key]))
+                  for l, key in params.layer_group.items()))
+
+
 # The floor of every normalizer variance.
 NORM_EPS = 1e-6
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .bench import EditRecord, World, fact_groups, holdout_split
-from .editor import EditorParams, Normalizer, VariantConfig, apply_edit
+from .editor import EditorParams, Normalizer, VariantConfig, apply_edit, init_editor, training_key
 from .errors import ContractError, DataError, ShapeError
 from .mlp import Mlp, forward
 from .ndops import Array, kl_divergence, make_rng
@@ -81,13 +81,17 @@ class FtEditor:
 class FtKlEditor:
     """FT+KL over `loc_pool`: when built, it draws `FT_MAX_STEPS` pool
     indices in one `integers` call from a generator seeded with `seed`, and
-    every edit fine-tunes against those same locality inputs."""
+    every edit fine-tunes against those same locality inputs. It caches the
+    pre-edit softmax at each input for the model it last edited, and assumes
+    that this model is not changed in place between edits."""
 
     loc_pool: list[Array]
     editable_layers: list[int] | None = None
     seed: int = 0
     name: str = "ft_kl"
     loc_inputs: tuple[Array, ...] = field(init=False, repr=False, compare=False)
+    _model: Mlp | None = field(default=None, init=False, repr=False, compare=False)
+    _pre_probs: list[Array | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.loc_pool) == 0:
@@ -97,9 +101,12 @@ class FtKlEditor:
         self.loc_inputs = tuple(self.loc_pool[i] for i in picks.tolist())
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
+        if model is not self._model:  # the held reference keeps its id unique
+            self._model, self._pre_probs = model, [None] * len(self.loc_inputs)
         xs, ys = zip(*pairs)
         return finetune_kl_edit(model, xs, ys, self.loc_inputs,
-                                editable_layers=self.editable_layers)[0]
+                                editable_layers=self.editable_layers,
+                                pre_probs=self._pre_probs)[0]
 
     def param_count(self) -> int:
         return 0
@@ -220,16 +227,20 @@ ABLATION_VARIANTS: dict[str, VariantConfig] = {
 
 def run_ablations(world: World, model: Mlp, config: TrainConfig) -> list[EditReport]:
     """Train and evaluate every ablation variant under identical seeds, step
-    budgets, and data; one report per variant, scored on single edits."""
+    budgets, and data; one report per variant, scored on single edits. A variant
+    with an earlier one's `training_key` reuses its report, `wall_time_s` too."""
     train_recs, val_recs = holdout_split(world.edit_train)
-    reports = []
+    layers = config.editable_layers or range(model.num_layers)  # never [], as TrainConfig checks
+    reports, trained = [], {}
     for name, variant in ABLATION_VARIANTS.items():
-        t0 = time.perf_counter()
-        params, normalizer, _ = train_editor(model, train_recs, val_recs, config, variant)
-        editor = LearnedEditor(params, normalizer, name=name)
-        report = evaluate_editor(editor, model, world.edit_test, 1)
-        report.wall_time_s = time.perf_counter() - t0
-        reports.append(report)
+        key = training_key(init_editor(model, layers, config.rank, variant, make_rng(0)))
+        if key not in trained:
+            t0 = time.perf_counter()
+            params, normalizer, _ = train_editor(model, train_recs, val_recs, config, variant)
+            editor = LearnedEditor(params, normalizer, name=name)
+            trained[key] = evaluate_editor(editor, model, world.edit_test, 1)
+            trained[key].wall_time_s = time.perf_counter() - t0
+        reports.append(replace(trained[key], name=name))
     return reports
 
 

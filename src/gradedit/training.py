@@ -24,7 +24,8 @@ vector is allocated once per run, so an update is one elementwise Adam step.
 The group sampler picks k distinct facts per group, then one record of
 each. At k=1 it draws the fact with one bounded `integers` call: numpy's
 `choice(n, size=1, replace=False)` draws exactly that integer, so the
-stream is the same without `choice`'s per-call set-up.
+stream is the same without `choice`'s per-call set-up. When every fact has
+as many records, one `integers` call draws a step with the scalar calls' bounds.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ from .editor import (
 from .errors import ConfigError, DataError, ShapeError, json_int, json_number, layer_indices
 from .mlp import (
     Mlp,
-    backward,
     backward_factors,
     backward_nll,
     clone_with_weights,
     forward,
     init_mlp,
     nll_grad,
+    outer_sum,
 )
 from .ndops import (
     AdamState,
@@ -279,17 +280,20 @@ def train_editor(
     best = params  # the live params, until a validation improves on them
     best_val = float("inf")
     evals_since_best = 0
+    one_call = k == 1 and len({len(bucket) for bucket in buckets}) == 1
+    bucket_rows = np.array(buckets) if one_call else None  # (n_facts, L)
+    bounds = np.tile(bucket_rows.shape, config.batch_size) if one_call else None
     for step in range(config.max_steps):
-        groups = []
-        for _ in range(config.batch_size):
-            # at k=1, choice(n_facts, size=1, replace=False) draws just this
-            picked = (rng.integers(n_facts),) if k == 1 else rng.choice(
-                n_facts, size=k, replace=False)
-            group = []
-            for fi in picked:
-                bucket = buckets[fi]
-                group.append(bucket[int(rng.integers(len(bucket)))])
-            groups.append(group)
+        if one_call:
+            drawn = rng.integers(bounds)
+            groups = bucket_rows[drawn[0::2], drawn[1::2]].reshape(-1, 1)
+        else:
+            groups = []
+            for _ in range(config.batch_size):
+                # at k=1, choice(n_facts, size=1, replace=False) draws just this
+                picked = (rng.integers(n_facts),) if k == 1 else rng.choice(
+                    n_facts, size=k, replace=False)
+                groups.append([buckets[f][int(rng.integers(len(buckets[f])))] for f in picked])
         losses, _ = group_losses_and_grads(
             model, params, normalizer, TableGroups(train_table, np.array(groups)),
             config.c_e, rng, out=grads,
@@ -343,6 +347,7 @@ def finetune_kl_edit(
     editable_layers: Sequence[int] | None = None,
     lr: float = 0.1,
     max_steps: int = FT_MAX_STEPS,
+    pre_probs: list[Array | None] | None = None,
 ) -> tuple[Mlp, int]:
     """Fine-tuning on the edit example(s) over the editable weight matrices:
     step s descends c_edit * NLL(edit examples) + KL(pre || current) at the
@@ -350,27 +355,35 @@ def finetune_kl_edit(
     stopping once every edit label is the argmax prediction; capped at
     `max_steps`. `loc_inputs` holds at least `max_steps` inputs, else
     ShapeError. Returns a fresh model, even after zero steps, and the number
-    of steps taken.
+    of steps taken: step 0 copies the model, and later steps update the copy.
 
     At step 0 the current model is the pre-edit model itself, so the KL
     term's logit gradient softmax(current) - softmax(pre) is exactly zero and
     its weight gradient adds only zeros: that step reads no locality input.
     A later step forwards its locality input stacked under the B edit rows
     and makes one reverse pass over the (B+1)-row logit gradient: rows
-    (c_edit / B) * (softmax - onehot), then the KL row."""
+    (c_edit / B) * (softmax - onehot), then the KL row; it forms the weight
+    gradients of the editable layers only.
+
+    `pre_probs`, one slot per locality input, caches softmax(pre) across
+    edits of one model: a KL step at step s reads slot s, or fills it when it
+    is None. Without it, every KL step forwards the pre-edit model."""
     # each layer once: its gradient buffer is updated in place
     editable = layer_indices(range(model.num_layers) if editable_layers is None
                              else editable_layers, model.num_layers)
     if loc_inputs is not None and len(loc_inputs) < max_steps:
         raise ShapeError(f"{max_steps} fine-tuning steps need as many locality inputs, "
                          f"got {len(loc_inputs)}")
+    if pre_probs is not None and (loc_inputs is None or len(pre_probs) != len(loc_inputs)):
+        raise ShapeError("pre_probs needs one slot per locality input")
+    slots = [None] * max_steps if pre_probs is None else pre_probs
     xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
     # W - lr * g, written into the fresh gradient g of (c_edit / B) * NLL +
-    # KL. The scale falls on the edit rows' logit gradient, or on g when a
-    # step has no KL term; there FT's scale of exactly 1.0 is skipped, as
-    # x * 1.0 == x bit for bit. An edit of no examples stops at step 0 and
-    # never reads the scale.
+    # KL, or at later steps into W. The scale falls on the edit rows' logit
+    # gradient, or on g when a step has no KL term; there FT's scale of
+    # exactly 1.0 is skipped, as x * 1.0 == x bit for bit. An edit of no
+    # examples stops at step 0 and never reads the scale.
     b = len(ys)
     scale = c_edit / max(b, 1)
     current, steps = model, max_steps
@@ -381,20 +394,24 @@ def finetune_kl_edit(
             steps = step
             break
         if kl:
-            pre_logits, _ = forward(model, loc_inputs[step])
+            if slots[step] is None:
+                slots[step] = softmax(forward(model, loc_inputs[step])[0])
             dlogits = np.concatenate([nll_grad(logits[:b], ys)[1],
-                                      softmax(logits[b:]) - softmax(pre_logits)])
+                                      softmax(logits[b:]) - slots[step]])
             dlogits[:b] *= scale
-            _, wgrads, _ = backward(trace, dlogits)
+            deltas = backward_factors(trace, dlogits)
+            grads = {l: outer_sum(deltas[l], trace.inputs[l]) for l in editable}
         else:
-            _, _, wgrads, _ = backward_nll(trace, ys)
+            wgrads = backward_nll(trace, ys)[2]
             if scale != 1.0:
                 for l in editable:
                     wgrads[l] *= scale
-        grads = {l: wgrads[l] for l in editable}
+            grads = {l: wgrads[l] for l in editable}
         for l, g in grads.items():
-            np.subtract(current.weights[l], np.multiply(lr, g, out=g), out=g)
-        current = clone_with_weights(current, grads)
+            w = current.weights[l]
+            np.subtract(w, np.multiply(lr, g, out=g), out=g if current is model else w)
+        if current is model:
+            current = clone_with_weights(model, grads)
     return (clone_with_weights(model, {}) if current is model else current), steps
 
 

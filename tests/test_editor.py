@@ -6,6 +6,7 @@ per-row reference loop, and a batch of groups against separate groups."""
 
 import json
 import tracemalloc
+from dataclasses import make_dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,7 @@ from gradedit.editor import (
     init_editor,
     load_editor,
     save_editor,
+    training_key,
     zero_grads,
 )
 from gradedit.errors import ConfigError, DataError, ShapeError
@@ -37,6 +39,35 @@ from oracles import editor_forward, finite_diff_grad
 def _editor_for(model, rank=2, variant=None, alpha=1e-2, seed=0, layers=None):
     layers = layers if layers is not None else list(range(model.num_layers))
     return init_editor(model, layers, rank, variant or VariantConfig(), make_rng(seed), alpha)
+
+
+def _editor_for(model, rank=2, variant=None, alpha=1e-2, seed=0, layers=None):
+    layers = layers if layers is not None else list(range(model.num_layers))
+    return init_editor(model, layers, rank, variant or VariantConfig(), make_rng(seed), alpha)
+
+
+def test_training_key_tells_apart_what_training_depends_on():
+    # layer shapes (m, n): 0 is 16x24, 1 and 2 are 24x24, 3 is 24x6
+    model = init_mlp([16, 24, 24, 24, 6], make_rng(0))
+
+    def key(layers, variant=None, **kw):
+        return training_key(_editor_for(model, variant=variant or VariantConfig(**kw),
+                                        layers=layers))
+
+    # sharing matters only where two layers have one shape
+    assert key([0, 3], share_params=False) == key([0, 3])
+    assert key([1, 2], share_params=False) != key([1, 2])
+    assert key([0, 3], normalize=False) != key([0, 3])
+    assert key([0, 3], identity_init=False) != key([0, 3])
+    assert key([0]) != key([3])
+    # m < n on layer 0: only_smaller maps u, as only_u does
+    on_0 = {t: key([0], transform=t) for t in ("both", "only_u", "only_delta", "only_smaller")}
+    assert on_0["only_smaller"] == on_0["only_u"] and len(set(on_0.values())) == 3
+    # a square layer: only_u and only_delta have one shape but differ
+    assert key([1], transform="only_u") != key([1], transform="only_delta")
+    # a field added to the variant enters the key as it is
+    extended = make_dataclass("Extended", [("scale", float, 1.0)], bases=(VariantConfig,))
+    assert key([0], extended(scale=2.0)) != key([0], extended())
 
 
 # ---------------------------------------------------------------- variants

@@ -3,10 +3,12 @@ batched evaluation grouping, the model-mutation guard, and report files."""
 
 import json
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from gradedit import evaluation as evaluation_mod
 from gradedit.bench import fact_groups, holdout_split
 from gradedit.editor import VariantConfig, init_editor
 from gradedit.errors import ConfigError, ContractError, DataError, ShapeError
@@ -24,7 +26,7 @@ from gradedit.evaluation import (
     run_ablations,
     write_timing,
 )
-from gradedit.mlp import clone_with_weights, forward
+from gradedit.mlp import clone_with_weights, forward, init_mlp
 from gradedit.ndops import kl_divergence, make_rng
 from gradedit.training import FT_MAX_STEPS, TrainConfig, finetune_kl_edit, train_editor
 
@@ -264,6 +266,34 @@ def test_ft_kl_editor_draws_as_a_fresh_generator_per_edit(small_world, small_mod
             assert np.array_equal(a, b)
 
 
+def test_ft_kl_editor_forwards_each_locality_input_once_per_model(small_world, small_model):
+    # the pristine softmax at loc_inputs[s] is computed by the first edit that
+    # reaches step s, and again only for another model object
+    editor = FtKlEditor([r.x_loc for r in small_world.edit_train[:10]], seed=3)
+    twin = clone_with_weights(small_model, {})
+    pristine = []
+
+    def spy(model, batch):
+        if any(batch is x for x in editor.loc_inputs):
+            pristine.append(model)
+        return forward(model, batch)
+
+    recs = small_world.edit_test[:12]
+    for model in (small_model, twin, small_model):
+        pristine.clear()
+        with patch("gradedit.training.forward", spy):
+            got = [editor.edit(model, [(r.x_e, r.y_e)]) for r in recs]
+        steps = []
+        for rec, edited in zip(recs, got):
+            want, n = finetune_kl_edit(model, rec.x_e, rec.y_e, editor.loc_inputs)
+            steps.append(n)
+            for a, b in zip(edited.weights + edited.biases, want.weights + want.biases):
+                assert np.array_equal(a, b)
+        assert sum(n - 1 for n in steps if n > 1) > max(steps) - 1 >= 2
+        assert len(pristine) == max(steps) - 1
+        assert all(m is model for m in pristine)
+
+
 def test_ft_kl_editor_rejects_an_empty_locality_pool():
     # before any edit: drawing from an empty pool would fail inside numpy
     with pytest.raises(DataError):
@@ -293,6 +323,46 @@ def test_run_ablations_smoke(small_world, small_model):
         assert r.k_edits == 1  # the ablation scores single edits
         assert 0.0 <= r.es <= 1.0
         assert r.param_count > 0
+
+
+def test_run_ablations_trains_each_distinct_editor_once(small_world, small_model, monkeypatch):
+    # on small_model, whose two layers differ in shape, no_sharing builds the
+    # same editor as full; the other five differ from both and each other
+    cfg = TrainConfig(max_steps=6, batch_size=2, eval_every=3)
+    trained = []
+
+    def spy(model, train_recs, val_recs, config, variant):
+        trained.append(variant)
+        return train_editor(model, train_recs, val_recs, config, variant)
+
+    monkeypatch.setattr(evaluation_mod, "train_editor", spy)
+    reports = run_ablations(small_world, small_model, cfg)
+    assert len(trained) == 6
+    assert ABLATION_VARIANTS["no_sharing"] not in trained
+    train_recs, val_recs = holdout_split(small_world.edit_train)
+    for got, (name, variant) in zip(reports, ABLATION_VARIANTS.items()):
+        params, normalizer, _ = train_editor(small_model, train_recs, val_recs, cfg, variant)
+        want = evaluate_editor(LearnedEditor(params, normalizer, name=name), small_model,
+                               small_world.edit_test, 1)
+        assert replace(got, wall_time_s=0.0) == replace(want, wall_time_s=0.0)
+    # the reused report keeps the time its editor took to train and score
+    assert reports[1].wall_time_s == reports[0].wall_time_s > 0.0
+
+
+def test_run_ablations_trains_every_variant_of_a_shared_shape_model(small_world, monkeypatch):
+    # hidden layers 1 and 2 are both 24x24: sharing gives them one editor
+    model = init_mlp([small_world.config.feature_dim, 24, 24, 24,
+                      small_world.config.num_classes], make_rng(1))
+    trained = []
+
+    def spy(model, train_recs, val_recs, config, variant):
+        trained.append(variant)
+        return train_editor(model, train_recs, val_recs, config, variant)
+
+    monkeypatch.setattr(evaluation_mod, "train_editor", spy)
+    reports = run_ablations(small_world, model, TrainConfig(max_steps=1, eval_every=0))
+    assert trained == list(ABLATION_VARIANTS.values())
+    assert [r.name for r in reports] == list(ABLATION_VARIANTS)
 
 
 def _fake_reports():

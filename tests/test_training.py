@@ -25,7 +25,15 @@ from gradedit.editor import (
 )
 from gradedit.errors import ConfigError, DataError, ShapeError
 from gradedit.evaluation import ABLATION_VARIANTS
-from gradedit.mlp import backward, backward_nll, clone_with_weights, forward, init_mlp
+from gradedit.mlp import (
+    backward,
+    backward_factors,
+    backward_nll,
+    clone_with_weights,
+    forward,
+    init_mlp,
+    outer_sum,
+)
 from gradedit.ndops import kl_divergence, log_softmax, make_rng, softmax
 from gradedit.training import (
     ACCURACY_BLOCK_ROWS,
@@ -458,8 +466,9 @@ def _reference_sampler(model, records, cfg):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_sampler_draws_the_choice_sampler_stream(small_world, small_model, monkeypatch, k):
+    # equal buckets take one array-bounds draw per step at k=1; without the
+    # last record, one fact has a record fewer and the loop draws instead
     cfg = TrainConfig(max_steps=6, batch_size=4, eval_every=0, edits_per_step=k)
-    records = small_world.edit_train
     seen = []
 
     def recording(model, params, normalizer, groups, c_e, rng, **kw):
@@ -468,8 +477,10 @@ def test_sampler_draws_the_choice_sampler_stream(small_world, small_model, monke
         return out
 
     monkeypatch.setattr(training_mod, "group_losses_and_grads", recording)
-    train_editor(small_model, records, [], cfg)
-    assert seen == _reference_sampler(small_model, records, cfg)
+    for records in (small_world.edit_train, small_world.edit_train[:-1]):
+        seen.clear()
+        train_editor(small_model, records, [], cfg)
+        assert seen == _reference_sampler(small_model, records, cfg)
 
 
 @pytest.mark.parametrize("steps", [0, 3])
@@ -749,7 +760,7 @@ def test_finetune_kl_edit_runs_no_kl_pass_at_step_0(small_world, small_model):
 def test_finetune_passes_per_step(small_world, small_model, k, kl):
     # a step with a KL term forwards the current model once over the B edit
     # rows and the locality row, forwards the pristine model at that row,
-    # and makes one reverse pass over all B+1 rows; a step without one (every
+    # and makes one factor pass over all B+1 rows; a step without one (every
     # FT step, FT+KL's step 0) makes one backward_nll call over the B rows
     recs = small_world.edit_test[2 : 2 + 4 * k : 4]
     xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
@@ -766,16 +777,76 @@ def test_finetune_passes_per_step(small_world, small_model, k, kl):
         return call
 
     with patch("gradedit.training.forward", spy("forward", forward)), \
-            patch("gradedit.training.backward", spy("backward", backward)), \
+            patch("gradedit.training.backward_factors",
+                  spy("backward_factors", backward_factors)), \
             patch("gradedit.training.backward_nll", spy("backward_nll", backward_nll, len)):
         _, steps = finetune_kl_edit(small_model, xs, ys, loc_inputs, 0.5 if kl else 1.0)
     assert steps >= 2
     b = len(ys)
-    later = ([("forward", "current", b + 1), ("forward", "pre", 1), ("backward", "current", b + 1)]
+    later = ([("forward", "current", b + 1), ("forward", "pre", 1),
+              ("backward_factors", "current", b + 1)]
              if kl else [("forward", "current", b), ("backward_nll", "current", b)])
     final = ("forward", "current", b + 1 if kl else b)
     assert calls == [("forward", "pre", b), ("backward_nll", "pre", b),
                      *later * (steps - 1), final]
+
+
+@pytest.mark.parametrize("kl, least", [(True, 3), (False, 2)], ids=["ft_kl", "ft"])
+def test_finetune_copies_the_model_once(small_world, small_model, kl, least):
+    # step 0 copies the model; later steps write into that copy in place
+    loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0) if kl else None
+    for rec in small_world.edit_test:
+        with patch("gradedit.training.clone_with_weights",
+                   side_effect=clone_with_weights) as spy:
+            out, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs,
+                                          0.5 if kl else 1.0, lr=0.03)
+        if steps >= least:
+            break
+    assert steps >= least
+    assert spy.call_count == 1
+    for a in out.weights + out.biases:
+        assert not any(np.may_share_memory(a, b)
+                       for b in small_model.weights + small_model.biases)
+
+
+def test_finetune_kl_step_forms_only_editable_gradients(small_world, small_model):
+    # FT+KL's KL steps form their weight gradients with `outer_sum`, for the
+    # editable layers only; step 0 runs backward_nll, which calls it from mlp
+    rec = small_world.edit_test[2]
+    loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
+    shapes = []
+
+    def spy(delta, u):
+        shapes.append((delta.shape[1], u.shape[1]))
+        return outer_sum(delta, u)
+
+    with patch("gradedit.training.outer_sum", spy):
+        _, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs,
+                                    editable_layers=[1], lr=0.03)
+    assert steps >= 3
+    assert shapes == [small_model.weights[1].shape] * (steps - 1)
+
+
+def test_finetune_kl_edit_fills_and_reads_pre_probs(small_world, small_model):
+    # a filled slot is read, an empty one filled, with equal results
+    loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
+    slots = [None] * len(loc_inputs)
+    for rec in small_world.edit_test[:8]:
+        want, want_steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs)
+        got, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs,
+                                      pre_probs=slots)
+        assert steps == want_steps
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        filled = [s for s, p in enumerate(slots) if p is not None]
+        assert filled == list(range(1, max(filled, default=0) + 1))
+        for s in filled:
+            assert np.array_equal(slots[s], softmax(forward(small_model, loc_inputs[s])[0]))
+    assert len(filled) >= 2
+    with pytest.raises(ShapeError):
+        finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs, pre_probs=slots[:-1])
+    with pytest.raises(ShapeError):
+        finetune_kl_edit(small_model, rec.x_e, rec.y_e, None, pre_probs=slots)
 
 
 @pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
