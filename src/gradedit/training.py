@@ -132,6 +132,13 @@ class TableGroups:
     rows: Array  # (G, k) row indices
 
 
+def _nll_factors(model: Mlp, xs: Array, ys) -> tuple[list[Array], list[Array]]:
+    """Every layer's u rows and delta rows for the summed NLL of labels `ys`
+    at the rows `xs`: one forward and one factor pass; the trace is freed."""
+    logits, trace = forward(model, xs)
+    return trace.inputs, backward_factors(trace, nll_grad(logits, ys)[1])
+
+
 def build_factor_table(
     model: Mlp, layers: Sequence[int], records: Sequence[EditRecord]
 ) -> FactorTable:
@@ -144,11 +151,9 @@ def build_factor_table(
     # before the neighborhood arrays are made: no two traces are held at once
     x_loc = np.stack([rec.x_loc for rec in records])
     pre_logits = forward(model, x_loc)[0]
-    logits, trace = forward(model, np.stack([rec.x_e for rec in records]))
     y_e = np.array([rec.y_e for rec in records], dtype=np.int64)
-    deltas = backward_factors(trace, nll_grad(logits, y_e)[1])
-    u, delta = {l: trace.inputs[l] for l in layers}, {l: deltas[l] for l in layers}
-    del trace, logits
+    inputs, deltas = _nll_factors(model, np.stack([rec.x_e for rec in records]), y_e)
+    u, delta = {l: inputs[l] for l in layers}, {l: deltas[l] for l in layers}
     counts = np.array([len(rec.neighborhood) for rec in records], dtype=np.int64)
     slots = np.arange(counts.max()) < counts[:, None]  # (N, max neighborhood)
     nb_x = np.zeros((*slots.shape, model.input_dim))
@@ -267,13 +272,17 @@ def train_editor(
         editable = list(range(model.num_layers))
     params = init_editor(model, editable, config.rank, variant, rng, config.alpha_init)
     # the base model's state for every record, built once before the first
-    # step; the train table's factor rows are also the normalizer's input
-    train_table = build_factor_table(model, params.editable_layers, train_records)
+    # step; the train table's factor rows are also the normalizer's input.
+    # A run of no steps makes only the factor pass that the normalizer reads.
+    if config.max_steps:
+        train_table = build_factor_table(model, params.editable_layers, train_records)
+        factors = train_table.u, train_table.delta
+    elif variant.normalize:
+        factors = _nll_factors(model, np.stack([rec.x_e for rec in train_records]),
+                               [rec.y_e for rec in train_records])
     if validates:
         val_table = _tabulate(model, params.editable_layers, val_groups)
-    normalizer = (
-        fit_normalizer(params, train_table.u, train_table.delta) if variant.normalize else None
-    )
+    normalizer = fit_normalizer(params, *factors) if variant.normalize else None
     grads = zero_grads(params)  # rewritten by every step
     adam_state = AdamState(lr=config.meta_lr)
     log: list[dict] = []
@@ -442,7 +451,9 @@ def pretrain_model(
     seed: int = 0,
 ) -> tuple[Mlp, float]:
     """Fit a base classifier on the pretrain split with Adam; returns the
-    model and its final pretrain accuracy."""
+    model and its final pretrain accuracy. Each batch writes its gradients
+    straight into one flat vector laid out like the parameters, so it forms
+    no (n, m) array of its own."""
     for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
                              ("seed", seed, 0)):
         json_int(value, name, low, ConfigError)
@@ -471,9 +482,10 @@ def pretrain_model(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             xs, ys = world.pretrain_x[idx], world.pretrain_y[idx]
-            logits, trace = forward(model, xs)
-            _, _, wgrads, bgrads = backward_nll(trace, ys)
-            for g, out in zip(wgrads + bgrads, grads.values()):
-                np.divide(g, len(idx), out=out)
+            for l, (u, d) in enumerate(zip(*_nll_factors(model, xs, ys))):
+                # outer_sum's bits: its `@` for B > 1, one product per entry for B = 1
+                np.matmul(d.T, u, out=grads[f"W{l}"])
+                d.sum(axis=0, out=grads[f"b{l}"])
+            np.divide(grads.flat, len(idx), out=grads.flat)
             adam_step(tree.flat, grads.flat, state)
     return model, accuracy(model, world.pretrain_x, world.pretrain_y)

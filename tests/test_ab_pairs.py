@@ -1,6 +1,8 @@
-"""The claim and bound rules of `tools/ab_pairs.py` on fixed numbers."""
+"""The claim and bound rules of `tools/ab_pairs.py` on fixed numbers, and
+the workloads it runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,13 @@ def test_unpaired_or_unknown_input_is_rejected():
         ab_pairs.summarize(PARENT, PARENT[:-1], "lower", 0.25)
     with pytest.raises(ValueError):
         ab_pairs.summarize(PARENT, PARENT, "faster", 0.25)
+
+
+def test_without_a_workload_every_benchmark_workload_runs_in_order():
+    bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    assert names == ["narrow_k1", "wide_k1"]
+    assert ab_pairs.workload_names(bench, None) == names
+    assert ab_pairs.workload_names(bench, "wide_k1") == ["wide_k1"]
+    # a harness workload that BENCHMARK.json does not list can still be named
+    assert ab_pairs.workload_names(bench, "narrow_k25") == ["narrow_k25"]

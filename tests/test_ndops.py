@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from gradedit.errors import ShapeError
 from gradedit.ndops import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
+    ADAM_BLOCK,
     AdamState,
     FlatTree,
     adam_step,
@@ -27,7 +25,7 @@ from gradedit.ndops import (
     xavier_uniform,
 )
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, reference_adam_tree
 
 
 def test_make_rng_is_deterministic():
@@ -152,36 +150,38 @@ def test_adam_step_allocates_no_vector():
     assert peak < params.nbytes
 
 
-def _reference_adam_tree(params, grads, state, m, v):
-    """The per-tensor Adam loop that the flat update replaced."""
-    state.t += 1
-    out = {}
-    for k, p in params.items():
-        g = grads[k]
-        m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
-        v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m[k] / (1.0 - ADAM_BETA1**state.t)
-        v_hat = v[k] / (1.0 - ADAM_BETA2**state.t)
-        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return out
-
-
-def test_flat_adam_is_bitwise_the_per_tensor_loop():
-    rng = make_rng(4)
-    shapes = {"w": (3, 5), "alpha": (), "b": (5,), "s": (1, 7)}
+def _flat_and_per_tensor_adam(shapes, steps, seed):
+    """`adam_step` on a flat tree and the per-tensor loop, side by side on
+    the same random parameters and gradients; asserts that the parameters,
+    still views into the flat vector, and the moments are bitwise equal."""
+    rng = make_rng(seed)
     want = {k: rng.standard_normal(s) for k, s in shapes.items()}
     tree = flatten(want)
     ref_state, state = AdamState(lr=3e-2), AdamState(lr=3e-2)
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
-    for _ in range(50):
+    for _ in range(steps):
         grads = {k: rng.standard_normal(s) ** 3 for k, s in shapes.items()}
-        want = _reference_adam_tree(want, grads, ref_state, m, v)
+        want = reference_adam_tree(want, grads, ref_state, m, v)
         adam_step(tree.flat, flatten(grads).flat, state)
     for k in shapes:
         assert np.array_equal(tree[k], want[k]), k
         assert np.shares_memory(tree[k], tree.flat)
     assert np.array_equal(state.m, flatten(m).flat) and np.array_equal(state.v, flatten(v).flat)
+    return tree, state
+
+
+def test_flat_adam_is_bitwise_the_per_tensor_loop():
+    _flat_and_per_tensor_adam({"w": (3, 5), "alpha": (), "b": (5,), "s": (1, 7)}, 50, 4)
+
+
+@pytest.mark.parametrize("size", [5 * ADAM_BLOCK // 2 + 3, ADAM_BLOCK, ADAM_BLOCK - 7],
+                         ids=["ragged", "one_block", "under_one_block"])
+def test_blocked_adam_is_bitwise_the_per_tensor_loop(size):
+    # a ragged last block, exactly one block and less than one block
+    tree, state = _flat_and_per_tensor_adam({"w": (size - 8, 1), "alpha": (), "b": (7,)}, 20, size)
+    assert tree.flat.size == size
+    assert state.scratch.shape == (2, min(size, ADAM_BLOCK))
 
 
 def test_flatten_lays_out_views_in_order():

@@ -20,6 +20,7 @@ from gradedit.editor import (
     apply_edit_with_tape,
     backprop_edit,
     edited_forward,
+    fit_normalizer,
     init_editor,
     zero_grads,
 )
@@ -34,7 +35,7 @@ from gradedit.mlp import (
     init_mlp,
     outer_sum,
 )
-from gradedit.ndops import kl_divergence, log_softmax, make_rng, softmax
+from gradedit.ndops import ADAM_BLOCK, kl_divergence, log_softmax, make_rng, softmax
 from gradedit.training import (
     ACCURACY_BLOCK_ROWS,
     FT_MAX_STEPS,
@@ -51,7 +52,7 @@ from gradedit.training import (
     validation_loss,
 )
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, reference_pretrain
 
 
 def test_train_config_validation():
@@ -502,6 +503,35 @@ def test_train_editor_forwards_the_train_edit_pairs_once(
     assert len(passes) == 1
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+def test_train_editor_without_steps_runs_only_the_normalizer_pass(
+    small_world, small_model, monkeypatch, normalize
+):
+    # no table: no locality forward and no neighborhood arrays, and no pass
+    # at all when the variant does not normalize
+    records, variant = small_world.edit_train, VariantConfig(normalize=normalize)
+    batches = []
+    def spy(model, batch, orig=training_mod.forward):
+        batches.append(np.array(batch))
+        return orig(model, batch)
+    monkeypatch.setattr(training_mod, "forward", spy)
+    params, norm, log = train_editor(small_model, records, [], TrainConfig(max_steps=0), variant)
+    monkeypatch.undo()
+    fresh = init_editor(small_model, list(range(small_model.num_layers)), 4, variant,
+                        make_rng(0), 1e-2)
+    assert log == [] and np.array_equal(params.values.flat, fresh.values.flat)
+    if not normalize:
+        assert batches == [] and norm is None
+        return
+    assert len(batches) == 1 and np.array_equal(batches[0], [rec.x_e for rec in records])
+    table = build_factor_table(small_model, params.editable_layers, records)
+    want = fit_normalizer(params, table.u, table.delta)
+    for name in ("mean_u", "var_u", "mean_d", "var_d"):
+        got, ref = getattr(norm, name), getattr(want, name)
+        assert list(got) == list(ref)
+        assert all(np.array_equal(got[key], ref[key]) for key in ref), name
+
+
 def test_editor_values_stay_views_into_one_buffer(small_world, small_model):
     fresh = init_editor(small_model, [0, 1], 2, VariantConfig(), make_rng(0))
     assert all(np.shares_memory(v, fresh.values.flat) for v in fresh.values.values())
@@ -945,6 +975,39 @@ def test_pretrain_model_fits_world(small_world):
     model, acc = pretrain_model(small_world, hidden_dims=(24,), epochs=40)
     assert acc >= 0.9
     assert accuracy(model, small_world.pretrain_x, small_world.pretrain_y) == acc
+
+
+@pytest.mark.parametrize("batch_size", [57, 32])
+def test_pretrain_model_matches_the_per_tensor_loop(small_world, batch_size):
+    # 400 rows: seven batches of 57 and a last of one row, or twelve of 32
+    # and a last of 16; (300, 256) hidden layers hold 83,698 parameters,
+    # several Adam blocks
+    assert len(small_world.pretrain_x) == 400
+    model, acc = pretrain_model(small_world, hidden_dims=(300, 256), epochs=3,
+                                batch_size=batch_size)
+    want, want_acc = reference_pretrain(small_world, (300, 256), 3, batch_size)
+    assert sum(w.size + b.size for w, b in zip(model.weights, model.biases)) > 2 * ADAM_BLOCK
+    for got, ref in zip(model.weights + model.biases, want.weights + want.biases):
+        assert np.array_equal(got, ref)
+    assert acc == want_acc
+
+
+def test_pretrain_batch_forms_no_weight_sized_gradient(small_world, monkeypatch):
+    # each batch writes its gradients into the flat gradient vector, so the
+    # peak is the run's four flat vectors (parameters, gradients and Adam's
+    # two moments) and Adam's block-sized scratch, plus a batch's
+    # activations: less than one 256x256 weight more. The final accuracy,
+    # whose forward holds all 400 rows, is not what this measures.
+    monkeypatch.setattr(training_mod, "accuracy", lambda *args: 1.0)
+    dims = [small_world.config.feature_dim, 256, 256, small_world.config.num_classes]
+    flat_bytes = 8 * sum(n * m + n for m, n in zip(dims, dims[1:]))
+    tracemalloc.start()
+    try:
+        pretrain_model(small_world, hidden_dims=(256, 256), epochs=1, batch_size=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * flat_bytes + 2 * 8 * ADAM_BLOCK + 256 * 256 * 8
 
 
 def test_accuracy_in_blocks_equals_one_forward(small_model):

@@ -1,22 +1,24 @@
 """Alternating parent/change pairs of the benchmark, judged metric by metric.
 
-    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload narrow_k1 [--pairs 10]
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR [--workload narrow_k1] [--pairs 10]
         [--first-seed 1000]
 
-Each of PARENT_DIR and CHANGE_DIR is a checkout of the repository. Pair i runs
-the benchmark command of CHANGE_DIR's BENCHMARK.json once in each checkout,
-both with seed `first_seed + i` and for that file's `run_seconds`; the parent
-runs first in even pairs and the change first in odd ones. The script stops
-at the first run that reports `correct: false` or any failed operation.
+Each of PARENT_DIR and CHANGE_DIR is a checkout of the repository. The script
+runs the given workload, or without `--workload` every workload that
+CHANGE_DIR's BENCHMARK.json lists, one after another. Pair i of a workload
+runs that file's benchmark command once in each checkout, both with seed
+`first_seed + i` and for the file's `run_seconds`; the parent runs first in
+even pairs and the change first in odd ones. The script stops at the first
+run that reports `correct: false` or any failed operation.
 
-For every end-to-end metric it prints each side's median and quartiles, how
-many pairs the change won (ties count for neither side) and two flags:
-`claim`, set when there are at least `MIN_PAIRS` pairs, the change won at
-least nine tenths of them and its median differs from the parent's by more
-than the parent's interquartile range; and `over_bound`, set when the
-change's median is worse than the parent's by more than the metric's
-relative bound. Only the standard library is used, and the script itself
-writes no file.
+For each workload it prints one table. For every end-to-end metric the table
+gives each side's median and quartiles, how many pairs the change won (ties
+count for neither side) and two flags: `claim`, set when there are at least
+`MIN_PAIRS` pairs, the change won at least nine tenths of them and its median
+differs from the parent's by more than the parent's interquartile range; and
+`over_bound`, set when the change's median is worse than the parent's by more
+than the metric's relative bound. Only the standard library is used, and the
+script itself writes no file.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def workload_names(bench: dict, chosen: str | None) -> list[str]:
+    """The workloads to run: `chosen` alone, or, when it is None, every
+    workload of the parsed BENCHMARK.json `bench`, in its order."""
+    return [chosen] if chosen is not None else [w["name"] for w in bench["workloads"]]
+
+
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
     """One benchmark run in `checkout`; its last line of output, parsed."""
@@ -74,39 +82,46 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
     return json.loads(lines[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--first-seed", type=int, default=1000)
-    args = parser.parse_args(argv)
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(getattr(args, side), bench["command"], args.workload, seed,
-                              bench["run_seconds"])
-            values = {k: v["value"] for k, v in result["metrics"].items()}
-            print(json.dumps({"pair": i, "side": side, "seed": seed, "metrics": values}),
-                  flush=True)
-            if not result["correct"] or result["failed"] > 0:
-                print(f"stopped: the {side} run of pair {i} reported correct="
-                      f"{result['correct']}, failed={result['failed']}", file=sys.stderr)
-                return 1
-            runs[side].append(values)
-    print(f"{'metric':<20} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}  "
+def print_verdicts(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> None:
+    """One workload's table: a line per end-to-end metric of BENCHMARK.json."""
+    print(f"{workload}\n{'metric':<20} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}  "
           "wins  claim  over_bound")
-    for metric in bench["end_to_end"]:
+    for metric in metrics:
         name = metric["name"]
         verdict = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                             metric["better"], metric["bound"])
         p, c = ("/".join(f"{v:.4g}" for v in verdict[side]) for side in ("parent", "change"))
         print(f"{name:<20} {p:>30} {c:>30}  {verdict['wins']:>2}/{verdict['pairs']:<2} "
-              f"{verdict['claim']!s:>5}  {verdict['over_bound']!s:>5}")
+              f"{verdict['claim']!s:>5}  {verdict['over_bound']!s:>5}", flush=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--first-seed", type=int, default=1000)
+    args = parser.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    for workload in workload_names(bench, args.workload):
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(getattr(args, side), bench["command"], workload, seed,
+                                  bench["run_seconds"])
+                values = {k: v["value"] for k, v in result["metrics"].items()}
+                print(json.dumps({"workload": workload, "pair": i, "side": side, "seed": seed,
+                                  "metrics": values}), flush=True)
+                if not result["correct"] or result["failed"] > 0:
+                    print(f"stopped: the {side} run of pair {i} on {workload} reported "
+                          f"correct={result['correct']}, failed={result['failed']}",
+                          file=sys.stderr)
+                    return 1
+                runs[side].append(values)
+        print_verdicts(workload, bench["end_to_end"], runs)
     return 0
 
 
