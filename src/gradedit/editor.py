@@ -16,7 +16,9 @@ as its factors (W, alpha, U~, D~) in an `EditTape`: `edited_forward` computes
 x W^T + b - alpha (x U~^T) D~, and `backprop_edit` chains logit gradients
 through those products and the editor blocks into the editor parameters,
 treating the raw factors as constants (no higher-order gradients). Neither
-forms an (n, m) matrix; only `apply_edit` materializes W~.
+forms an (n, m) matrix, and neither does `apply_edit`: it returns the edited
+model in factored form, which `mlp.forward` scores by the same rank-k term,
+and W~ is formed only when the edited model's weights are read.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     json_number,
     layer_indices,
 )
-from .mlp import Mlp, backward_factors, clone_with_weights, forward, nll_grad, outer_sum
+from .mlp import Mlp, backward_factors, forward, nll_grad, subtract_rank_k
 from .ndops import Array, FlatTree, check_finite, flatten, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
@@ -383,17 +385,19 @@ def apply_edit(
     edit_batch: Sequence[tuple[Array, int]],
 ) -> Mlp:
     """One-shot edit: W~_l = W_l - alpha_l * pseudograd_l for each editable
-    layer, with pseudograd_l = sum_i outer(delta~_i, u~_i). Biases and
-    non-editable layers are untouched; `model` is not modified, and the
-    edited model shares no memory with it. The only place where the edited
-    weights are formed: each in the buffer of its fresh pseudograd."""
+    layer, with pseudograd_l = sum_i outer(delta~_i, u~_i) = D~_l^T U~_l.
+
+    The edited model comes back in factored form (see `Mlp`): each editable
+    layer keeps (alpha_l, U~_l, D~_l) beside a read-only view of `model`'s
+    W_l, the biases are copies, and no (n, m) array is formed. `forward`
+    scores it through the rank-k term; the first read of its `weights` forms
+    each W~_l (`mlp.edited_weight`) in the buffer of its fresh pseudograd.
+    Until that read the edited model reads `model`'s weight arrays, so
+    `model` must not be changed in place meanwhile; `model` itself is not
+    modified, and a dense edited model shares no memory with it."""
     tape = apply_edit_with_tape(model, params, normalizer, edit_batch)
-    edited = {}
-    for l, a in tape.alpha.items():
-        w = outer_sum(tape.pseudo_d[l], tape.pseudo_u[l])
-        np.multiply(a, w, out=w)
-        edited[l] = np.subtract(model.weights[l], w, out=w)
-    return clone_with_weights(model, edited)
+    edits = {l: (a, tape.pseudo_u[l], tape.pseudo_d[l]) for l, a in tape.alpha.items()}
+    return Mlp(model.weights, [np.array(b, copy=True) for b in model.biases], edits)
 
 
 @dataclass
@@ -416,7 +420,8 @@ def _group_factors(tape: EditTape, layer: int, groups: int) -> tuple[Array, Arra
 
 def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
     """Forward a (G, B, input_dim) batch through the edited model without
-    forming W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer.
+    forming W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer,
+    by `mlp.subtract_rank_k`, as `mlp.forward` scores a factored model.
 
     The batch holds G groups, each under its own edit: with the tape's G*k
     rows, group g is edited by rows g*k:(g+1)*k. The base product runs over
@@ -436,8 +441,8 @@ def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
         z = act @ model.weights[l].T + model.biases[l]
         if l in tape.alpha:
             u, d = _group_factors(tape, l, groups)
-            proj[l] = act.reshape(groups, width, act.shape[1]) @ u.transpose(0, 2, 1)
-            z -= tape.alpha[l] * (proj[l] @ d).reshape(z.shape)
+            proj[l] = subtract_rank_k(z, act.reshape(groups, width, act.shape[1]),
+                                      tape.alpha[l], u, d)
         preacts.append(z)
         act = z if l == model.num_layers - 1 else relu(z)
     check_finite(act, "logits")

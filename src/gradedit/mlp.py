@@ -5,7 +5,8 @@ gradient delta) for every layer.
 Layer l computes z_{l+1} = W_l u_l + b_l with relu between layers and raw
 logits at the output. The per-example gradient of the loss w.r.t. W_l is
 outer(delta_{l+1}, u_l); summing those outer products over the batch
-recovers the dense gradient exactly.
+recovers the dense gradient exactly. A model that `editor.apply_edit` returns
+keeps its edited layers in factored form until its weights are read (`Mlp`).
 """
 
 from __future__ import annotations
@@ -23,42 +24,79 @@ MODEL_FORMAT_VERSION = 1
 _MODEL_KEYS = {"format_version", "layer_dims", "weights", "biases"}
 
 
-@dataclass
 class Mlp:
-    """Stack of affine layers with relu activations (identity on the last)."""
+    """Stack of affine layers with relu activations (identity on the last);
+    `weights[l]` has shape (n_l, m_l) and `biases[l]` (n_l,).
 
-    weights: list[Array]  # weights[l] has shape (n_l, m_l)
-    biases: list[Array]  # biases[l] has shape (n_l,)
+    A model can also be an edit of another one in factored form, as
+    `editor.apply_edit` makes it: `edits` maps each edited layer l to
+    (alpha_l, U~_l, D~_l), with (k, m_l) rows U~_l and (k, n_l) rows D~_l, for
+    W~_l = W_l - alpha_l D~_l^T U~_l, and the model holds read-only views of
+    the base model's weight arrays beside them. `forward` computes an edited
+    layer as x W^T + b - alpha (x U~^T) D~, and the shape properties read the
+    base shapes, so neither forms W~. The first read of `weights` forms every
+    W~_l (`edited_weight`) and copies the other weights; the model is dense
+    from then on and shares no memory with its base. Until that read it reads
+    the base model's weight arrays, so the base must not be changed in place
+    meanwhile."""
 
-    def __post_init__(self) -> None:
-        if len(self.biases) != len(self.weights):
-            raise ShapeError(f"{len(self.biases)} biases for {len(self.weights)} layers")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+    def __init__(self, weights: list[Array], biases: list[Array],
+                 edits: dict[int, tuple[float, Array, Array]] | None = None) -> None:
+        if edits is not None:
+            weights = [_read_only(w) for w in weights]
+        self._weights, self.biases, self.edits = weights, biases, edits
+        if len(biases) != len(weights):
+            raise ShapeError(f"{len(biases)} biases for {len(weights)} layers")
+        for l, (w, b) in enumerate(zip(weights, biases)):
             if b.shape != (w.shape[0],):
                 raise ShapeError(f"layer {l} bias shape {b.shape} != ({w.shape[0]},)")
-        for l in range(len(self.weights) - 1):
-            if self.weights[l + 1].shape[1] != self.weights[l].shape[0]:
+        for l in range(len(weights) - 1):
+            if weights[l + 1].shape[1] != weights[l].shape[0]:
                 raise ShapeError(
-                    f"layer {l} output dim {self.weights[l].shape[0]} != "
-                    f"layer {l + 1} input dim {self.weights[l + 1].shape[1]}"
+                    f"layer {l} output dim {weights[l].shape[0]} != "
+                    f"layer {l + 1} input dim {weights[l + 1].shape[1]}"
                 )
+        for l, (_, u, d) in (edits or {}).items():
+            if not 0 <= l < len(weights):
+                raise ShapeError(f"edit of unknown layer {l}")
+            n, m = weights[l].shape
+            if u.shape != (len(u), m) or d.shape != (len(u), n):
+                raise ShapeError(f"layer {l} edit factors {u.shape}/{d.shape} do not fit "
+                                 f"its ({n}, {m}) weights")
+
+    @property
+    def weights(self) -> list[Array]:
+        if self.edits is not None:
+            self._weights = [
+                edited_weight(w, *self.edits[l]) if l in self.edits
+                else np.array(w, dtype=np.float64, copy=True)
+                for l, w in enumerate(self._weights)
+            ]
+            self.edits = None
+        return self._weights
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self._weights)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self._weights[0].shape[1]
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[0]
+        return self._weights[-1].shape[0]
 
     def layer_shape(self, layer: int) -> tuple[int, int]:
         """(m, n) = (input dim, output dim) of `layer`'s weight matrix."""
-        n, m = self.weights[layer].shape
+        n, m = self._weights[layer].shape
         return m, n
+
+
+def _read_only(a: Array) -> Array:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def init_mlp(layer_dims: list[int], rng: np.random.Generator) -> Mlp:
@@ -82,7 +120,8 @@ class ForwardTrace:
 
 
 def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
-    """Forward pass over a (B, input_dim) batch; returns logits and trace."""
+    """Forward pass over a (B, input_dim) batch; returns logits and trace.
+    A factored model's edited layers go through `subtract_rank_k`."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if batch.shape[1] != model.input_dim:
         raise ShapeError(f"input dim {batch.shape[1]} != model input dim {model.input_dim}")
@@ -90,7 +129,10 @@ def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
     act = batch
     for l in range(model.num_layers):
         inputs.append(act)
-        z = act @ model.weights[l].T + model.biases[l]
+        z = act @ model._weights[l].T + model.biases[l]
+        if model.edits is not None and l in model.edits:
+            alpha, u, d = model.edits[l]
+            subtract_rank_k(z, act, alpha, u, d)
         preacts.append(z)
         act = z if l == model.num_layers - 1 else relu(z)
     check_finite(act, "logits")
@@ -177,6 +219,27 @@ def outer_sum(delta: Array, u: Array) -> Array:
             return np.einsum("i,j->ij", delta[0], u[0])
         return np.dot(delta.T, u)
     return delta.T @ u
+
+
+def edited_weight(w: Array, alpha: float, u: Array, d: Array) -> Array:
+    """W~ = W - alpha D~^T U~ for (k, m) rows U~ and (k, n) rows D~, formed in
+    the buffer of its fresh `outer_sum`: the one place that forms an edited
+    weight matrix."""
+    out = outer_sum(d, u)
+    np.multiply(alpha, out, out=out)
+    return np.subtract(w, out, out=out)
+
+
+def subtract_rank_k(z: Array, x: Array, alpha: float, u: Array, d: Array) -> Array:
+    """z -= alpha (x U~^T) D~ in place: the rank-k term of an edited layer,
+    without forming W~. Either x holds (B, m) input rows under one edit with
+    (k, m) rows U~ and (k, n) rows D~, or x, U~ and D~ are stacks of G such
+    groups, (G, B, m), (G, k, m) and (G, k, n); z holds the G*B rows of
+    x W^T + b, as a (G*B, n) array. Returns P = x U~^T, (B, k) or (G, B, k),
+    which the reverse pass reuses."""
+    proj = x @ np.swapaxes(u, -1, -2)
+    z -= alpha * (proj @ d).reshape(z.shape)
+    return proj
 
 
 def clone_with_weights(model: Mlp, replacements: dict[int, Array]) -> Mlp:

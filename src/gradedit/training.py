@@ -471,8 +471,8 @@ def pretrain_model(
     # the weights and biases become views into one vector that Adam updates
     tree = flatten({**{f"W{l}": w for l, w in enumerate(model.weights)},
                     **{f"b{l}": b for l, b in enumerate(model.biases)}})
-    model.weights = [tree[f"W{l}"] for l in range(model.num_layers)]
-    model.biases = [tree[f"b{l}"] for l in range(model.num_layers)]
+    model = Mlp([tree[f"W{l}"] for l in range(model.num_layers)],
+                [tree[f"b{l}"] for l in range(model.num_layers)])
     # one gradient vector laid out like the parameters, rewritten every batch
     grads = FlatTree(np.empty_like(tree.flat), {k: v.shape for k, v in tree.items()})
     state = AdamState(lr=lr)

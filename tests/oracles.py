@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: a central-difference gradient,
-the dense gradient rebuilt from its rank-1 factors, one factor pair mapped
-through an editor, and per-tensor Adam and pretraining loops. Import them
+the dense gradient rebuilt from its rank-1 factors, the dense edit rule, one
+factor pair mapped through an editor, and per-tensor Adam and pretraining
+loops. Import them
 with `from oracles import ...`."""
 
 from typing import Callable, Mapping
@@ -48,6 +49,12 @@ def reconstruct_gradient(delta: np.ndarray, u: np.ndarray) -> np.ndarray:
     if u.shape[0] == 0:
         raise ShapeError("empty factors")
     return outer_sum(delta, u)
+
+
+def dense_edit_weight(w: np.ndarray, alpha: float, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """W - alpha * outer_sum(D~, U~) for (k, m) rows U~ and (k, n) rows D~: the
+    edit rule as `apply_edit` applied it when it returned dense weights."""
+    return w - alpha * outer_sum(d, u)
 
 
 def editor_forward(

@@ -1,5 +1,5 @@
-"""The claim and bound rules of `tools/ab_pairs.py` on fixed numbers, and
-the workloads it runs."""
+"""The claim, bound and move rules of `tools/ab_pairs.py` on fixed numbers,
+and the workloads it runs."""
 
 import importlib.util
 import json
@@ -73,6 +73,19 @@ def test_a_move_worse_than_the_bound_is_flagged():
     change = [p * 1.3 for p in PARENT]
     assert ab_pairs.summarize(PARENT, change, "lower", 0.25)["over_bound"]
     assert not ab_pairs.summarize(PARENT, change, "lower", 0.35)["over_bound"]
+
+
+def test_a_constant_value_that_changes_is_marked_moved():
+    # the last digits of a deterministic metric: far inside any relative bound
+    parent, change = [0.025245189047471396] * 10, [0.0252451890474714] * 10
+    verdict = ab_pairs.summarize(parent, change, "lower", 0.1)
+    assert verdict["moved"] and not verdict["over_bound"] and not verdict["claim"]
+    assert not ab_pairs.summarize(parent, list(parent), "lower", 0.1)["moved"]
+    # a metric that varies from pair to pair on either side is judged by the
+    # other flags alone
+    assert not ab_pairs.summarize(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25)["moved"]
+    assert not ab_pairs.summarize(PARENT, [1.0] * 10, "lower", 0.25)["moved"]
+    assert not ab_pairs.summarize([1.0] * 10, PARENT, "lower", 0.25)["moved"]
 
 
 def test_unpaired_or_unknown_input_is_rejected():

@@ -1,6 +1,7 @@
 """Editor-network tests: identity initialization, variant switches, shape
 sharing, normalization statistics, the outer-product edit rule, the factored
-edited forward against the materialized edit, the hand-rolled reverse pass
+edited model against its formed dense weights, the factored edited forward
+against the materialized edit, the hand-rolled reverse pass
 against the finite-difference oracle, the row-batched edit path against a
 per-row reference loop, and a batch of groups against separate groups."""
 
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradedit import mlp as mlp_mod
 from gradedit.editor import (
     EditorParams,
     Normalizer,
@@ -30,15 +32,10 @@ from gradedit.editor import (
 )
 from gradedit.errors import ConfigError, DataError, ShapeError
 from gradedit.evaluation import ABLATION_VARIANTS
-from gradedit.mlp import backward, backward_nll, forward, init_mlp
+from gradedit.mlp import Mlp, backward, backward_nll, forward, init_mlp
 from gradedit.ndops import make_rng, relu, relu_grad
 
-from oracles import editor_forward, finite_diff_grad
-
-
-def _editor_for(model, rank=2, variant=None, alpha=1e-2, seed=0, layers=None):
-    layers = layers if layers is not None else list(range(model.num_layers))
-    return init_editor(model, layers, rank, variant or VariantConfig(), make_rng(seed), alpha)
+from oracles import dense_edit_weight, editor_forward, finite_diff_grad
 
 
 def _editor_for(model, rank=2, variant=None, alpha=1e-2, seed=0, layers=None):
@@ -335,14 +332,88 @@ def test_apply_edit_is_bitwise_the_dense_rule(request, small_world, model_name, 
         assert not any(np.shares_memory(a, b) for b in base)
 
 
+@pytest.mark.parametrize("model_name, layers", [("small_model", None), ("wide_model", None),
+                                                  ("wide_model", [1, 2])],
+                         ids=["small", "wide", "wide-subset"])
+@pytest.mark.parametrize("k", [1, 5, 25])
+def test_factored_edit_is_its_dense_weights(request, small_world, table_normalizer, model_name,
+                                            layers, k, monkeypatch):
+    model = request.getfixturevalue(model_name)
+    before = [a.copy() for a in model.weights + model.biases]
+    params = _editor_for(model, seed=4, layers=layers)
+    rng = make_rng(k)
+    params.values = {name: v + 0.3 * np.asarray(rng.standard_normal(v.shape))
+                     for name, v in params.values.items()}
+    normalizer = table_normalizer(model, small_world.edit_train, params)
+    records = small_world.edit_test + small_world.edit_train
+    pairs = [(r.x_e, r.y_e) for r in records[:k]]
+    xs = np.stack([x for r in records for x, _ in r.neighborhood])
+
+    formed = []
+    monkeypatch.setattr(mlp_mod, "edited_weight",
+                        lambda *a: formed.append(a) or dense_edit_weight(*a))
+    edited = apply_edit(model, params, normalizer, pairs)
+    shapes = (edited.num_layers, edited.input_dim, edited.num_classes,
+              [edited.layer_shape(l) for l in range(edited.num_layers)])
+    got = forward(edited, xs)[0]
+    assert formed == [] and edited.edits is not None  # nothing above formed a W~
+    assert shapes == (model.num_layers, model.input_dim, model.num_classes,
+                      [model.layer_shape(l) for l in range(model.num_layers)])
+
+    tape = apply_edit_with_tape(model, params, normalizer, pairs)
+    weights = list(edited.weights)
+    assert len(formed) == len(params.editable_layers) and edited.edits is None
+    for l, w in enumerate(weights):
+        want = (dense_edit_weight(model.weights[l], tape.alpha[l], tape.pseudo_u[l],
+                                  tape.pseudo_d[l])
+                if l in tape.alpha else model.weights[l])
+        assert np.array_equal(w, want), l
+    # formed once: a second read returns the same arrays and forms nothing
+    assert all(a is b for a, b in zip(edited.weights, weights))
+    assert len(formed) == len(params.editable_layers)
+
+    want = forward(Mlp(weights, list(edited.biases)), xs)[0]
+    assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+    # an entry near 0 cancels large terms, so its error is bounded by the scale
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    base = model.weights + model.biases
+    for a in edited.weights + edited.biases:
+        assert not any(np.shares_memory(a, b) for b in base)
+    for a, b in zip(before, base):
+        assert np.array_equal(a, b)
+
+
+def test_factored_edit_never_writes_its_base():
+    model = init_mlp([6, 5, 4], make_rng(1))
+    params = _editor_for(model, variant=VariantConfig(normalize=False), layers=[1])
+    edited = apply_edit(model, params, None, [(make_rng(7).standard_normal(6), 1)])
+    with pytest.raises(ValueError, match="read-only"):
+        edited._weights[0][0, 0] = 1.0
+    edited.weights[0][0, 0] = 1.0  # a formed model owns its arrays
+    assert model.weights[0][0, 0] != 1.0
+
+
+def test_factored_model_rejects_factors_of_the_wrong_shape():
+    model = init_mlp([6, 5, 4], make_rng(1))
+    w, b = model.weights, model.biases
+    for l, u, d in ((2, np.ones((1, 5)), np.ones((1, 4))), (1, np.ones((1, 4)), np.ones((1, 4))),
+                    (1, np.ones((2, 5)), np.ones((1, 4))), (1, np.ones(5), np.ones(4))):
+        with pytest.raises(ShapeError):
+            Mlp(w, b, {l: (0.1, u, d)})
+
+
 def test_apply_edit_peak_memory_is_the_edited_model_plus_one_matrix():
+    # the factored edit defers its W~ to the first read of its weights, so
+    # the bound covers both
     model = init_mlp([16, 256, 256, 4], make_rng(2))
     params = _editor_for(model, variant=VariantConfig(normalize=False))
     pairs = [(make_rng(5).standard_normal(16), 1)]
-    apply_edit(model, params, None, pairs)
+    apply_edit(model, params, None, pairs).weights
     tracemalloc.start()
     try:
         edited = apply_edit(model, params, None, pairs)
+        edited.weights
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

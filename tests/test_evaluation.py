@@ -2,6 +2,7 @@
 batched evaluation grouping, the model-mutation guard, and report files."""
 
 import json
+import sys
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from gradedit import evaluation as evaluation_mod
+from gradedit import mlp as mlp_mod
 from gradedit.bench import fact_groups, holdout_split
 from gradedit.editor import VariantConfig, init_editor
 from gradedit.errors import ConfigError, ContractError, DataError, ShapeError
@@ -26,7 +28,7 @@ from gradedit.evaluation import (
     run_ablations,
     write_timing,
 )
-from gradedit.mlp import clone_with_weights, forward, init_mlp
+from gradedit.mlp import Mlp, clone_with_weights, forward, init_mlp
 from gradedit.ndops import kl_divergence, make_rng
 from gradedit.training import FT_MAX_STEPS, TrainConfig, finetune_kl_edit, train_editor
 
@@ -166,13 +168,17 @@ def test_evaluate_editor_rejects_mutated_biases(small_world, small_model):
         evaluate_editor(BiasMutatingEditor(), model, small_world.edit_test[:2])
 
 
-def _reference_rows(editor, model, records, k):
+def _reference_rows(editor, model, records, k, dense=False):
     """The per-record scoring loop that `evaluate_editor` batches: one
     forward per neighborhood, and a pristine and an edited forward at each
-    group's locality inputs."""
+    group's locality inputs. With `dense`, each edited model is forwarded as
+    a dense model over its formed weights, not in the factored form in which
+    a learned edit comes back."""
     rows = []
     for g, group in enumerate(fact_groups(records, k)):
         edited = editor.edit(model, [(r.x_e, r.y_e) for r in group])
+        if dense:
+            edited = Mlp(list(edited.weights), list(edited.biases))
         loc_x = np.stack([r.x_loc for r in group])
         loc_y = np.array([r.y_loc for r in group])
         pre, post = forward(model, loc_x)[0], forward(edited, loc_x)[0]
@@ -211,13 +217,34 @@ def test_evaluate_editor_matches_the_per_record_loop(small_world, small_model, t
         records = _ragged(records)
         assert len({len(r.neighborhood) for r in records}) > 1
     report = evaluate_editor(editor, small_model, records, k)
-    ref = _reference_rows(editor, small_model, records, k)
-    assert len(report.rows) == len(ref) == 18 // k * k
     assert 0.0 < report.es < 1.0  # some edits fail and some succeed
-    for row, want in zip(report.rows, ref):
-        assert {key: row[key] for key in ("fact_id", "es", "group", "group_dd_acc")} == {
-            key: want[key] for key in ("fact_id", "es", "group", "group_dd_acc")}
-        assert row["group_dd_kl"] == pytest.approx(want["group_dd_kl"], rel=1e-9, abs=1e-12)
+    for dense in (False, True):
+        ref = _reference_rows(editor, small_model, records, k, dense)
+        assert len(report.rows) == len(ref) == 18 // k * k
+        for row, want in zip(report.rows, ref):
+            assert {key: row[key] for key in ("fact_id", "es", "group", "group_dd_acc")} == {
+                key: want[key] for key in ("fact_id", "es", "group", "group_dd_acc")}
+            assert row["group_dd_kl"] == pytest.approx(want["group_dd_kl"], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_learned_evaluation_forms_no_edited_weights(small_world, small_model, trained_editor, k,
+                                                    monkeypatch):
+    # a spy on every binding of mlp.outer_sum in the package: a learned edit
+    # is scored in factored form, so no W~ = W - alpha D~^T U~ is formed
+    calls = []
+    original = mlp_mod.outer_sum
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedit") and getattr(module, "outer_sum", None) is original:
+            monkeypatch.setattr(module, "outer_sum", spy)
+    report = evaluate_editor(trained_editor, small_model, small_world.edit_test, k)
+    assert report.num_records == len(small_world.edit_test) // k * k
+    assert calls == []
 
 
 def test_learned_editor_protocol(small_world, small_model, table_normalizer):

@@ -120,3 +120,61 @@ def test_package_reverse_passes_read_their_producer_from_the_trace(path):
 
 def test_sources_are_found():
     assert "cli.py" in {p.name for p in SOURCES}
+
+
+def _functions_where(predicate):
+    """(file, innermost function) of every node of the package that matches
+    `predicate`; a method counts as `Class.method`."""
+    found = []
+
+    def visit(node, where, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if isinstance(node, ast.ClassDef) else child.name
+                visit(child, inner, path)
+            else:
+                if predicate(child):
+                    found.append((path.name, where))
+                visit(child, where, path)
+
+    for path in SOURCES:
+        visit(_tree(path), None, path)
+    return found
+
+
+def _calls(name):
+    return lambda node: (isinstance(node, ast.Call)
+                         and (_dotted(node.func) or "").rsplit(".", 1)[-1] == name)
+
+
+def test_package_forms_an_edited_weight_only_in_edited_weight():
+    # a dense outer product D^T U is a dense gradient in `backward` and in
+    # fine-tuning's KL step, or W~ = W - alpha D~^T U~ in `mlp.edited_weight`,
+    # which only the first read of a factored model's weights calls: editing
+    # and evaluation never form W~ themselves
+    assert sorted(set(_functions_where(_calls("outer_sum")))) == [
+        ("mlp.py", "backward"), ("mlp.py", "edited_weight"), ("training.py", "finetune_kl_edit")]
+    assert _functions_where(_calls("edited_weight")) == [("mlp.py", "Mlp.weights")]
+
+
+def _subtracts_a_scaled_product(node):
+    """`z -= a * (p @ q)` or `z - a * (p @ q)`, reshaped or not: the form of an
+    edited layer's rank-k term alpha (x U~^T) D~."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+        term = node.value
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        term = node.right
+    else:
+        return False
+    return (isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+            and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                    for n in ast.walk(term)))
+
+
+def test_package_forms_the_rank_k_term_only_in_subtract_rank_k():
+    # the edited forward of meta-training and the forward of a factored model
+    # score an edit by one formula; the reverse pass takes its transpose
+    assert sorted(_functions_where(_subtracts_a_scaled_product)) == [
+        ("editor.py", "backprop_edit"), ("mlp.py", "subtract_rank_k")]
+    assert sorted(_functions_where(_calls("subtract_rank_k"))) == [
+        ("editor.py", "edited_forward"), ("mlp.py", "forward")]

@@ -15,10 +15,12 @@ For each workload it prints one table. For every end-to-end metric the table
 gives each side's median and quartiles, how many pairs the change won (ties
 count for neither side) and two flags: `claim`, set when there are at least
 `MIN_PAIRS` pairs, the change won at least nine tenths of them and its median
-differs from the parent's by more than the parent's interquartile range; and
+differs from the parent's by more than the parent's interquartile range;
 `over_bound`, set when the change's median is worse than the parent's by more
-than the metric's relative bound. Only the standard library is used, and the
-script itself writes no file.
+than the metric's relative bound; and `moved`, set when each side reads one
+value in every pair but the two values differ, a move in the last digits of
+a deterministic metric that a relative bound would hide. Only the standard
+library is used, and the script itself writes no file.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "claim": (len(parent) >= MIN_PAIRS and 10 * wins >= 9 * len(parent)
                   and gain > p3 - p1),
         "over_bound": -gain > bound * abs(pm),
+        "moved": len(set(parent)) == 1 and len(set(change)) == 1 and parent[0] != change[0],
     }
 
 
@@ -85,14 +88,15 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
 def print_verdicts(workload: str, metrics: list[dict], runs: dict[str, list[dict]]) -> None:
     """One workload's table: a line per end-to-end metric of BENCHMARK.json."""
     print(f"{workload}\n{'metric':<20} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}  "
-          "wins  claim  over_bound")
+          "wins  claim  over_bound  moved")
     for metric in metrics:
         name = metric["name"]
         verdict = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                             metric["better"], metric["bound"])
         p, c = ("/".join(f"{v:.4g}" for v in verdict[side]) for side in ("parent", "change"))
         print(f"{name:<20} {p:>30} {c:>30}  {verdict['wins']:>2}/{verdict['pairs']:<2} "
-              f"{verdict['claim']!s:>5}  {verdict['over_bound']!s:>5}", flush=True)
+              f"{verdict['claim']!s:>5}  {verdict['over_bound']!s:>10}  {verdict['moved']!s:>5}",
+              flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
