@@ -11,14 +11,14 @@ a per-layer scalar step size allow specialization under shape sharing.
 Each layer's editor maps all B edits of a batch at once, as row-wise matrix
 products over the (B, m) u rows and (B, n) delta rows.
 
-An edit of k examples has rank <= k, so meta-training keeps each edited layer
-as its factors (W, alpha, U~, D~) in an `EditTape`: `edited_forward` computes
-x W^T + b - alpha (x U~^T) D~, and `backprop_edit` chains logit gradients
-through those products and the editor blocks into the editor parameters,
+An edit of k examples has rank <= k, so an `EditTape` keeps the edited model
+in factored form, each edited layer as (W, alpha, U~, D~) (see `mlp.Mlp`).
+`edited_forward` is `mlp.forward` of that model, and `backprop_edit` takes
+the delta rows of one `mlp.backward_factors` pass and chains them through
+the rank-k products and the editor blocks into the editor parameters,
 treating the raw factors as constants (no higher-order gradients). Neither
-forms an (n, m) matrix, and neither does `apply_edit`: it returns the edited
-model in factored form, which `mlp.forward` scores by the same rank-k term,
-and W~ is formed only when the edited model's weights are read.
+forms an (n, m) matrix, and neither does `apply_edit`, which returns the
+tape's model: W~ is formed only when the edited model's weights are read.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .errors import (
     json_number,
     layer_indices,
 )
-from .mlp import Mlp, backward_factors, forward, nll_grad, subtract_rank_k
-from .ndops import Array, FlatTree, check_finite, flatten, relu, relu_grad, xavier_uniform
+from .mlp import Mlp, ForwardTrace, backward_factors, edit_factors, forward, nll_grad
+from .ndops import Array, FlatTree, flatten, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
 
@@ -323,14 +323,12 @@ def _editor_backward(
 
 @dataclass
 class EditTape:
-    """An edited model in factored form, W~_l = W_l - alpha_l * D~_l^T U~_l
-    at each editable layer, with its editor and what the reverse pass needs."""
+    """An edited model in factored form (see `mlp.Mlp`), W~_l = W_l - alpha_l
+    * D~_l^T U~_l at each editable layer, with its editor and the editor
+    passes' intermediates, which the reverse pass needs."""
 
     model: Mlp
     params: EditorParams
-    alpha: dict[int, float]
-    pseudo_u: dict[int, Array]  # layer -> (k, m) rows u~
-    pseudo_d: dict[int, Array]  # layer -> (k, n) rows delta~
     editor_tapes: dict[int, _EditorTape]
 
 
@@ -342,22 +340,21 @@ def tape_from_factors(
     delta: Mapping[int, Array] | Sequence[Array],
 ) -> EditTape:
     """Transform each editable layer l's raw (B, m) u rows u[l] and (B, n)
-    delta rows delta[l], taken on the un-edited `model`, into the edited
-    model's factors plus the reverse-pass tape: the one editor path of
-    editing and meta-training. Every editable layer must exist in `model`
-    with its group's (m, n), else ShapeError."""
-    tape = EditTape(model, params, {}, {}, {}, {})
+    delta rows delta[l], taken on the un-edited `model`, into the factored
+    edited model plus the reverse-pass tape: the one editor path of editing
+    and meta-training. The edited model reads `model`'s weight arrays and
+    copies its biases. Every editable layer must exist in `model` with its
+    group's (m, n), else ShapeError."""
+    edits, editor_tapes = {}, {}
     for l in params.editable_layers:
         mn = params.group_dims[params.layer_group[l]]
         if not 0 <= l < model.num_layers or model.layer_shape(l) != mn:
-            shapes = [model.layer_shape(i) for i in range(model.num_layers)]
             raise ShapeError(f"editor layer {l} of shape (m, n) = {mn} does not fit the "
-                             f"model's layer shapes {shapes}")
-        tape.alpha[l] = float(params.values[f"l:{l}:alpha"])
-        tape.pseudo_u[l], tape.pseudo_d[l], tape.editor_tapes[l] = _editor_apply(
-            params, l, u[l], delta[l], normalizer
-        )
-    return tape
+                             f"model's {model.num_layers} layers")
+        pseudo_u, pseudo_d, editor_tapes[l] = _editor_apply(params, l, u[l], delta[l], normalizer)
+        edits[l] = (float(params.values[f"l:{l}:alpha"]), pseudo_u, pseudo_d)
+    edited = Mlp(model.weights, [np.array(b, copy=True) for b in model.biases], edits)
+    return EditTape(edited, params, editor_tapes)
 
 
 def apply_edit_with_tape(
@@ -387,67 +384,33 @@ def apply_edit(
     """One-shot edit: W~_l = W_l - alpha_l * pseudograd_l for each editable
     layer, with pseudograd_l = sum_i outer(delta~_i, u~_i) = D~_l^T U~_l.
 
-    The edited model comes back in factored form (see `Mlp`): each editable
-    layer keeps (alpha_l, U~_l, D~_l) beside a read-only view of `model`'s
-    W_l, the biases are copies, and no (n, m) array is formed. `forward`
-    scores it through the rank-k term; the first read of its `weights` forms
-    each W~_l (`mlp.edited_weight`) in the buffer of its fresh pseudograd.
-    Until that read the edited model reads `model`'s weight arrays, so
-    `model` must not be changed in place meanwhile; `model` itself is not
-    modified, and a dense edited model shares no memory with it."""
-    tape = apply_edit_with_tape(model, params, normalizer, edit_batch)
-    edits = {l: (a, tape.pseudo_u[l], tape.pseudo_d[l]) for l, a in tape.alpha.items()}
-    return Mlp(model.weights, [np.array(b, copy=True) for b in model.biases], edits)
+    The edited model, `apply_edit_with_tape`'s, comes back in factored form
+    (see `Mlp`): each editable layer keeps (alpha_l, U~_l, D~_l) beside a
+    read-only view of `model`'s W_l, the biases are copies, and no (n, m)
+    array is formed. `forward` scores it through the rank-k term; the first
+    read of its `weights` forms each W~_l (`mlp.edited_weight`) in the buffer
+    of its fresh pseudograd. Until that read the edited model reads `model`'s
+    weight arrays, so `model` must not be changed in place meanwhile; `model`
+    itself is not modified, and a dense edited model shares no memory with
+    it."""
+    return apply_edit_with_tape(model, params, normalizer, edit_batch).model
 
 
 @dataclass
 class EditedTrace:
-    """Cached rows of one `edited_forward` call, kept for `backprop_edit`."""
+    """One `edited_forward` call's trace with the tape whose model made it,
+    kept for `backprop_edit`."""
 
     tape: EditTape
-    logits_shape: tuple[int, int, int]  # (G, B, C)
-    inputs: list[Array]  # inputs[l]: (G*B, m_l)
-    preacts: list[Array]  # preacts[l]: (G*B, n_l)
-    proj: dict[int, Array]  # editable layer -> P = x U~^T, (G, B, k)
-
-
-def _group_factors(tape: EditTape, layer: int, groups: int) -> tuple[Array, Array]:
-    """`layer`'s U~ and D~ as (G, k, m) / (G, k, n) stacks: group g holds
-    tape rows g*k:(g+1)*k."""
-    u, d = tape.pseudo_u[layer], tape.pseudo_d[layer]
-    return u.reshape(groups, -1, u.shape[1]), d.reshape(groups, -1, d.shape[1])
+    trace: ForwardTrace
 
 
 def edited_forward(tape: EditTape, batch: Array) -> tuple[Array, EditedTrace]:
-    """Forward a (G, B, input_dim) batch through the edited model without
-    forming W~: z = x W^T + b - alpha * (x U~^T) D~ at each editable layer,
-    by `mlp.subtract_rank_k`, as `mlp.forward` scores a factored model.
-
-    The batch holds G groups, each under its own edit: with the tape's G*k
-    rows, group g is edited by rows g*k:(g+1)*k. The base product runs over
-    all G*B rows at once; only the rank-k term is stacked per group."""
-    model = tape.model
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3 or batch.shape[2] != model.input_dim:
-        raise ShapeError(f"batch shape {batch.shape} is not (G, B, {model.input_dim})")
-    groups, rows = batch.shape[0], tape.pseudo_u[min(tape.alpha)].shape[0]
-    if groups == 0 or rows % groups:
-        raise ShapeError(f"{groups} groups do not divide the tape's {rows} edit rows")
-    width = batch.shape[1]
-    inputs, preacts, proj = [], [], {}
-    act = batch.reshape(groups * width, model.input_dim)
-    for l in range(model.num_layers):
-        inputs.append(act)
-        z = act @ model.weights[l].T + model.biases[l]
-        if l in tape.alpha:
-            u, d = _group_factors(tape, l, groups)
-            proj[l] = subtract_rank_k(z, act.reshape(groups, width, act.shape[1]),
-                                      tape.alpha[l], u, d)
-        preacts.append(z)
-        act = z if l == model.num_layers - 1 else relu(z)
-    check_finite(act, "logits")
-    logits = act.reshape(groups, width, act.shape[1])
-    return logits, EditedTrace(tape, logits.shape, inputs, preacts, proj)
+    """`mlp.forward` of the tape's factored model: a (G, B, input_dim) batch
+    holds G groups, and with the tape's G*k edit rows group g is edited by
+    rows g*k:(g+1)*k."""
+    logits, trace = forward(tape.model, batch)
+    return logits, EditedTrace(tape, trace)
 
 
 def zero_grads(params: EditorParams) -> FlatTree:
@@ -459,24 +422,22 @@ def zero_grads(params: EditorParams) -> FlatTree:
 
 def backprop_edit(trace: EditedTrace, dlogits: Array, out: FlatTree | None = None) -> FlatTree:
     """Chain per-example logit gradients of an `edited_forward` batch into
-    editor-parameter gradients, summed over all rows and groups, in one pass
-    down to the lowest editable layer. The gradients go into `out`, a
+    editor-parameter gradients, summed over all rows and groups. One
+    `mlp.backward_factors` pass down to the lowest editable layer gives each
+    edited layer's Delta = dL/dz. The gradients go into `out`, a
     `zero_grads(trace.tape.params)` tree that is zeroed first, or into a
     fresh one.
 
-    Per group, with X the layer's input rows, Delta = dL/dz, P = X U~^T and
+    Per group, with X the layer's input rows, P = X U~^T and
     Q = Delta D~^T: dL/dalpha = -sum(P * Q), dL/dD~ = -alpha P^T Delta and
     dL/dU~ = -alpha Q^T X, which then flow through the editor blocks, once
-    over all G*k tape rows; Delta moves down through W~ as
-    Delta W - alpha Q U~. Raw factors are constants, so nothing propagates
-    into the base model.
+    over all G*k tape rows. The layers go top down, the order in which shared
+    group tensors accumulate. Raw factors are constants, so nothing
+    propagates into the base model.
     """
-    tape = trace.tape
-    model, params = tape.model, tape.params
-    delta = np.asarray(dlogits, dtype=np.float64)
-    if delta.shape != trace.logits_shape:
-        raise ShapeError(f"logit grad shape {delta.shape} != logits shape {trace.logits_shape}")
-    delta = delta.reshape(trace.preacts[-1].shape)
+    tape, fwd = trace.tape, trace.trace
+    params = tape.params
+    deltas = backward_factors(fwd, dlogits, min(params.editable_layers))
     if out is None:
         grads = zero_grads(params)
     elif out.keys() != params.values.keys():
@@ -484,28 +445,16 @@ def backprop_edit(trace: EditedTrace, dlogits: Array, out: FlatTree | None = Non
     else:
         grads = out
         grads.flat.fill(0.0)
-    lowest = min(tape.alpha)
-    for l in range(model.num_layers - 1, lowest - 1, -1):
-        edited = l in tape.alpha
-        if edited:
-            alpha, P = tape.alpha[l], trace.proj[l]
-            groups, width, _ = P.shape
-            u, d = _group_factors(tape, l, groups)
-            stacked = delta.reshape(groups, width, delta.shape[1])
-            Q = stacked @ d.transpose(0, 2, 1)
-            grads[f"l:{l}:alpha"] += np.array(-float(np.sum(P * Q)))
-            g_d = -alpha * (P.transpose(0, 2, 1) @ stacked)
-            x = trace.inputs[l]
-            g_u = -alpha * (Q.transpose(0, 2, 1) @ x.reshape(groups, width, x.shape[1]))
-            _editor_backward(params, l, tape.editor_tapes[l],
-                             g_u.reshape(tape.pseudo_u[l].shape),
-                             g_d.reshape(tape.pseudo_d[l].shape), grads)
-        if l == lowest:
-            break
-        d_x = delta @ model.weights[l]
-        if edited:
-            d_x -= alpha * (Q @ u).reshape(d_x.shape)
-        delta = d_x * relu_grad(trace.preacts[l - 1])
+    lead = fwd.logits.shape[:-1]
+    for l in sorted(params.editable_layers, reverse=True):
+        alpha, u, d = edit_factors(tape.model, l, fwd.logits.shape)
+        P, delta = fwd.proj[l], deltas[l].reshape(*lead, -1)
+        Q = delta @ d.swapaxes(-1, -2)
+        grads[f"l:{l}:alpha"] += np.array(-float(np.sum(P * Q)))
+        g_d = -alpha * (P.swapaxes(-1, -2) @ delta)
+        g_u = -alpha * (Q.swapaxes(-1, -2) @ fwd.inputs[l].reshape(*lead, -1))
+        _editor_backward(params, l, tape.editor_tapes[l], g_u.reshape(-1, u.shape[-1]),
+                         g_d.reshape(-1, d.shape[-1]), grads)
     return grads
 
 

@@ -7,6 +7,8 @@ logits at the output. The per-example gradient of the loss w.r.t. W_l is
 outer(delta_{l+1}, u_l); summing those outer products over the batch
 recovers the dense gradient exactly. A model that `editor.apply_edit` returns
 keeps its edited layers in factored form until its weights are read (`Mlp`).
+`forward` and `backward_factors` are the one layer walk each way, for dense
+and factored models and for a (G, B, d) batch of G groups under G edits.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ class Mlp:
     (alpha_l, U~_l, D~_l), with (k, m_l) rows U~_l and (k, n_l) rows D~_l, for
     W~_l = W_l - alpha_l D~_l^T U~_l, and the model holds read-only views of
     the base model's weight arrays beside them. `forward` computes an edited
-    layer as x W^T + b - alpha (x U~^T) D~, and the shape properties read the
-    base shapes, so neither forms W~. The first read of `weights` forms every
+    layer as x W^T + b - alpha (x U~^T) D~, `backward_factors` carries delta
+    through it as delta W - alpha (delta D~^T) U~, and the shape properties
+    read the base shapes, so none of them forms W~. The k rows may stack G
+    groups' edits: group g of a (G, B, d) batch is scored under rows
+    g*k/G:(g+1)*k/G (`edit_factors`). The first read of `weights` forms every
     W~_l (`edited_weight`) and copies the other weights; the model is dense
     from then on and shares no memory with its base. Until that read it reads
     the base model's weight arrays, so the base must not be changed in place
@@ -114,43 +119,79 @@ class ForwardTrace:
     """Cached per-layer inputs and pre-activations from one forward call."""
 
     model: Mlp
-    inputs: list[Array]  # inputs[l]: (B, m_l)
-    preacts: list[Array]  # preacts[l]: (B, n_l)
-    logits: Array  # (B, C)
+    inputs: list[Array]  # inputs[l]: (rows, m_l), every row of the batch
+    preacts: list[Array]  # preacts[l]: (rows, n_l)
+    logits: Array  # (B, C) or (G, B, C), the batch's leading shape
+    proj: dict[int, Array]  # edited layer -> P = x U~^T, (B, k) or (G, B, k)
+
+
+def edit_factors(model: Mlp, layer: int, shape: tuple[int, ...]) -> tuple[float, Array, Array]:
+    """(alpha, U~, D~) of the factored model's edited `layer`, as a forward
+    of a batch or logits of `shape` applies them. Every row of a (B, d) batch
+    is edited by all R rows, (R, m) U~ and (R, n) D~; for a (G, B, d) batch
+    they are (G, R/G, m) and (G, R/G, n) stacks, and group g is edited by
+    rows g*R/G:(g+1)*R/G."""
+    alpha, u, d = model.edits[layer]
+    if len(shape) == 3:
+        u, d = u.reshape(shape[0], -1, u.shape[1]), d.reshape(shape[0], -1, d.shape[1])
+    return alpha, u, d
 
 
 def forward(model: Mlp, batch: Array) -> tuple[Array, ForwardTrace]:
-    """Forward pass over a (B, input_dim) batch; returns logits and trace.
-    A factored model's edited layers go through `subtract_rank_k`."""
+    """Forward pass over a (B, input_dim) batch, or a (G, B, input_dim) batch
+    of G groups; returns logits of the batch's leading shape and the trace.
+    The base product runs over all rows at once. A factored model's edited
+    layers go through `subtract_rank_k`, group by group as `edit_factors`
+    splits the edit rows; G must divide them."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[1] != model.input_dim:
-        raise ShapeError(f"input dim {batch.shape[1]} != model input dim {model.input_dim}")
-    inputs, preacts = [], []
-    act = batch
+    dim, edits, stacked = model.input_dim, model.edits or {}, batch.ndim == 3
+    if batch.ndim > 3 or batch.shape[-1] != dim:
+        raise ShapeError(f"batch shape {batch.shape} is not (B, {dim}) or (G, B, {dim})")
+    if stacked and (not len(batch) or any(len(u) % len(batch) for _, u, _ in edits.values())):
+        raise ShapeError(f"{len(batch)} groups do not divide the model's edit rows")
+    inputs, preacts, proj = [], [], {}
+    act = batch.reshape(-1, dim) if stacked else batch
     for l in range(model.num_layers):
         inputs.append(act)
         z = act @ model._weights[l].T + model.biases[l]
-        if model.edits is not None and l in model.edits:
-            alpha, u, d = model.edits[l]
-            subtract_rank_k(z, act, alpha, u, d)
+        if l in edits:
+            x = act.reshape(*batch.shape[:-1], act.shape[1]) if stacked else act
+            proj[l] = subtract_rank_k(z, x, *edit_factors(model, l, batch.shape))
         preacts.append(z)
         act = z if l == model.num_layers - 1 else relu(z)
     check_finite(act, "logits")
-    return act, ForwardTrace(model, inputs, preacts, act)
+    logits = act.reshape(*batch.shape[:-1], act.shape[1]) if stacked else act
+    return logits, ForwardTrace(model, inputs, preacts, logits, proj)
 
 
-def backward_factors(trace: ForwardTrace, dlogits: Array) -> list[Array]:
-    """Backprop arbitrary per-example logit gradients through the trace's
-    model and return every layer's (B, n_l) delta rows; no dense gradient is
-    formed. Layer l's rank-1 factors are these rows and its u rows,
-    `trace.inputs[l]`."""
+def backward_factors(trace: ForwardTrace, dlogits: Array, lowest: int = 0) -> list[Array | None]:
+    """Backprop arbitrary per-example logit gradients, shaped like the trace's
+    logits, through the trace's model, from the top layer down to `lowest`,
+    and return each of those layers' (rows, n_l) delta rows; the entries below
+    `lowest` are None, and no dense gradient is formed. Layer l's rank-1
+    factors are these rows and its u rows, `trace.inputs[l]`.
+
+    Delta leaves an edited layer of a factored model through W~ by the
+    rank-k transpose, Delta W - alpha (Delta D~^T) U~, group by group as the
+    forward applied the edit, so W~ is never formed."""
     model = trace.model
-    deltas: list[Array] = [None] * model.num_layers  # type: ignore[list-item]
     delta = np.asarray(dlogits, dtype=np.float64)
-    for l in range(model.num_layers - 1, -1, -1):
+    if delta.shape != trace.logits.shape:
+        raise ShapeError(f"logit grad shape {delta.shape} != logits shape {trace.logits.shape}")
+    if delta.ndim == 3:
+        delta = delta.reshape(-1, delta.shape[2])
+    edits = model.edits or {}
+    deltas: list[Array | None] = [None] * model.num_layers
+    for l in range(model.num_layers - 1, lowest - 1, -1):
         deltas[l] = delta
-        if l > 0:
-            delta = (delta @ model.weights[l]) * relu_grad(trace.preacts[l - 1])
+        if l == lowest:
+            break
+        d_x = delta @ model._weights[l]
+        if l in edits:
+            alpha, u, d = edit_factors(model, l, trace.logits.shape)
+            q = delta.reshape(*trace.logits.shape[:-1], -1) @ d.swapaxes(-1, -2)
+            d_x -= alpha * (q @ u).reshape(d_x.shape)
+        delta = d_x * relu_grad(trace.preacts[l - 1])
     return deltas
 
 
@@ -237,7 +278,7 @@ def subtract_rank_k(z: Array, x: Array, alpha: float, u: Array, d: Array) -> Arr
     groups, (G, B, m), (G, k, m) and (G, k, n); z holds the G*B rows of
     x W^T + b, as a (G*B, n) array. Returns P = x U~^T, (B, k) or (G, B, k),
     which the reverse pass reuses."""
-    proj = x @ np.swapaxes(u, -1, -2)
+    proj = x @ u.swapaxes(-1, -2)
     z -= alpha * (proj @ d).reshape(z.shape)
     return proj
 

@@ -7,8 +7,9 @@ inputs (exact KL against the pre-edit model), and pushes the gradient of
 c_e * L_e + L_loc into the editor parameters only. The raw gradient factors
 are treated as constants, so no higher-order gradients of the base model are
 ever formed, and the base model itself is never updated. The edited model
-stays in factored form (see `editor.edited_forward`), so a step forms no
-(n, m) weight or gradient.
+stays in factored form, and `mlp.forward` and `mlp.backward_factors`, the
+one layer walk each way, score it and carry gradients down through it (see
+`editor.edited_forward`), so a step forms no (n, m) weight or gradient.
 
 Since the base model is frozen, a record's raw factors at its edit pair and
 the pre-edit distribution at its locality input never change: `train_editor`
@@ -371,8 +372,9 @@ def finetune_kl_edit(
     its weight gradient adds only zeros: that step reads no locality input.
     A later step forwards its locality input stacked under the B edit rows
     and makes one reverse pass over the (B+1)-row logit gradient: rows
-    (c_edit / B) * (softmax - onehot), then the KL row; it forms the weight
-    gradients of the editable layers only.
+    (c_edit / B) * (softmax - onehot), then the KL row. That pass stops at
+    the lowest editable layer, and the step forms the weight gradients of
+    the editable layers only.
 
     `pre_probs`, one slot per locality input, caches softmax(pre) across
     edits of one model: a KL step at step s reads slot s, or fills it when it
@@ -408,7 +410,7 @@ def finetune_kl_edit(
             dlogits = np.concatenate([nll_grad(logits[:b], ys)[1],
                                       softmax(logits[b:]) - slots[step]])
             dlogits[:b] *= scale
-            deltas = backward_factors(trace, dlogits)
+            deltas = backward_factors(trace, dlogits, min(editable))
             grads = {l: outer_sum(deltas[l], trace.inputs[l]) for l in editable}
         else:
             wgrads = backward_nll(trace, ys)[2]

@@ -88,6 +88,18 @@ def test_a_constant_value_that_changes_is_marked_moved():
     assert not ab_pairs.summarize([1.0] * 10, PARENT, "lower", 0.25)["moved"]
 
 
+def test_moved_counts_the_pairs_that_moved_in_the_last_digits():
+    # dd_kl at k=1 differs from seed to seed in its last digits, so each pair
+    # is compared on its own seed
+    parent = ([0.025245189047471396, 0.0252451890474714, 0.025245189047471403] * 3
+              + [0.0252451890474714])
+    assert ab_pairs.summarize(parent, list(parent), "lower", 0.1)["moved"] == 0
+    change = list(parent)
+    change[2], change[7] = 0.0252451890474714, 0.025245189047471396
+    verdict = ab_pairs.summarize(parent, change, "lower", 0.1)
+    assert verdict["moved"] == 2 and not verdict["over_bound"]
+
+
 def test_unpaired_or_unknown_input_is_rejected():
     with pytest.raises(ValueError):
         ab_pairs.summarize(PARENT, PARENT[:-1], "lower", 0.25)

@@ -32,7 +32,7 @@ from gradedit.editor import (
 )
 from gradedit.errors import ConfigError, DataError, ShapeError
 from gradedit.evaluation import ABLATION_VARIANTS
-from gradedit.mlp import Mlp, backward, backward_nll, forward, init_mlp
+from gradedit.mlp import Mlp, backward, backward_factors, backward_nll, forward, init_mlp
 from gradedit.ndops import make_rng, relu, relu_grad
 
 from oracles import dense_edit_weight, editor_forward, finite_diff_grad
@@ -324,8 +324,8 @@ def test_apply_edit_is_bitwise_the_dense_rule(request, small_world, model_name, 
     pairs = [(r.x_e, r.y_e) for r in small_world.edit_test[:k]]
     edited = apply_edit(model, params, normalizer, pairs)
     tape = apply_edit_with_tape(model, params, normalizer, pairs)
-    for l, alpha in tape.alpha.items():
-        want = model.weights[l] - alpha * (tape.pseudo_d[l].T @ tape.pseudo_u[l])
+    for l, (alpha, pseudo_u, pseudo_d) in tape.model.edits.items():
+        want = model.weights[l] - alpha * (pseudo_d.T @ pseudo_u)
         assert np.array_equal(edited.weights[l], want), l
     base = model.weights + model.biases
     for a in edited.weights + edited.biases:
@@ -364,9 +364,8 @@ def test_factored_edit_is_its_dense_weights(request, small_world, table_normaliz
     weights = list(edited.weights)
     assert len(formed) == len(params.editable_layers) and edited.edits is None
     for l, w in enumerate(weights):
-        want = (dense_edit_weight(model.weights[l], tape.alpha[l], tape.pseudo_u[l],
-                                  tape.pseudo_d[l])
-                if l in tape.alpha else model.weights[l])
+        want = (dense_edit_weight(model.weights[l], *tape.model.edits[l])
+                if l in tape.model.edits else model.weights[l])
         assert np.array_equal(w, want), l
     # formed once: a second read returns the same arrays and forms nothing
     assert all(a is b for a, b in zip(edited.weights, weights))
@@ -382,6 +381,35 @@ def test_factored_edit_is_its_dense_weights(request, small_world, table_normaliz
         assert not any(np.shares_memory(a, b) for b in base)
     for a, b in zip(before, base):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("model_name", ["small_model", "wide_model"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_backward_factors_walks_a_factored_edit_without_forming_it(
+        request, small_world, table_normalizer, model_name, k, monkeypatch):
+    # delta leaves an edited layer through the rank-k transpose, not W~
+    model = request.getfixturevalue(model_name)
+    params = _editor_for(model, seed=4)
+    rng = make_rng(k)
+    params.values = {name: v + 0.3 * np.asarray(rng.standard_normal(v.shape))
+                     for name, v in params.values.items()}
+    normalizer = table_normalizer(model, small_world.edit_train, params)
+    records = small_world.edit_test + small_world.edit_train
+    pairs = [(r.x_e, r.y_e) for r in records[:k]]
+    xs = np.stack([x for r in records[:40] for x, _ in r.neighborhood])
+
+    formed = []
+    monkeypatch.setattr(mlp_mod, "edited_weight",
+                        lambda *a: formed.append(a) or dense_edit_weight(*a))
+    edited = apply_edit(model, params, normalizer, pairs)
+    logits, trace = forward(edited, xs)
+    R = rng.standard_normal(logits.shape)
+    got = backward_factors(trace, R)
+    assert formed == [] and edited.edits is not None  # nothing above formed a W~
+
+    want = backward_factors(forward(Mlp(list(edited.weights), list(edited.biases)), xs)[1], R)
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
 
 
 def test_factored_edit_never_writes_its_base():
@@ -535,20 +563,6 @@ def test_backprop_edit_shape_check():
     _, trace = edited_forward(tape, np.zeros((2, 3, 5)))
     with pytest.raises(ShapeError):
         backprop_edit(trace, np.zeros((6, 4)))
-
-
-def test_edited_forward_rejects_groups_that_do_not_divide_the_tape():
-    model = init_mlp([5, 4], make_rng(2))
-    params = _editor_for(model, variant=VariantConfig(normalize=False))
-    pairs = [(np.full(5, float(i)), i) for i in range(3)]
-    tape = apply_edit_with_tape(model, params, None, pairs)
-    for groups in (2, 0):
-        with pytest.raises(ShapeError):
-            edited_forward(tape, np.zeros((groups, 4, 5)))
-    # a batch must be (G, B, d): neither a bare (B, d) batch nor a 4-D one
-    for batch in (np.zeros((3, 5)), np.zeros((1, 3, 4, 5))):
-        with pytest.raises(ShapeError):
-            edited_forward(tape, batch)
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))

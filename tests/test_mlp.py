@@ -67,6 +67,35 @@ def test_forward_rejects_wrong_input_dim(rng):
         forward(model, rng.standard_normal((2, 5)))
 
 
+def test_forward_rejects_groups_that_do_not_divide_the_edit_rows():
+    # group g of a (G, B, d) batch is edited by rows g*R/G:(g+1)*R/G of the
+    # model's R edit rows
+    rng = make_rng(2)
+    model = init_mlp([5, 4], rng)
+    edited = Mlp(model.weights, model.biases,
+                 {0: (0.1, rng.standard_normal((3, 5)), rng.standard_normal((3, 4)))})
+    for groups in (2, 0):
+        with pytest.raises(ShapeError):
+            forward(edited, np.zeros((groups, 4, 5)))
+    with pytest.raises(ShapeError):
+        forward(edited, np.zeros((1, 3, 4, 5)))
+    for groups in (1, 3):
+        assert forward(edited, np.zeros((groups, 4, 5)))[0].shape == (groups, 4, 4)
+
+
+def test_backward_factors_checks_the_logit_shape_and_stops_at_lowest(rng):
+    model = init_mlp([4, 5, 5, 3], make_rng(3))
+    logits, trace = forward(model, rng.standard_normal((4, 4)))
+    for bad in (logits[:3], logits[None], logits.reshape(-1)):
+        with pytest.raises(ShapeError):
+            backward_factors(trace, bad)
+    full = backward_factors(trace, logits)
+    part = backward_factors(trace, logits, 1)
+    assert part[0] is None
+    for got, want in zip(part[1:], full[1:]):
+        assert np.array_equal(got, want)
+
+
 def test_mlp_rejects_mismatched_layers(rng):
     with pytest.raises(ShapeError):
         Mlp(

@@ -172,9 +172,26 @@ def _subtracts_a_scaled_product(node):
 
 
 def test_package_forms_the_rank_k_term_only_in_subtract_rank_k():
-    # the edited forward of meta-training and the forward of a factored model
-    # score an edit by one formula; the reverse pass takes its transpose
+    # `forward` scores every factored model, meta-training's stacked edits
+    # too, by one formula; `backward_factors` takes its transpose
     assert sorted(_functions_where(_subtracts_a_scaled_product)) == [
-        ("editor.py", "backprop_edit"), ("mlp.py", "subtract_rank_k")]
-    assert sorted(_functions_where(_calls("subtract_rank_k"))) == [
-        ("editor.py", "edited_forward"), ("mlp.py", "forward")]
+        ("mlp.py", "backward_factors"), ("mlp.py", "subtract_rank_k")]
+    assert _functions_where(_calls("subtract_rank_k")) == [("mlp.py", "forward")]
+
+
+def _loops_over_layers(node):
+    """A `for` loop or comprehension over `range(...num_layers...)`."""
+    if not isinstance(node, (ast.For, ast.comprehension)):
+        return False
+    it = node.iter
+    return (isinstance(it, ast.Call) and _dotted(it.func) == "range"
+            and any((_dotted(n) or "").endswith("num_layers")
+                    for arg in it.args for n in ast.walk(arg)))
+
+
+def test_package_walks_a_models_layers_only_in_forward_and_backward_factors():
+    # one layer walk each way carries the dense, factored and stacked-edit
+    # models alike; pretraining's walk only lays out its parameter tree
+    assert sorted(_functions_where(_loops_over_layers)) == [
+        ("mlp.py", "backward_factors"), ("mlp.py", "forward"),
+        ("training.py", "pretrain_model"), ("training.py", "pretrain_model")]

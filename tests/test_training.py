@@ -165,9 +165,10 @@ def _dense_group_losses_and_grads(model, params, normalizer, records, c_e, rng):
     k = len(records)
     eq_pairs = [rec.neighborhood[int(rng.integers(len(rec.neighborhood)))] for rec in records]
     tape = apply_edit_with_tape(model, params, normalizer, [(r.x_e, r.y_e) for r in records])
-    pgs = {l: tape.pseudo_d[l].T @ tape.pseudo_u[l] for l in tape.alpha}
+    edits = tape.model.edits  # layer -> (alpha, U~, D~)
+    pgs = {l: pseudo_d.T @ pseudo_u for l, (_, pseudo_u, pseudo_d) in edits.items()}
     edited = clone_with_weights(
-        model, {l: model.weights[l] - tape.alpha[l] * pg for l, pg in pgs.items()})
+        model, {l: model.weights[l] - edits[l][0] * pg for l, pg in pgs.items()})
 
     xs_eq = np.stack([x for x, _ in eq_pairs])
     ys_eq = np.array([y for _, y in eq_pairs], dtype=np.int64)
@@ -188,9 +189,10 @@ def _dense_group_losses_and_grads(model, params, normalizer, records, c_e, rng):
     for l, pg in pgs.items():
         G = wgrads_e[l] + wgrads_loc[l]
         grads[f"l:{l}:alpha"] += np.array(-float(np.sum(G * pg)))
-        d_pg = -tape.alpha[l] * G
-        g_d = tape.pseudo_u[l] @ d_pg.T
-        g_u = tape.pseudo_d[l] @ d_pg
+        alpha, pseudo_u, pseudo_d = edits[l]
+        d_pg = -alpha * G
+        g_d = pseudo_u @ d_pg.T
+        g_u = pseudo_d @ d_pg
         _editor_backward(params, l, tape.editor_tapes[l], g_u, g_d, grads)
     return {"l_e": l_e, "l_loc": l_loc, **grads}
 
@@ -798,11 +800,12 @@ def test_finetune_passes_per_step(small_world, small_model, k, kl):
     calls = []
 
     def spy(name, fn, rows=lambda a: len(np.atleast_2d(a))):
-        # rows of the last argument: the input batch, logit gradient or labels;
-        # a reverse pass reads its model from the trace it takes first
+        # rows of the argument after the model or trace: the input batch,
+        # logit gradient or labels; a reverse pass reads its model from the
+        # trace it takes first
         def call(first, *args):
             model = first if name == "forward" else first.model
-            calls.append((name, "pre" if model is small_model else "current", rows(args[-1])))
+            calls.append((name, "pre" if model is small_model else "current", rows(args[0])))
             return fn(first, *args)
         return call
 
@@ -855,6 +858,36 @@ def test_finetune_kl_step_forms_only_editable_gradients(small_world, small_model
                                     editable_layers=[1], lr=0.03)
     assert steps >= 3
     assert shapes == [small_model.weights[1].shape] * (steps - 1)
+
+
+def test_finetune_kl_step_walks_down_to_the_lowest_editable_layer():
+    # a KL step's reverse pass stops at the lowest editable layer, 2, and so
+    # forms no delta below it; the weights and step count are those of a
+    # pass down to layer 0
+    rng = make_rng(6)
+    model = init_mlp([16, 64, 64, 4], rng)
+    xs = rng.standard_normal((3, 16))
+    ys = (np.argmax(forward(model, xs)[0], axis=1) + 1) % 4
+    loc_inputs = list(rng.standard_normal((FT_MAX_STEPS, 16)))
+    runs = {}
+    for name, walk in (("lowest", backward_factors),
+                       ("full", lambda trace, dlogits, lowest=0: backward_factors(trace, dlogits))):
+        walked = []
+
+        def spy(*args, walk=walk, walked=walked):
+            walked.append(walk(*args))
+            return walked[-1]
+
+        with patch("gradedit.training.backward_factors", spy):
+            edited, steps = finetune_kl_edit(model, xs, ys, loc_inputs, editable_layers=[2])
+        runs[name] = edited, steps, walked
+    (edited, steps, walked), (want, want_steps, full) = runs["lowest"], runs["full"]
+    assert steps == want_steps >= 3
+    assert len(walked) == len(full) == steps - 1  # one pass per KL step
+    assert all(d[0] is None and d[1] is None and d[2] is not None for d in walked)
+    assert all(d[0] is not None for d in full)
+    for a, b in zip(edited.weights + edited.biases, want.weights + want.biases, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_finetune_kl_edit_fills_and_reads_pre_probs(small_world, small_model):

@@ -17,10 +17,13 @@ count for neither side) and two flags: `claim`, set when there are at least
 `MIN_PAIRS` pairs, the change won at least nine tenths of them and its median
 differs from the parent's by more than the parent's interquartile range;
 `over_bound`, set when the change's median is worse than the parent's by more
-than the metric's relative bound; and `moved`, set when each side reads one
-value in every pair but the two values differ, a move in the last digits of
-a deterministic metric that a relative bound would hide. Only the standard
-library is used, and the script itself writes no file.
+than the metric's relative bound; and `moved`, the number of pairs whose two
+runs, which share a seed, differ in their last digits only (by at most
+`LAST_DIGITS`, relative). That is how a deterministic metric such as `dd_kl`
+moves when a change reorders a sum, even where its value differs from seed
+to seed; a relative bound would hide it, and a timing metric's runs differ
+by far more. Only the standard library is used, and the script itself writes
+no file.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from pathlib import Path
 
 # the fewest pairs on which a gain can be claimed
 MIN_PAIRS = 10
+# the largest relative difference of a pair's runs that `moved` counts
+LAST_DIGITS = 1e-9
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -64,7 +69,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "claim": (len(parent) >= MIN_PAIRS and 10 * wins >= 9 * len(parent)
                   and gain > p3 - p1),
         "over_bound": -gain > bound * abs(pm),
-        "moved": len(set(parent)) == 1 and len(set(change)) == 1 and parent[0] != change[0],
+        "moved": sum(0 < abs(c - p) <= LAST_DIGITS * abs(p) for p, c in zip(parent, change)),
     }
 
 
@@ -95,7 +100,7 @@ def print_verdicts(workload: str, metrics: list[dict], runs: dict[str, list[dict
                             metric["better"], metric["bound"])
         p, c = ("/".join(f"{v:.4g}" for v in verdict[side]) for side in ("parent", "change"))
         print(f"{name:<20} {p:>30} {c:>30}  {verdict['wins']:>2}/{verdict['pairs']:<2} "
-              f"{verdict['claim']!s:>5}  {verdict['over_bound']!s:>10}  {verdict['moved']!s:>5}",
+              f"{verdict['claim']!s:>5}  {verdict['over_bound']!s:>10}  {verdict['moved']:>5}",
               flush=True)
 
 
