@@ -41,7 +41,7 @@ from .errors import (
     json_number,
     layer_indices,
 )
-from .mlp import Mlp, ForwardTrace, backward_factors, edit_factors, forward, nll_grad
+from .mlp import Mlp, ForwardTrace, backward_factors, edit_factors, forward, nll_factors
 from .ndops import Array, FlatTree, flatten, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
@@ -342,9 +342,9 @@ def tape_from_factors(
     """Transform each editable layer l's raw (B, m) u rows u[l] and (B, n)
     delta rows delta[l], taken on the un-edited `model`, into the factored
     edited model plus the reverse-pass tape: the one editor path of editing
-    and meta-training. The edited model reads `model`'s weight arrays and
-    copies its biases. Every editable layer must exist in `model` with its
-    group's (m, n), else ShapeError."""
+    and meta-training. The edited model reads `model`'s weight and bias
+    arrays. Every editable layer must exist in `model` with its group's
+    (m, n), else ShapeError."""
     edits, editor_tapes = {}, {}
     for l in params.editable_layers:
         mn = params.group_dims[params.layer_group[l]]
@@ -353,8 +353,7 @@ def tape_from_factors(
                              f"model's {model.num_layers} layers")
         pseudo_u, pseudo_d, editor_tapes[l] = _editor_apply(params, l, u[l], delta[l], normalizer)
         edits[l] = (float(params.values[f"l:{l}:alpha"]), pseudo_u, pseudo_d)
-    edited = Mlp(model.weights, [np.array(b, copy=True) for b in model.biases], edits)
-    return EditTape(edited, params, editor_tapes)
+    return EditTape(Mlp(model.weights, model.biases, edits), params, editor_tapes)
 
 
 def apply_edit_with_tape(
@@ -370,9 +369,7 @@ def apply_edit_with_tape(
         raise DataError("edit batch is empty")
     xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in edit_batch])
     ys = np.array([y for _, y in edit_batch], dtype=np.int64)
-    logits, trace = forward(model, xs)
-    deltas = backward_factors(trace, nll_grad(logits, ys)[1])
-    return tape_from_factors(model, params, normalizer, trace.inputs, deltas)
+    return tape_from_factors(model, params, normalizer, *nll_factors(model, xs, ys))
 
 
 def apply_edit(
@@ -385,14 +382,13 @@ def apply_edit(
     layer, with pseudograd_l = sum_i outer(delta~_i, u~_i) = D~_l^T U~_l.
 
     The edited model, `apply_edit_with_tape`'s, comes back in factored form
-    (see `Mlp`): each editable layer keeps (alpha_l, U~_l, D~_l) beside a
-    read-only view of `model`'s W_l, the biases are copies, and no (n, m)
-    array is formed. `forward` scores it through the rank-k term; the first
-    read of its `weights` forms each W~_l (`mlp.edited_weight`) in the buffer
-    of its fresh pseudograd. Until that read the edited model reads `model`'s
-    weight arrays, so `model` must not be changed in place meanwhile; `model`
-    itself is not modified, and a dense edited model shares no memory with
-    it."""
+    (see `Mlp`): each editable layer keeps (alpha_l, U~_l, D~_l) beside
+    read-only views of `model`'s weights and biases, and no (n, m) array is
+    formed. `forward` scores it through the rank-k term; the first read of
+    its `weights` forms each W~_l (`mlp.edited_weight`) in the buffer of its
+    fresh pseudograd and copies the other arrays. Until that read `model`
+    must not be changed in place; `model` itself is not modified, and a
+    dense edited model shares no memory with it."""
     return apply_edit_with_tape(model, params, normalizer, edit_batch).model
 
 

@@ -8,7 +8,9 @@ outer(delta_{l+1}, u_l); summing those outer products over the batch
 recovers the dense gradient exactly. A model that `editor.apply_edit` returns
 keeps its edited layers in factored form until its weights are read (`Mlp`).
 `forward` and `backward_factors` are the one layer walk each way, for dense
-and factored models and for a (G, B, d) batch of G groups under G edits.
+and factored models and for a (G, B, d) batch of G groups under G edits;
+`nll_factors` is the NLL's factor pass, and `backward` the one routine that
+forms dense weight gradients, for the layers it is given.
 """
 
 from __future__ import annotations
@@ -34,21 +36,20 @@ class Mlp:
     `editor.apply_edit` makes it: `edits` maps each edited layer l to
     (alpha_l, U~_l, D~_l), with (k, m_l) rows U~_l and (k, n_l) rows D~_l, for
     W~_l = W_l - alpha_l D~_l^T U~_l, and the model holds read-only views of
-    the base model's weight arrays beside them. `forward` computes an edited
-    layer as x W^T + b - alpha (x U~^T) D~, `backward_factors` carries delta
+    the base model's arrays beside them. `forward` computes an edited layer
+    as x W^T + b - alpha (x U~^T) D~, `backward_factors` carries delta
     through it as delta W - alpha (delta D~^T) U~, and the shape properties
     read the base shapes, so none of them forms W~. The k rows may stack G
     groups' edits: group g of a (G, B, d) batch is scored under rows
     g*k/G:(g+1)*k/G (`edit_factors`). The first read of `weights` forms every
-    W~_l (`edited_weight`) and copies the other weights; the model is dense
-    from then on and shares no memory with its base. Until that read it reads
-    the base model's weight arrays, so the base must not be changed in place
-    meanwhile."""
+    W~_l (`edited_weight`) and copies the other weights and the biases; the
+    model is dense from then on and shares no memory with its base. Until
+    then the base must not be changed in place."""
 
     def __init__(self, weights: list[Array], biases: list[Array],
                  edits: dict[int, tuple[float, Array, Array]] | None = None) -> None:
         if edits is not None:
-            weights = [_read_only(w) for w in weights]
+            weights, biases = [_read_only(w) for w in weights], [_read_only(b) for b in biases]
         self._weights, self.biases, self.edits = weights, biases, edits
         if len(biases) != len(weights):
             raise ShapeError(f"{len(biases)} biases for {len(weights)} layers")
@@ -77,6 +78,7 @@ class Mlp:
                 else np.array(w, dtype=np.float64, copy=True)
                 for l, w in enumerate(self._weights)
             ]
+            self.biases = [np.array(b, copy=True) for b in self.biases]
             self.edits = None
         return self._weights
 
@@ -195,17 +197,17 @@ def backward_factors(trace: ForwardTrace, dlogits: Array, lowest: int = 0) -> li
     return deltas
 
 
-def backward(trace: ForwardTrace, dlogits: Array) -> tuple[list[Array], list[Array], list[Array]]:
-    """`backward_factors` plus the dense gradients.
-
-    Returns (delta rows per layer, dense weight grads, dense bias grads); the
-    dense grads are the unaveraged sum over the batch, i.e. gradients of the
-    summed per-example loss, matching the factor sum exactly.
-    """
-    deltas = backward_factors(trace, dlogits)
-    wgrads = [outer_sum(d, u) for d, u in zip(deltas, trace.inputs)]
-    bgrads = [d.sum(axis=0) for d in deltas]
-    return deltas, wgrads, bgrads
+def backward(trace: ForwardTrace, dlogits: Array,
+             layers: list[int] | None = None) -> tuple[list[Array | None], list[Array]]:
+    """(delta rows, dense weight gradients): `backward_factors` down to the
+    lowest of `layers` (default every layer), and for each l of `layers`, in
+    its order, outer_sum(deltas[l], trace.inputs[l]), the gradient of the
+    summed per-example loss. The one routine that forms dense gradients; it
+    forms no bias gradient, layer l's being deltas[l].sum(0)."""
+    if layers is None:
+        layers = range(trace.model.num_layers)
+    deltas = backward_factors(trace, dlogits, min(layers))
+    return deltas, [outer_sum(deltas[l], trace.inputs[l]) for l in layers]
 
 
 def nll_grad(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
@@ -225,16 +227,23 @@ def nll_grad(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
     return loss, dlogits
 
 
-def backward_nll(
-    trace: ForwardTrace, labels: np.ndarray
-) -> tuple[float, list[Array], list[Array], list[Array]]:
-    """Mean NLL loss and its per-example delta rows / dense gradients.
+def backward_nll(trace: ForwardTrace, labels: np.ndarray, layers: list[int] | None = None
+                 ) -> tuple[float, list[Array | None], list[Array]]:
+    """Mean NLL loss and `backward`'s delta rows and dense weight gradients
+    of `layers` for it.
 
     Delta rows and dense grads correspond to the *summed* per-example NLL;
     the caller divides by B where a mean-loss gradient is wanted.
     """
     loss, dlogits = nll_grad(trace.logits, labels)
-    return (loss, *backward(trace, dlogits))
+    return (loss, *backward(trace, dlogits, layers))
+
+
+def nll_factors(model: Mlp, xs: Array, ys) -> tuple[list[Array], list[Array]]:
+    """Every layer's u rows and delta rows for the summed NLL of labels `ys`
+    at the rows `xs`: one forward and one factor pass; the trace is freed."""
+    logits, trace = forward(model, xs)
+    return trace.inputs, backward_factors(trace, nll_grad(logits, ys)[1])
 
 
 # Entries n*m at or above which one row's outer product is formed by einsum.

@@ -51,13 +51,13 @@ from .editor import (
 from .errors import ConfigError, DataError, ShapeError, json_int, json_number, layer_indices
 from .mlp import (
     Mlp,
-    backward_factors,
+    backward,
     backward_nll,
     clone_with_weights,
     forward,
     init_mlp,
+    nll_factors,
     nll_grad,
-    outer_sum,
 )
 from .ndops import (
     AdamState,
@@ -133,13 +133,6 @@ class TableGroups:
     rows: Array  # (G, k) row indices
 
 
-def _nll_factors(model: Mlp, xs: Array, ys) -> tuple[list[Array], list[Array]]:
-    """Every layer's u rows and delta rows for the summed NLL of labels `ys`
-    at the rows `xs`: one forward and one factor pass; the trace is freed."""
-    logits, trace = forward(model, xs)
-    return trace.inputs, backward_factors(trace, nll_grad(logits, ys)[1])
-
-
 def build_factor_table(
     model: Mlp, layers: Sequence[int], records: Sequence[EditRecord]
 ) -> FactorTable:
@@ -153,7 +146,7 @@ def build_factor_table(
     x_loc = np.stack([rec.x_loc for rec in records])
     pre_logits = forward(model, x_loc)[0]
     y_e = np.array([rec.y_e for rec in records], dtype=np.int64)
-    inputs, deltas = _nll_factors(model, np.stack([rec.x_e for rec in records]), y_e)
+    inputs, deltas = nll_factors(model, np.stack([rec.x_e for rec in records]), y_e)
     u, delta = {l: inputs[l] for l in layers}, {l: deltas[l] for l in layers}
     counts = np.array([len(rec.neighborhood) for rec in records], dtype=np.int64)
     slots = np.arange(counts.max()) < counts[:, None]  # (N, max neighborhood)
@@ -279,8 +272,8 @@ def train_editor(
         train_table = build_factor_table(model, params.editable_layers, train_records)
         factors = train_table.u, train_table.delta
     elif variant.normalize:
-        factors = _nll_factors(model, np.stack([rec.x_e for rec in train_records]),
-                               [rec.y_e for rec in train_records])
+        factors = nll_factors(model, np.stack([rec.x_e for rec in train_records]),
+                              [rec.y_e for rec in train_records])
     if validates:
         val_table = _tabulate(model, params.editable_layers, val_groups)
     normalizer = fit_normalizer(params, *factors) if variant.normalize else None
@@ -371,10 +364,10 @@ def finetune_kl_edit(
     term's logit gradient softmax(current) - softmax(pre) is exactly zero and
     its weight gradient adds only zeros: that step reads no locality input.
     A later step forwards its locality input stacked under the B edit rows
-    and makes one reverse pass over the (B+1)-row logit gradient: rows
-    (c_edit / B) * (softmax - onehot), then the KL row. That pass stops at
-    the lowest editable layer, and the step forms the weight gradients of
-    the editable layers only.
+    and makes one `mlp.backward` pass over the (B+1)-row logit gradient:
+    rows (c_edit / B) * (softmax - onehot), then the KL row; a step without
+    one makes a `backward_nll` pass over the B edit rows. Either pass stops
+    at the lowest editable layer and forms the editable layers' gradients.
 
     `pre_probs`, one slot per locality input, caches softmax(pre) across
     edits of one model: a KL step at step s reads slot s, or fills it when it
@@ -410,14 +403,13 @@ def finetune_kl_edit(
             dlogits = np.concatenate([nll_grad(logits[:b], ys)[1],
                                       softmax(logits[b:]) - slots[step]])
             dlogits[:b] *= scale
-            deltas = backward_factors(trace, dlogits, min(editable))
-            grads = {l: outer_sum(deltas[l], trace.inputs[l]) for l in editable}
+            wgrads = backward(trace, dlogits, editable)[1]
         else:
-            wgrads = backward_nll(trace, ys)[2]
+            wgrads = backward_nll(trace, ys, editable)[2]
             if scale != 1.0:
-                for l in editable:
-                    wgrads[l] *= scale
-            grads = {l: wgrads[l] for l in editable}
+                for g in wgrads:
+                    g *= scale
+        grads = dict(zip(editable, wgrads))
         for l, g in grads.items():
             w = current.weights[l]
             np.subtract(w, np.multiply(lr, g, out=g), out=g if current is model else w)
@@ -484,7 +476,7 @@ def pretrain_model(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             xs, ys = world.pretrain_x[idx], world.pretrain_y[idx]
-            for l, (u, d) in enumerate(zip(*_nll_factors(model, xs, ys))):
+            for l, (u, d) in enumerate(zip(*nll_factors(model, xs, ys))):
                 # outer_sum's bits: its `@` for B > 1, one product per entry for B = 1
                 np.matmul(d.T, u, out=grads[f"W{l}"])
                 d.sum(axis=0, out=grads[f"b{l}"])

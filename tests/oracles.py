@@ -89,8 +89,9 @@ def reference_pretrain(
     world: World, hidden_dims, epochs: int, batch_size: int, lr: float = 1e-3, seed: int = 0
 ) -> tuple[Mlp, float]:
     """`training.pretrain_model` as a per-tensor loop: per batch one forward,
-    `backward_nll`'s dense gradients, a divide per tensor and per-tensor
-    Adam, with the same draws from the same generator."""
+    `backward_nll`'s dense weight gradients, its delta rows' sums as bias
+    gradients, a divide per tensor and per-tensor Adam, with the same draws
+    from the same generator."""
     rng = make_rng(seed)
     model = init_mlp([world.config.feature_dim, *hidden_dims, world.config.num_classes], rng)
     names = [f"W{l}" for l in range(model.num_layers)] + [f"b{l}" for l in range(model.num_layers)]
@@ -104,7 +105,8 @@ def reference_pretrain(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             _, trace = forward(model, world.pretrain_x[idx])
-            _, _, wgrads, bgrads = backward_nll(trace, world.pretrain_y[idx])
+            _, deltas, wgrads = backward_nll(trace, world.pretrain_y[idx])
+            bgrads = [d.sum(axis=0) for d in deltas]
             grads = {k: g / len(idx) for k, g in zip(names, wgrads + bgrads)}
             params = reference_adam_tree(params, grads, state, m, v)
             model = Mlp([params[f"W{l}"] for l in range(model.num_layers)],

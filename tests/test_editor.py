@@ -169,7 +169,7 @@ def _per_record_normalizer_stats(model, records, params, eps=1e-6):
     pools_d = {k: [] for k in params.group_dims}
     for rec in records:
         _, trace = forward(model, rec.x_e)
-        _, deltas, _, _ = backward_nll(trace, np.array([rec.y_e]))
+        _, deltas, _ = backward_nll(trace, np.array([rec.y_e]))
         for l in params.editable_layers:
             pools_u[params.layer_group[l]].append(trace.inputs[l][0])
             pools_d[params.layer_group[l]].append(deltas[l][0])
@@ -249,7 +249,7 @@ def test_fresh_editor_edit_equals_sgd_step():
     xs = np.stack([x for x, _ in pairs])
     ys = np.array([y for _, y in pairs])
     _, trace = forward(model, xs)
-    _, _, wgrads, _ = backward_nll(trace, ys)
+    _, _, wgrads = backward_nll(trace, ys)
     for l in range(model.num_layers):
         want = model.weights[l] - lr * wgrads[l]
         assert np.max(np.abs(edited.weights[l] - want)) <= 1e-12
@@ -296,7 +296,7 @@ def test_apply_edit_rule_and_isolation():
     # row mapped by editor_forward; biases untouched
     for l in params.editable_layers:
         _, trace = forward(model, pairs[0][0])
-        _, deltas, _, _ = backward_nll(trace, np.array([2]))
+        _, deltas, _ = backward_nll(trace, np.array([2]))
         rows = [editor_forward(params, l, u, d) for u, d in zip(trace.inputs[l], deltas[l])]
         pg = sum(np.outer(d_t, u_t) for u_t, d_t in rows)
         alpha = float(params.values[f"l:{l}:alpha"])
@@ -381,6 +381,28 @@ def test_factored_edit_is_its_dense_weights(request, small_world, table_normaliz
         assert not any(np.shares_memory(a, b) for b in base)
     for a, b in zip(before, base):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("layers", [None, [1]], ids=["all", "layer_1"])
+def test_factored_edit_owns_its_biases_once_its_weights_are_read(small_world, small_model,
+                                                                 layers):
+    # one ownership rule for every array of a factored model: until its
+    # weights are read it holds read-only views of the base model's weights
+    # and biases, and that read gives it copies of them all
+    params = _editor_for(small_model, seed=5, layers=layers,
+                         variant=VariantConfig(normalize=False))
+    pairs = [(r.x_e, r.y_e) for r in small_world.edit_test[:3]]
+    edited = apply_edit(small_model, params, None, pairs)
+    for a, b in zip(edited.biases, small_model.biases, strict=True):
+        assert not a.flags.writeable and np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    forward(edited, small_world.edit_test[0].x_e)  # scoring reads the views
+    assert all(np.shares_memory(a, b) for a, b in zip(edited.biases, small_model.biases))
+    weights = edited.weights
+    assert all(np.array_equal(a, b) for a, b in zip(edited.biases, small_model.biases))
+    for a, b in zip(weights + edited.biases, small_model.weights + small_model.biases):
+        assert a.flags.writeable and not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("model_name", ["small_model", "wide_model"])
@@ -656,7 +678,7 @@ def _ref_edit(model, params, normalizer, pairs, weight_grads):
     """Edited weights and editor gradients from a loop over the edit rows."""
     xs = np.stack([x for x, _ in pairs])
     _, trace = forward(model, xs)
-    _, deltas, _, _ = backward_nll(trace, np.array([y for _, y in pairs]))
+    _, deltas, _ = backward_nll(trace, np.array([y for _, y in pairs]))
     weights, grads = {}, zero_grads(params)
     for l in params.editable_layers:
         rows = [
@@ -707,7 +729,7 @@ def test_row_batched_edit_matches_per_row_loop(name):
         got.update(backprop_edit(trace, R[None]))
         # the per-row reference takes dL/dW~ from a dense backward through W~
         _, dense_trace = forward(edited, xs)
-        _, G, _ = backward(dense_trace, R)
+        _, G = backward(dense_trace, R)
         ref_weights, want = _ref_edit(model, params, normalizer, pairs, G)
         want.update({f"W{l}": w for l, w in ref_weights.items()})
         assert set(got) == set(want)

@@ -33,7 +33,7 @@ def _nll_of_params(model, xs, ys):
             [tree[f"b{l}"] for l in range(model.num_layers)],
         )
         _, trace = forward(m, xs)
-        loss, _, _, _ = backward_nll(trace, ys)
+        loss, _, _ = backward_nll(trace, ys)
         return loss
 
     tree = {}
@@ -119,13 +119,13 @@ def test_dense_gradients_match_finite_differences(rng):
     xs = rng.standard_normal((5, 4))
     ys = rng.integers(3, size=5)
     _, trace = forward(model, xs)
-    _, _, wgrads, bgrads = backward_nll(trace, ys)
+    _, deltas, wgrads = backward_nll(trace, ys)
     f, tree = _nll_of_params(model, xs, ys)
     fd = finite_diff_grad(f, tree)
     for l in range(model.num_layers):
         # dense grads are the batch sum; the loss is the batch mean
         assert np.allclose(wgrads[l] / 5, fd[f"W{l}"], atol=1e-7)
-        assert np.allclose(bgrads[l] / 5, fd[f"b{l}"], atol=1e-7)
+        assert np.allclose(deltas[l].sum(axis=0) / 5, fd[f"b{l}"], atol=1e-7)
 
 
 def test_rank1_factors_reconstruct_dense_gradient(rng):
@@ -133,7 +133,7 @@ def test_rank1_factors_reconstruct_dense_gradient(rng):
     xs = rng.standard_normal((6, 5))
     ys = rng.integers(4, size=6)
     _, trace = forward(model, xs)
-    _, deltas, wgrads, _ = backward_nll(trace, ys)
+    _, deltas, wgrads = backward_nll(trace, ys)
     for l in range(model.num_layers):
         recon = reconstruct_gradient(deltas[l], trace.inputs[l])
         assert np.allclose(recon, wgrads[l], atol=1e-12)
@@ -150,10 +150,10 @@ def test_per_example_factor_is_that_examples_gradient(rng):
     xs = rng.standard_normal((4, 4))
     ys = rng.integers(3, size=4)
     _, trace = forward(model, xs)
-    _, deltas, _, _ = backward_nll(trace, ys)
+    _, deltas, _ = backward_nll(trace, ys)
     for i in range(4):
         _, trace_i = forward(model, xs[i : i + 1])
-        _, _, wgrads_i, _ = backward_nll(trace_i, ys[i : i + 1])
+        _, _, wgrads_i = backward_nll(trace_i, ys[i : i + 1])
         for l in range(model.num_layers):
             got = np.outer(deltas[l][i], trace.inputs[l][i])
             assert np.allclose(got, wgrads_i[l], atol=1e-12)
@@ -161,23 +161,22 @@ def test_per_example_factor_is_that_examples_gradient(rng):
 
 def test_factor_pass_matches_dense_backward(rng):
     # the factor-only pass forms no dense gradient but yields the same delta
-    # rows; `backward` returns (deltas, wgrads, bgrads) in that order, and
+    # rows; `backward` returns (deltas, wgrads) in that order, and
     # perf_harness's tracer reads the dense weight gradients at position 1
     model = init_mlp([4, 5, 5, 3], make_rng(3))
     xs = rng.standard_normal((4, 4))
     ys = rng.integers(3, size=4)
     logits, trace = forward(model, xs)
-    loss, deltas, _, _ = backward_nll(trace, ys)
+    loss, deltas, _ = backward_nll(trace, ys)
     got_loss, dlogits = nll_grad(logits, ys)
     assert got_loss == loss
     got = backward_factors(trace, dlogits)
     for l, (d, want) in enumerate(zip(got, deltas, strict=True)):
         assert d.shape == (4, model.weights[l].shape[0]) and np.array_equal(d, want)
-    d_rows, wgrads, bgrads = backward(trace, dlogits)
+    d_rows, wgrads = backward(trace, dlogits)
     for l in range(model.num_layers):
         assert np.array_equal(d_rows[l], deltas[l])
         assert np.array_equal(wgrads[l], outer_sum(deltas[l], trace.inputs[l]))
-        assert np.array_equal(bgrads[l], deltas[l].sum(axis=0))
 
 
 def test_backward_nll_label_validation(rng):
@@ -201,7 +200,7 @@ def test_backward_nll_loss_value(rng):
     xs = rng.standard_normal((3, 3))
     ys = np.array([0, 1, 3])
     logits, trace = forward(model, xs)
-    loss, _, _, _ = backward_nll(trace, ys)
+    loss, _, _ = backward_nll(trace, ys)
     probs = softmax(logits)
     want = -np.mean(np.log(probs[np.arange(3), ys]))
     assert loss == pytest.approx(want, abs=1e-12)

@@ -148,13 +148,21 @@ def _calls(name):
 
 
 def test_package_forms_an_edited_weight_only_in_edited_weight():
-    # a dense outer product D^T U is a dense gradient in `backward` and in
-    # fine-tuning's KL step, or W~ = W - alpha D~^T U~ in `mlp.edited_weight`,
-    # which only the first read of a factored model's weights calls: editing
-    # and evaluation never form W~ themselves
+    # a dense outer product D^T U is a dense gradient in `backward`, the one
+    # routine that forms them, fine-tuning's too, or W~ = W - alpha D~^T U~ in
+    # `mlp.edited_weight`, which only the first read of a factored model's
+    # weights calls: editing and evaluation never form W~ themselves
     assert sorted(set(_functions_where(_calls("outer_sum")))) == [
-        ("mlp.py", "backward"), ("mlp.py", "edited_weight"), ("training.py", "finetune_kl_edit")]
+        ("mlp.py", "backward"), ("mlp.py", "edited_weight")]
     assert _functions_where(_calls("edited_weight")) == [("mlp.py", "Mlp.weights")]
+
+
+def test_package_starts_a_reverse_pass_only_in_mlp_and_backprop_edit():
+    # every NLL factor pass is `mlp.nll_factors`, every dense gradient comes
+    # from `mlp.backward`, and meta-training's pass adds the editor's
+    # gradients: no module writes a reverse pass of its own
+    assert sorted(_functions_where(_calls("backward_factors"))) == [
+        ("editor.py", "backprop_edit"), ("mlp.py", "backward"), ("mlp.py", "nll_factors")]
 
 
 def _subtracts_a_scaled_product(node):

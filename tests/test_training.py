@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gradedit import editor as editor_mod
+from gradedit import mlp as mlp_mod
 from gradedit import training as training_mod
 from gradedit.bench import WorldConfig, fact_groups, generate_world
 from gradedit.editor import (
@@ -182,8 +183,8 @@ def _dense_group_losses_and_grads(model, params, normalizer, records, c_e, rng):
     post_logits, trace_loc = forward(edited, xs_loc)
     l_loc = float(np.mean(kl_divergence(pre_logits, post_logits)))
     dlogits_loc = softmax(post_logits) - softmax(pre_logits)
-    _, wgrads_e, _ = backward(trace_e, (c_e / k) * dlogits_e)
-    _, wgrads_loc, _ = backward(trace_loc, dlogits_loc / k)
+    _, wgrads_e = backward(trace_e, (c_e / k) * dlogits_e)
+    _, wgrads_loc = backward(trace_loc, dlogits_loc / k)
 
     grads = zero_grads(params)
     for l, pg in pgs.items():
@@ -490,11 +491,12 @@ def test_sampler_draws_the_choice_sampler_stream(small_world, small_model, monke
 def test_train_editor_forwards_the_train_edit_pairs_once(
     small_world, small_model, monkeypatch, steps
 ):
-    # one factor pass feeds both the factor table and the normalizer
+    # one factor pass, `mlp.nll_factors`, feeds both the factor table and
+    # the normalizer
     records = small_world.edit_train
     x_e = np.stack([rec.x_e for rec in records])
     passes = []
-    for module in (training_mod, editor_mod):
+    for module in (training_mod, editor_mod, mlp_mod):
         def counting(model, batch, orig=module.forward, name=module.__name__):
             if model is small_model and np.array_equal(batch, x_e):
                 passes.append(name)
@@ -510,13 +512,15 @@ def test_train_editor_without_steps_runs_only_the_normalizer_pass(
     small_world, small_model, monkeypatch, normalize
 ):
     # no table: no locality forward and no neighborhood arrays, and no pass
-    # at all when the variant does not normalize
+    # at all when the variant does not normalize; the factor pass forwards
+    # in `mlp.nll_factors`
     records, variant = small_world.edit_train, VariantConfig(normalize=normalize)
     batches = []
-    def spy(model, batch, orig=training_mod.forward):
-        batches.append(np.array(batch))
-        return orig(model, batch)
-    monkeypatch.setattr(training_mod, "forward", spy)
+    for module in (training_mod, mlp_mod):
+        def spy(model, batch, orig=module.forward):
+            batches.append(np.array(batch))
+            return orig(model, batch)
+        monkeypatch.setattr(module, "forward", spy)
     params, norm, log = train_editor(small_model, records, [], TrainConfig(max_steps=0), variant)
     monkeypatch.undo()
     fresh = init_editor(small_model, list(range(small_model.num_layers)), 4, variant,
@@ -645,7 +649,7 @@ def _separate_finetune(model, xs, ys, editable, lr=0.1, max_steps=100):
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
-        _, _, wgrads, _ = backward_nll(trace, ys)
+        _, _, wgrads = backward_nll(trace, ys)
         replacements = {l: current.weights[l] - (lr / len(ys)) * wgrads[l] for l in editable}
         current = clone_with_weights(current, replacements)
     return current, max_steps
@@ -658,12 +662,12 @@ def _separate_finetune_kl(model, xs, ys, loc_sampler, c_edit, editable, lr=0.1, 
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
-        _, _, wgrads_e, _ = backward_nll(trace, ys)
+        _, _, wgrads_e = backward_nll(trace, ys)
         x_loc = loc_sampler()
         pre_logits, _ = forward(model, x_loc)
         cur_logits, trace_loc = forward(current, x_loc)
         dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-        _, wgrads_kl, _ = backward(trace_loc, dlogits[None, :])
+        _, wgrads_kl = backward(trace_loc, dlogits[None, :])
         replacements = {
             l: current.weights[l] - lr * ((c_edit / len(ys)) * wgrads_e[l] + wgrads_kl[l])
             for l in editable
@@ -711,14 +715,14 @@ def _reference_finetune(model, x_e, y_e, loc_sampler, c_edit=0.5, editable_layer
         logits, trace = forward(current, xs)
         if np.all(np.argmax(logits, axis=1) == ys):
             return current, step
-        _, _, wgrads, _ = backward_nll(trace, ys)
+        _, _, wgrads = backward_nll(trace, ys)
         grads = {l: np.multiply(c_edit / len(ys), wgrads[l], out=wgrads[l]) for l in editable}
         if loc_sampler is not None:
             x_loc = loc_sampler()
             pre_logits, _ = forward(model, x_loc)
             cur_logits, trace_loc = forward(current, x_loc)
             dlogits = softmax(cur_logits[0]) - softmax(pre_logits[0])
-            _, wgrads_kl, _ = backward(trace_loc, dlogits[None, :])
+            _, wgrads_kl = backward(trace_loc, dlogits[None, :])
             for l in editable:
                 grads[l] += wgrads_kl[l]
         for l, g in grads.items():
@@ -792,8 +796,9 @@ def test_finetune_kl_edit_runs_no_kl_pass_at_step_0(small_world, small_model):
 def test_finetune_passes_per_step(small_world, small_model, k, kl):
     # a step with a KL term forwards the current model once over the B edit
     # rows and the locality row, forwards the pristine model at that row,
-    # and makes one factor pass over all B+1 rows; a step without one (every
-    # FT step, FT+KL's step 0) makes one backward_nll call over the B rows
+    # and makes one `backward` pass over all B+1 rows; a step without one
+    # (every FT step, FT+KL's step 0) makes one backward_nll call over the B
+    # rows
     recs = small_world.edit_test[2 : 2 + 4 * k : 4]
     xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0) if kl else None
@@ -810,14 +815,13 @@ def test_finetune_passes_per_step(small_world, small_model, k, kl):
         return call
 
     with patch("gradedit.training.forward", spy("forward", forward)), \
-            patch("gradedit.training.backward_factors",
-                  spy("backward_factors", backward_factors)), \
+            patch("gradedit.training.backward", spy("backward", backward)), \
             patch("gradedit.training.backward_nll", spy("backward_nll", backward_nll, len)):
         _, steps = finetune_kl_edit(small_model, xs, ys, loc_inputs, 0.5 if kl else 1.0)
     assert steps >= 2
     b = len(ys)
     later = ([("forward", "current", b + 1), ("forward", "pre", 1),
-              ("backward_factors", "current", b + 1)]
+              ("backward", "current", b + 1)]
              if kl else [("forward", "current", b), ("backward_nll", "current", b)])
     final = ("forward", "current", b + 1 if kl else b)
     assert calls == [("forward", "pre", b), ("backward_nll", "pre", b),
@@ -843,8 +847,8 @@ def test_finetune_copies_the_model_once(small_world, small_model, kl, least):
 
 
 def test_finetune_kl_step_forms_only_editable_gradients(small_world, small_model):
-    # FT+KL's KL steps form their weight gradients with `outer_sum`, for the
-    # editable layers only; step 0 runs backward_nll, which calls it from mlp
+    # every FT+KL step, its step 0's `backward_nll` pass too, forms the
+    # weight gradients of the editable layers only, through `mlp.backward`
     rec = small_world.edit_test[2]
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
     shapes = []
@@ -853,39 +857,46 @@ def test_finetune_kl_step_forms_only_editable_gradients(small_world, small_model
         shapes.append((delta.shape[1], u.shape[1]))
         return outer_sum(delta, u)
 
-    with patch("gradedit.training.outer_sum", spy):
+    with patch("gradedit.mlp.outer_sum", spy):
         _, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs,
                                     editable_layers=[1], lr=0.03)
     assert steps >= 3
-    assert shapes == [small_model.weights[1].shape] * (steps - 1)
+    assert shapes == [small_model.weights[1].shape] * steps
 
 
-def test_finetune_kl_step_walks_down_to_the_lowest_editable_layer():
-    # a KL step's reverse pass stops at the lowest editable layer, 2, and so
-    # forms no delta below it; the weights and step count are those of a
-    # pass down to layer 0
+@pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
+def test_finetune_kl_step_walks_down_to_the_lowest_editable_layer(kl):
+    # every reverse pass of fine-tuning, FT's steps and FT+KL's step 0 too,
+    # stops at the lowest editable layer, 2: it forms no delta below it and
+    # only layer 2's (4, 64) weight gradient. The weights and step count are
+    # those of a pass down to layer 0
     rng = make_rng(6)
     model = init_mlp([16, 64, 64, 4], rng)
     xs = rng.standard_normal((3, 16))
     ys = (np.argmax(forward(model, xs)[0], axis=1) + 1) % 4
-    loc_inputs = list(rng.standard_normal((FT_MAX_STEPS, 16)))
+    loc_inputs = list(rng.standard_normal((FT_MAX_STEPS, 16))) if kl else None
     runs = {}
     for name, walk in (("lowest", backward_factors),
                        ("full", lambda trace, dlogits, lowest=0: backward_factors(trace, dlogits))):
-        walked = []
+        walked, products = [], []
 
         def spy(*args, walk=walk, walked=walked):
             walked.append(walk(*args))
             return walked[-1]
 
-        with patch("gradedit.training.backward_factors", spy):
-            edited, steps = finetune_kl_edit(model, xs, ys, loc_inputs, editable_layers=[2])
-        runs[name] = edited, steps, walked
-    (edited, steps, walked), (want, want_steps, full) = runs["lowest"], runs["full"]
+        def product(delta, u, products=products):
+            products.append((delta.shape[1], u.shape[1]))
+            return outer_sum(delta, u)
+
+        with patch("gradedit.mlp.backward_factors", spy), patch("gradedit.mlp.outer_sum", product):
+            edited, steps = finetune_kl_edit(model, xs, ys, loc_inputs, 0.5 if kl else 1.0, [2])
+        runs[name] = edited, steps, walked, products
+    (edited, steps, walked, products), (want, want_steps, full, _) = runs["lowest"], runs["full"]
     assert steps == want_steps >= 3
-    assert len(walked) == len(full) == steps - 1  # one pass per KL step
+    assert len(walked) == len(full) == steps  # one pass per step
     assert all(d[0] is None and d[1] is None and d[2] is not None for d in walked)
     assert all(d[0] is not None for d in full)
+    assert products == [(4, 64)] * steps
     for a, b in zip(edited.weights + edited.biases, want.weights + want.biases, strict=True):
         assert np.array_equal(a, b)
 
