@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, json_example, json_int, json_number, json_object
+from .errors import (ConfigError, DataError, integral, json_example, json_int, json_number,
+                     json_object)
 from .ndops import Array, make_rng
 
 DATASET_FORMAT_VERSION = 1
@@ -76,9 +77,10 @@ class WorldConfig:
 class EditRecord:
     """One benchmark tuple: edit pair, paraphrase neighborhood, locality pair.
 
-    Checked when built, else DataError: x_e and x_loc are present, the
-    neighborhood lists the edit pair itself first and every neighborhood
-    label equals y_e. x_loc comes from a different fact.
+    Checked when built, else DataError: x_e and x_loc are present, y_e,
+    y_loc and fact_id are `errors.integral`, the neighborhood lists the edit
+    pair itself first and every neighborhood label equals y_e. x_loc comes
+    from a different fact.
     """
 
     x_e: Array
@@ -91,6 +93,9 @@ class EditRecord:
     def __post_init__(self) -> None:
         if self.x_e is None or self.x_loc is None or not self.neighborhood:
             raise DataError("a record needs an edit input, a locality input and a neighborhood")
+        if not all(map(integral, (self.y_e, self.y_loc, self.fact_id))):
+            raise DataError(f"a record's y_e, y_loc and fact_id must be integers, got "
+                            f"{self.y_e!r}, {self.y_loc!r} and {self.fact_id!r}")
         if not np.array_equal(self.neighborhood[0][0], self.x_e):
             raise DataError("the neighborhood must start with the edit pair")
         if any(y != self.y_e for _, y in self.neighborhood):

@@ -41,7 +41,7 @@ from .errors import (
     json_number,
     layer_indices,
 )
-from .mlp import Mlp, ForwardTrace, backward_factors, edit_factors, forward, nll_factors
+from .mlp import Mlp, ForwardTrace, backward_factors, edit_factors, edit_rows, forward, nll_factors
 from .ndops import Array, FlatTree, flatten, relu, relu_grad, xavier_uniform
 
 EDITOR_FORMAT_VERSION = 1
@@ -164,16 +164,16 @@ def _tensor_shapes(
 
 def init_editor(
     model: Mlp,
-    editable_layers: Sequence[int],
+    editable_layers: Sequence[int] | None,
     rank: int,
     variant: VariantConfig,
     rng: np.random.Generator,
     alpha_init: float = 1e-2,
 ) -> EditorParams:
-    """Build editor parameters for `editable_layers` of `model`: the
-    `_tensor_shapes` tree, with xavier-uniform V (and U, unless
-    `variant.identity_init`), unit FiLM scales, zero biases and shifts, and
-    `alpha_init` as every layer's step size."""
+    """Build editor parameters for `editable_layers` of `model`, every layer
+    when None: the `_tensor_shapes` tree, with xavier-uniform V (and U,
+    unless `variant.identity_init`), unit FiLM scales, zero biases and
+    shifts, and `alpha_init` as every layer's step size."""
     layers = layer_indices(editable_layers, model.num_layers)
     layer_group = {l: _group_key(model, l, variant) for l in layers}
     group_dims = {layer_group[l]: model.layer_shape(l) for l in layers}
@@ -212,9 +212,16 @@ def fit_normalizer(
     delta_rows[l] (N, n) for each editable layer l, pooled over all member
     layers of a group. The rows are those of one factor pass over the edit
     train set on the un-edited model: `train_editor` passes its
-    `training.FactorTable`'s, so one pass feeds both."""
-    if any(len(u_rows[l]) == 0 or len(delta_rows[l]) == 0 for l in params.editable_layers):
-        raise DataError("cannot fit normalizer on an empty edit set")
+    `training.FactorTable`'s, so one pass feeds both. Rows that do not fit
+    their group's (m, n), or unequal row counts, raise ShapeError."""
+    for l in params.editable_layers:
+        m, n = params.group_dims[params.layer_group[l]]
+        u, d = u_rows[l], delta_rows[l]
+        if np.shape(u) != (len(u), m) or np.shape(d) != (len(u), n):
+            raise ShapeError(f"layer {l} factor rows {np.shape(u)}/{np.shape(d)} do not fit "
+                             f"its group's (m, n) = ({m}, {n})")
+        if not len(u):
+            raise DataError("cannot fit normalizer on an empty edit set")
     mean_u, var_u, mean_d, var_d = {}, {}, {}, {}
     for key in params.group_dims:
         members = [l for l in params.editable_layers if params.layer_group[l] == key]
@@ -365,10 +372,7 @@ def apply_edit_with_tape(
     """Compute factors on the un-edited model over the whole edit batch and
     transform them; returns the edited model as factors plus the reverse-pass
     tape. No (n, m) matrix is formed."""
-    if not edit_batch:
-        raise DataError("edit batch is empty")
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in edit_batch])
-    ys = np.array([y for _, y in edit_batch], dtype=np.int64)
+    xs, ys = edit_rows(model, edit_batch)
     return tape_from_factors(model, params, normalizer, *nll_factors(model, xs, ys))
 
 
@@ -380,6 +384,9 @@ def apply_edit(
 ) -> Mlp:
     """One-shot edit: W~_l = W_l - alpha_l * pseudograd_l for each editable
     layer, with pseudograd_l = sum_i outer(delta~_i, u~_i) = D~_l^T U~_l.
+    `edit_batch` is a non-empty list of (x, y) pairs, the form fine-tuning
+    takes too; `mlp.edit_rows` reads it, and raises ShapeError or DataError
+    for anything else.
 
     The edited model, `apply_edit_with_tape`'s, comes back in factored form
     (see `Mlp`): each editable layer keeps (alpha_l, U~_l, D~_l) beside

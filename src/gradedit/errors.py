@@ -125,10 +125,20 @@ def json_floats(value: object, shape: tuple[int, ...], what: str,
     return array
 
 
+def integral(value: object) -> bool:
+    """Whether `value` is an int or a numpy integer: the rule for a label,
+    which is never rounded. A bool is neither, though `np.asarray([1, True])`
+    is an int64 array, so each value is checked, not an array's dtype."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def layer_indices(layers: object, num_layers: int | None) -> list[int]:
     """`layers`, a non-empty list, tuple or range of integer layer indices
-    below `num_layers` (if given), in order without repeats; anything else
-    raises ConfigError."""
+    below `num_layers` (if given), in order without repeats; None means every
+    one of the `num_layers` layers. Anything else raises ConfigError, and so
+    does None when `num_layers` is None."""
+    if layers is None and num_layers is not None:
+        return list(range(num_layers))
     if not isinstance(layers, (list, tuple, range)) or not layers:
         raise ConfigError(f"editable layers must be a non-empty list of layer indices, "
                           f"got {layers!r}")

@@ -29,7 +29,7 @@ import numpy as np
 from .bench import EditRecord, World, fact_groups, holdout_split
 from .editor import EditorParams, Normalizer, VariantConfig, apply_edit, init_editor, training_key
 from .errors import ContractError, DataError, ShapeError
-from .mlp import Mlp, forward
+from .mlp import Mlp, forward, input_rows
 from .ndops import Array, kl_divergence, make_rng
 from .training import (
     FT_MAX_STEPS,
@@ -70,8 +70,7 @@ class FtEditor:
     name: str = "ft"
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
-        xs, ys = zip(*pairs)
-        return finetune_edit(model, xs, ys, self.editable_layers)[0]
+        return finetune_edit(model, pairs, self.editable_layers)[0]
 
     def param_count(self) -> int:
         return 0
@@ -81,15 +80,16 @@ class FtEditor:
 class FtKlEditor:
     """FT+KL over `loc_pool`: when built, it draws `FT_MAX_STEPS` pool
     indices in one `integers` call from a generator seeded with `seed`, and
-    every edit fine-tunes against those same locality inputs. It caches the
-    pre-edit softmax at each input for the model it last edited, and assumes
-    that this model is not changed in place between edits."""
+    every edit fine-tunes against those same locality inputs, held as one
+    (FT_MAX_STEPS, d) array so that an edit checks their shape at once. It
+    caches the pre-edit softmax at each input for the model it last edited,
+    and assumes that this model is not changed in place between edits."""
 
     loc_pool: list[Array]
     editable_layers: list[int] | None = None
     seed: int = 0
     name: str = "ft_kl"
-    loc_inputs: tuple[Array, ...] = field(init=False, repr=False, compare=False)
+    loc_inputs: Array = field(init=False, repr=False, compare=False)
     _model: Mlp | None = field(default=None, init=False, repr=False, compare=False)
     _pre_probs: list[Array | None] = field(init=False, repr=False, compare=False)
 
@@ -98,13 +98,12 @@ class FtKlEditor:
             raise DataError("FT+KL needs a non-empty pool of locality inputs")
         rng = make_rng(self.seed)
         picks = rng.integers(len(self.loc_pool), size=FT_MAX_STEPS)
-        self.loc_inputs = tuple(self.loc_pool[i] for i in picks.tolist())
+        self.loc_inputs = input_rows([self.loc_pool[i] for i in picks], None, "locality inputs")
 
     def edit(self, model: Mlp, pairs: list[tuple[Array, int]]) -> Mlp:
         if model is not self._model:  # the held reference keeps its id unique
             self._model, self._pre_probs = model, [None] * len(self.loc_inputs)
-        xs, ys = zip(*pairs)
-        return finetune_kl_edit(model, xs, ys, self.loc_inputs,
+        return finetune_kl_edit(model, pairs, self.loc_inputs,
                                 editable_layers=self.editable_layers,
                                 pre_probs=self._pre_probs)[0]
 
@@ -132,6 +131,9 @@ def edit_success(logits: Array, labels: Array, counts: Sequence[int]) -> Array:
     `logits` (R, C) and `labels` (R,) hold the records' neighborhood rows one
     record after another, `counts[i]` rows for record i."""
     counts = np.asarray(counts)
+    if np.ndim(logits) != 2 or np.shape(labels) != np.shape(logits)[:1]:
+        raise ShapeError(f"edit success of logits {np.shape(logits)} needs one label per row, "
+                         f"got labels {np.shape(labels)}")
     if counts.min() < 1 or counts.sum() != len(labels):
         raise ShapeError(f"neighborhood sizes must be >= 1 and sum to the {len(labels)} rows")
     hits = (np.argmax(logits, axis=1) == labels).astype(np.float64)
@@ -147,7 +149,13 @@ def drawdown(
 
     Logits of shape (..., k, C) with labels (..., k) give one pair per
     leading index: a single group's (k, C) logits give two scalars, and
-    (G, k, C) logits one value per group."""
+    (G, k, C) logits one value per group. Pre and post logits of two
+    shapes, or labels of another shape than their leading one, raise
+    ShapeError."""
+    shape = np.shape(pre_logits)
+    if np.shape(post_logits) != shape or np.shape(labels) != shape[:-1]:
+        raise ShapeError(f"drawdown of logits {shape} and {np.shape(post_logits)} at labels "
+                         f"{np.shape(labels)}")
     acc_pre = np.mean(np.argmax(pre_logits, axis=-1) == labels, axis=-1)
     acc_post = np.mean(np.argmax(post_logits, axis=-1) == labels, axis=-1)
     return acc_pre - acc_post, np.mean(kl_divergence(pre_logits, post_logits), axis=-1)
@@ -230,10 +238,10 @@ def run_ablations(world: World, model: Mlp, config: TrainConfig) -> list[EditRep
     budgets, and data; one report per variant, scored on single edits. A variant
     with an earlier one's `training_key` reuses its report, `wall_time_s` too."""
     train_recs, val_recs = holdout_split(world.edit_train)
-    layers = config.editable_layers or range(model.num_layers)  # never [], as TrainConfig checks
     reports, trained = [], {}
     for name, variant in ABLATION_VARIANTS.items():
-        key = training_key(init_editor(model, layers, config.rank, variant, make_rng(0)))
+        key = training_key(init_editor(model, config.editable_layers, config.rank, variant,
+                                       make_rng(0)))
         if key not in trained:
             t0 = time.perf_counter()
             params, normalizer, _ = train_editor(model, train_recs, val_recs, config, variant)

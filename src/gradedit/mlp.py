@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, ShapeError, json_file, json_floats, json_int
+from .errors import (ContractError, DataError, ShapeError, integral, json_file, json_floats,
+                     json_int)
 from .ndops import Array, check_finite, log_softmax, relu, relu_grad, xavier_uniform
 
 MODEL_FORMAT_VERSION = 1
@@ -208,6 +209,39 @@ def backward(trace: ForwardTrace, dlogits: Array,
         layers = range(trace.model.num_layers)
     deltas = backward_factors(trace, dlogits, min(layers))
     return deltas, [outer_sum(deltas[l], trace.inputs[l]) for l in layers]
+
+
+def input_rows(rows, dim: int | None, what: str) -> Array:
+    """`rows` as a float64 (N, dim) array, of any width when `dim` is None;
+    a ragged list or any other shape raises ShapeError. An array of that
+    shape and dtype comes back as it is."""
+    try:
+        array = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ShapeError(f"{what} must be rows of numbers of one shape") from e
+    if array.ndim != 2 or dim is not None and array.shape[1] != dim:
+        raise ShapeError(f"{what} must be rows of shape ({dim},), got an array of shape "
+                         f"{array.shape}")
+    return array
+
+
+def edit_rows(model: Mlp, pairs) -> tuple[Array, Array]:
+    """The one reader of an edit: a non-empty list of (x, y) pairs, as
+    (B, input_dim) float64 inputs and (B,) int64 labels. Every x must have
+    shape (input_dim,), else ShapeError. Every y must be `errors.integral`
+    and in [0, num_classes); it is never rounded. A bool, float or string
+    label, an empty edit or a pair that is not two items raises DataError."""
+    if not isinstance(pairs, (list, tuple)) or not pairs:
+        raise DataError(f"an edit must be a non-empty list of (x, y) pairs, got {pairs!r:.60}")
+    try:
+        inputs, labels = zip(*pairs, strict=True)
+    except (TypeError, ValueError) as e:
+        raise DataError("an edit must be a list of (x, y) pairs") from e
+    classes = model.num_classes
+    if not all(integral(y) and 0 <= y < classes for y in labels):
+        raise DataError(f"edit labels must be integers in [0, {classes}), "
+                        f"got {list(labels)!r:.80}")
+    return input_rows(inputs, model.input_dim, "edit inputs"), np.array(labels, dtype=np.int64)
 
 
 def nll_grad(logits: Array, labels: np.ndarray) -> tuple[float, Array]:

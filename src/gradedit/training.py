@@ -54,8 +54,10 @@ from .mlp import (
     backward,
     backward_nll,
     clone_with_weights,
+    edit_rows,
     forward,
     init_mlp,
+    input_rows,
     nll_factors,
     nll_grad,
 )
@@ -261,10 +263,8 @@ def train_editor(
         val_groups = fact_groups(val_records, k)  # raises ConfigError before any step runs
     variant = variant or VariantConfig()
     rng = make_rng(config.seed)
-    editable = config.editable_layers
-    if editable is None:
-        editable = list(range(model.num_layers))
-    params = init_editor(model, editable, config.rank, variant, rng, config.alpha_init)
+    params = init_editor(model, config.editable_layers, config.rank, variant, rng,
+                         config.alpha_init)
     # the base model's state for every record, built once before the first
     # step; the train table's factor rows are also the normalizer's input.
     # A run of no steps makes only the factor pass that the normalizer reads.
@@ -332,33 +332,35 @@ FT_MAX_STEPS = 100
 
 def finetune_edit(
     model: Mlp,
-    x_e,
-    y_e,
+    pairs: Sequence[tuple[Array, int]],
     editable_layers: Sequence[int] | None = None,
 ) -> tuple[Mlp, int]:
-    """Plain fine-tuning baseline: `finetune_kl_edit` without the locality
-    term, at its learning rate and step cap."""
-    return finetune_kl_edit(model, x_e, y_e, None, 1.0, editable_layers)
+    """Plain fine-tuning baseline: `finetune_kl_edit` of the edit `pairs`
+    without the locality term, at its learning rate and step cap."""
+    return finetune_kl_edit(model, pairs, None, 1.0, editable_layers)
 
 
 def finetune_kl_edit(
     model: Mlp,
-    x_e,
-    y_e,
-    loc_inputs: Sequence[Array] | None,
+    pairs: Sequence[tuple[Array, int]],
+    loc_inputs: Sequence[Array] | Array | None,
     c_edit: float = 0.5,
     editable_layers: Sequence[int] | None = None,
     lr: float = 0.1,
     max_steps: int = FT_MAX_STEPS,
     pre_probs: list[Array | None] | None = None,
 ) -> tuple[Mlp, int]:
-    """Fine-tuning on the edit example(s) over the editable weight matrices:
-    step s descends c_edit * NLL(edit examples) + KL(pre || current) at the
-    locality input `loc_inputs[s]` (no KL term when `loc_inputs` is None),
-    stopping once every edit label is the argmax prediction; capped at
-    `max_steps`. `loc_inputs` holds at least `max_steps` inputs, else
-    ShapeError. Returns a fresh model, even after zero steps, and the number
-    of steps taken: step 0 copies the model, and later steps update the copy.
+    """Fine-tuning on an edit, the (x, y) pairs that `apply_edit` takes
+    (read by `mlp.edit_rows`), over the editable weight matrices, every
+    layer when `editable_layers` is None: step s descends
+    c_edit * NLL(edit pairs) + KL(pre || current) at the locality input
+    `loc_inputs[s]` (no KL term when `loc_inputs` is None), stopping once
+    every edit label is the argmax prediction; capped at `max_steps`.
+    `loc_inputs` must hold at least `max_steps` rows of shape (input_dim,),
+    else ShapeError before any forward; a float64 (S, input_dim) array is
+    checked without a copy. Returns a fresh model, even after zero steps,
+    and the number of steps taken: step 0 copies the model, and later steps
+    update the copy.
 
     At step 0 the current model is the pre-edit model itself, so the KL
     term's logit gradient softmax(current) - softmax(pre) is exactly zero and
@@ -373,23 +375,22 @@ def finetune_kl_edit(
     edits of one model: a KL step at step s reads slot s, or fills it when it
     is None. Without it, every KL step forwards the pre-edit model."""
     # each layer once: its gradient buffer is updated in place
-    editable = layer_indices(range(model.num_layers) if editable_layers is None
-                             else editable_layers, model.num_layers)
+    editable = layer_indices(editable_layers, model.num_layers)
+    xs, ys = edit_rows(model, pairs)
+    if loc_inputs is not None and max_steps:  # zero steps read none: [] has no width
+        loc_inputs = input_rows(loc_inputs, model.input_dim, "locality inputs")
     if loc_inputs is not None and len(loc_inputs) < max_steps:
         raise ShapeError(f"{max_steps} fine-tuning steps need as many locality inputs, "
                          f"got {len(loc_inputs)}")
     if pre_probs is not None and (loc_inputs is None or len(pre_probs) != len(loc_inputs)):
         raise ShapeError("pre_probs needs one slot per locality input")
     slots = [None] * max_steps if pre_probs is None else pre_probs
-    xs = np.atleast_2d(np.asarray(x_e, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(y_e, dtype=np.int64))
     # W - lr * g, written into the fresh gradient g of (c_edit / B) * NLL +
     # KL, or at later steps into W. The scale falls on the edit rows' logit
     # gradient, or on g when a step has no KL term; there FT's scale of
-    # exactly 1.0 is skipped, as x * 1.0 == x bit for bit. An edit of no
-    # examples stops at step 0 and never reads the scale.
+    # exactly 1.0 is skipped, as x * 1.0 == x bit for bit.
     b = len(ys)
-    scale = c_edit / max(b, 1)
+    scale = c_edit / b
     current, steps = model, max_steps
     for step in range(max_steps):
         kl = loc_inputs is not None and current is not model

@@ -100,6 +100,7 @@ def test_transformed_parts_and_width():
 
 def test_init_editor_validates_layers_and_rank():
     model = init_mlp([6, 5, 4], make_rng(0))
+    assert init_editor(model, None, 2, VariantConfig(), make_rng(0)).editable_layers == [0, 1]
     with pytest.raises(ConfigError):
         init_editor(model, [], 2, VariantConfig(), make_rng(0))
     with pytest.raises(ConfigError):
@@ -874,6 +875,7 @@ def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
         _drop_every_layer,
         lambda p: p.__setitem__("editable_layers", [-1]),
         lambda p: p.__setitem__("editable_layers", [True]),
+        lambda p: p.__setitem__("editable_layers", None),
     ],
     ids=[
         "missing_tensor", "extra_tensor", "short_tensor", "alpha_not_scalar",
@@ -885,7 +887,7 @@ def _corrupt_checkpoint(fit, tmp_path, small_world, small_model, corrupt):
         "zero_eps", "negative_eps", "inf_eps", "huge_int_eps", "list_eps",
         "bool_tensor_entry", "string_tensor_entry", "huge_int_tensor_entry", "null_alpha",
         "bool_normalizer_stat", "string_variant_switch", "no_layers", "negative_layer",
-        "bool_layer",
+        "bool_layer", "null_layers",
     ],
 )
 def test_load_editor_checks_tensor_names_and_shapes(

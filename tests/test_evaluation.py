@@ -282,11 +282,9 @@ def test_ft_kl_editor_draws_as_a_fresh_generator_per_edit(small_world, small_mod
     editor = FtKlEditor(pool, seed=3)
     rng = make_rng(3)
     want_inputs = [pool[int(rng.integers(len(pool)))] for _ in range(FT_MAX_STEPS)]
-    assert len(editor.loc_inputs) == len(want_inputs)
-    for got_x, want_x in zip(editor.loc_inputs, want_inputs):
-        assert got_x is want_x
+    assert np.array_equal(editor.loc_inputs, want_inputs)
     for rec in small_world.edit_test[:4] * 2:
-        want, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, want_inputs)
+        want, steps = finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], want_inputs)
         assert steps >= 2
         got = editor.edit(small_model, [(rec.x_e, rec.y_e)])
         for a, b in zip(got.weights, want.weights):
@@ -301,7 +299,7 @@ def test_ft_kl_editor_forwards_each_locality_input_once_per_model(small_world, s
     pristine = []
 
     def spy(model, batch):
-        if any(batch is x for x in editor.loc_inputs):
+        if np.shares_memory(batch, editor.loc_inputs):
             pristine.append(model)
         return forward(model, batch)
 
@@ -312,7 +310,7 @@ def test_ft_kl_editor_forwards_each_locality_input_once_per_model(small_world, s
             got = [editor.edit(model, [(r.x_e, r.y_e)]) for r in recs]
         steps = []
         for rec, edited in zip(recs, got):
-            want, n = finetune_kl_edit(model, rec.x_e, rec.y_e, editor.loc_inputs)
+            want, n = finetune_kl_edit(model, [(rec.x_e, rec.y_e)], editor.loc_inputs)
             steps.append(n)
             for a, b in zip(edited.weights + edited.biases, want.weights + want.biases):
                 assert np.array_equal(a, b)

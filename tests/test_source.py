@@ -203,3 +203,12 @@ def test_package_walks_a_models_layers_only_in_forward_and_backward_factors():
     assert sorted(_functions_where(_loops_over_layers)) == [
         ("mlp.py", "backward_factors"), ("mlp.py", "forward"),
         ("training.py", "pretrain_model"), ("training.py", "pretrain_model")]
+
+
+def test_package_reads_an_edit_only_in_edit_rows():
+    # an edit is one form, a list of (x, y) pairs, read by one rule: the
+    # learned editor and fine-tuning call `mlp.edit_rows`, and no other
+    # function coerces inputs to rows its own way
+    assert sorted(_functions_where(_calls("edit_rows"))) == [
+        ("editor.py", "apply_edit_with_tape"), ("training.py", "finetune_kl_edit")]
+    assert _functions_where(_calls("atleast_2d")) == [("mlp.py", "forward")]

@@ -680,14 +680,14 @@ def _separate_finetune_kl(model, xs, ys, loc_sampler, c_edit, editable, lr=0.1, 
 @pytest.mark.parametrize("editable", [[0, 1], [1]])
 def test_finetune_loops_match_reference_loops(small_world, small_model, batch, editable):
     recs = small_world.edit_test[: 4 * batch : 4]
+    pairs = [(r.x_e, r.y_e) for r in recs]
     xs = np.stack([r.x_e for r in recs])
     ys = np.array([r.y_e for r in recs])
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 4)
-    x_arg, y_arg = (xs[0], int(ys[0])) if batch == 1 else (xs, ys)
     runs = [
-        (False, finetune_edit(small_model, x_arg, y_arg, editable),
+        (False, finetune_edit(small_model, pairs, editable),
          _separate_finetune(small_model, xs, ys, editable)),
-        (True, finetune_kl_edit(small_model, x_arg, y_arg, loc_inputs, 0.5, editable),
+        (True, finetune_kl_edit(small_model, pairs, loc_inputs, 0.5, editable),
          _separate_finetune_kl(small_model, xs, ys, iter(loc_inputs).__next__, 0.5, editable)),
     ]
     # one FT edit repeats the reference arithmetic to the last bit; a batch
@@ -753,10 +753,11 @@ def test_finetune_kl_edit_matches_parent_loop(request, small_world, model_name, 
     most_steps = 0
     for seed in range(3):
         recs = small_world.edit_test[seed : seed + 4 * k : 4]
+        pairs = [(r.x_e, r.y_e) for r in recs]
         xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
         c_edit = 0.5 if kl else 1.0
         loc_inputs = _loc_draws(pool, seed) if kl else None
-        got, steps = finetune_kl_edit(model, xs, ys, loc_inputs, c_edit, layers, lr)
+        got, steps = finetune_kl_edit(model, pairs, loc_inputs, c_edit, layers, lr)
         want, want_steps = _reference_finetune(model, xs, ys,
                                                iter(loc_inputs).__next__ if kl else None,
                                                c_edit, layers, lr)
@@ -767,7 +768,7 @@ def test_finetune_kl_edit_matches_parent_loop(request, small_world, model_name, 
             assert _close_to_reference(a, b) if kl else np.array_equal(a, b)
         if kl:  # step 0 reads no locality input: a NaN one changes nothing
             nan_first = [np.full_like(loc_inputs[0], np.nan)] + loc_inputs[1:]
-            again, _ = finetune_kl_edit(model, xs, ys, nan_first, c_edit, layers, lr)
+            again, _ = finetune_kl_edit(model, pairs, nan_first, c_edit, layers, lr)
             for a, b in zip(again.weights + again.biases, got.weights + got.biases):
                 assert np.array_equal(a, b)
         most_steps = max(most_steps, steps)
@@ -778,12 +779,14 @@ def test_finetune_kl_edit_runs_no_kl_pass_at_step_0(small_world, small_model):
     rec = small_world.edit_test[0]
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
     counts = {}
-    for name, fn, target, locs in [
-        ("new", finetune_kl_edit, "gradedit.training.forward", loc_inputs),
-        ("parent", _reference_finetune, f"{__name__}.forward", iter(loc_inputs).__next__),
+    for name, fn, target, edit, locs in [
+        ("new", finetune_kl_edit, "gradedit.training.forward", [[(rec.x_e, rec.y_e)]],
+         loc_inputs),
+        ("parent", _reference_finetune, f"{__name__}.forward", [rec.x_e, rec.y_e],
+         iter(loc_inputs).__next__),
     ]:
         with patch(target, side_effect=forward) as spy:
-            _, steps = fn(small_model, rec.x_e, rec.y_e, locs, lr=1.0)
+            _, steps = fn(small_model, *edit, locs, lr=1.0)
         assert steps == 1
         counts[name] = spy.call_count
     # one forward at the edit input per step and a final check; the parent
@@ -800,7 +803,7 @@ def test_finetune_passes_per_step(small_world, small_model, k, kl):
     # (every FT step, FT+KL's step 0) makes one backward_nll call over the B
     # rows
     recs = small_world.edit_test[2 : 2 + 4 * k : 4]
-    xs, ys = np.stack([r.x_e for r in recs]), [r.y_e for r in recs]
+    pairs = [(r.x_e, r.y_e) for r in recs]
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0) if kl else None
     calls = []
 
@@ -817,9 +820,9 @@ def test_finetune_passes_per_step(small_world, small_model, k, kl):
     with patch("gradedit.training.forward", spy("forward", forward)), \
             patch("gradedit.training.backward", spy("backward", backward)), \
             patch("gradedit.training.backward_nll", spy("backward_nll", backward_nll, len)):
-        _, steps = finetune_kl_edit(small_model, xs, ys, loc_inputs, 0.5 if kl else 1.0)
+        _, steps = finetune_kl_edit(small_model, pairs, loc_inputs, 0.5 if kl else 1.0)
     assert steps >= 2
-    b = len(ys)
+    b = len(pairs)
     later = ([("forward", "current", b + 1), ("forward", "pre", 1),
               ("backward", "current", b + 1)]
              if kl else [("forward", "current", b), ("backward_nll", "current", b)])
@@ -835,7 +838,7 @@ def test_finetune_copies_the_model_once(small_world, small_model, kl, least):
     for rec in small_world.edit_test:
         with patch("gradedit.training.clone_with_weights",
                    side_effect=clone_with_weights) as spy:
-            out, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs,
+            out, steps = finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], loc_inputs,
                                           0.5 if kl else 1.0, lr=0.03)
         if steps >= least:
             break
@@ -858,7 +861,7 @@ def test_finetune_kl_step_forms_only_editable_gradients(small_world, small_model
         return outer_sum(delta, u)
 
     with patch("gradedit.mlp.outer_sum", spy):
-        _, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs,
+        _, steps = finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], loc_inputs,
                                     editable_layers=[1], lr=0.03)
     assert steps >= 3
     assert shapes == [small_model.weights[1].shape] * steps
@@ -889,7 +892,8 @@ def test_finetune_kl_step_walks_down_to_the_lowest_editable_layer(kl):
             return outer_sum(delta, u)
 
         with patch("gradedit.mlp.backward_factors", spy), patch("gradedit.mlp.outer_sum", product):
-            edited, steps = finetune_kl_edit(model, xs, ys, loc_inputs, 0.5 if kl else 1.0, [2])
+            edited, steps = finetune_kl_edit(model, list(zip(xs, ys)), loc_inputs,
+                                             0.5 if kl else 1.0, [2])
         runs[name] = edited, steps, walked, products
     (edited, steps, walked, products), (want, want_steps, full, _) = runs["lowest"], runs["full"]
     assert steps == want_steps >= 3
@@ -906,8 +910,8 @@ def test_finetune_kl_edit_fills_and_reads_pre_probs(small_world, small_model):
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
     slots = [None] * len(loc_inputs)
     for rec in small_world.edit_test[:8]:
-        want, want_steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs)
-        got, steps = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs,
+        want, want_steps = finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], loc_inputs)
+        got, steps = finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], loc_inputs,
                                       pre_probs=slots)
         assert steps == want_steps
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
@@ -918,9 +922,9 @@ def test_finetune_kl_edit_fills_and_reads_pre_probs(small_world, small_model):
             assert np.array_equal(slots[s], softmax(forward(small_model, loc_inputs[s])[0]))
     assert len(filled) >= 2
     with pytest.raises(ShapeError):
-        finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs, pre_probs=slots[:-1])
+        finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], loc_inputs, pre_probs=slots[:-1])
     with pytest.raises(ShapeError):
-        finetune_kl_edit(small_model, rec.x_e, rec.y_e, None, pre_probs=slots)
+        finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], None, pre_probs=slots)
 
 
 @pytest.mark.parametrize("kl", [True, False], ids=["ft_kl", "ft"])
@@ -929,7 +933,7 @@ def test_finetune_zero_steps_returns_a_copy(small_world, small_model, kl, max_st
     rec = small_world.edit_test[0]
     y_now = int(np.argmax(forward(small_model, rec.x_e)[0][0]))
     loc_inputs = [rec.x_loc] * max_steps if kl else None
-    out, steps = finetune_kl_edit(small_model, rec.x_e, y_now, loc_inputs, max_steps=max_steps)
+    out, steps = finetune_kl_edit(small_model, [(rec.x_e, y_now)], loc_inputs, max_steps=max_steps)
     assert steps == 0
     assert out is not small_model
     for a, b in zip(out.weights + out.biases, small_model.weights + small_model.biases):
@@ -943,10 +947,10 @@ def test_finetune_kl_edit_rejects_impossible_layers(small_world, small_model, la
     rec = small_world.edit_test[0]
     with patch("gradedit.training.forward", side_effect=forward) as spy:
         with pytest.raises(ConfigError):
-            finetune_kl_edit(small_model, rec.x_e, rec.y_e, [rec.x_loc] * FT_MAX_STEPS,
+            finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], [rec.x_loc] * FT_MAX_STEPS,
                              editable_layers=layers)
         with pytest.raises(ConfigError):
-            finetune_edit(small_model, rec.x_e, rec.y_e, editable_layers=layers)
+            finetune_edit(small_model, [(rec.x_e, rec.y_e)], editable_layers=layers)
     assert spy.call_count == 0
 
 
@@ -955,14 +959,27 @@ def test_finetune_kl_edit_rejects_too_few_locality_inputs(small_world, small_mod
     rec = small_world.edit_test[0]
     with patch("gradedit.training.forward", side_effect=forward) as spy:
         with pytest.raises(ShapeError):
-            finetune_kl_edit(small_model, rec.x_e, rec.y_e, [rec.x_loc] * (max_steps - 1),
+            finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], [rec.x_loc] * (max_steps - 1),
                              max_steps=max_steps)
+    assert spy.call_count == 0
+
+
+@pytest.mark.parametrize("width", ["narrow", "ragged", "stacked"])
+def test_finetune_kl_edit_checks_locality_inputs_before_any_forward(small_world, small_model,
+                                                                    width):
+    rec = small_world.edit_test[0]
+    x = rec.x_loc
+    loc_inputs = {"narrow": [x[:-1]] * FT_MAX_STEPS, "ragged": [x] * 99 + [x[:-1]],
+                  "stacked": [np.stack([x, x])] * FT_MAX_STEPS}[width]
+    with patch("gradedit.training.forward", side_effect=forward) as spy:
+        with pytest.raises(ShapeError):
+            finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], loc_inputs)
     assert spy.call_count == 0
 
 
 def test_finetune_edit_flips_argmax(small_world, small_model):
     rec = small_world.edit_test[0]
-    edited, steps = finetune_edit(small_model, rec.x_e, rec.y_e)
+    edited, steps = finetune_edit(small_model, [(rec.x_e, rec.y_e)])
     logits, _ = forward(edited, rec.x_e)
     assert int(np.argmax(logits[0])) == rec.y_e
     assert steps < 100
@@ -973,7 +990,7 @@ def test_finetune_edit_flips_argmax(small_world, small_model):
 
 def test_finetune_edit_respects_editable_layers(small_world, small_model):
     rec = small_world.edit_test[1]
-    edited, _ = finetune_edit(small_model, rec.x_e, rec.y_e, editable_layers=[1])
+    edited, _ = finetune_edit(small_model, [(rec.x_e, rec.y_e)], editable_layers=[1])
     assert np.array_equal(edited.weights[0], small_model.weights[0])
     assert not np.array_equal(edited.weights[1], small_model.weights[1])
 
@@ -982,7 +999,7 @@ def test_finetune_edit_already_satisfied_is_identity(small_world, small_model):
     rec = small_world.edit_test[0]
     logits, _ = forward(small_model, rec.x_e)
     y_current = int(np.argmax(logits[0]))
-    edited, steps = finetune_edit(small_model, rec.x_e, y_current)
+    edited, steps = finetune_edit(small_model, [(rec.x_e, y_current)])
     assert steps == 0
     for a, b in zip(edited.weights, small_model.weights):
         assert np.array_equal(a, b)
@@ -992,7 +1009,7 @@ def test_finetune_edit_batch_of_edits(small_world, small_model):
     recs = [small_world.edit_test[i] for i in (0, 4)]
     xs = np.stack([r.x_e for r in recs])
     ys = [r.y_e for r in recs]
-    edited, _ = finetune_edit(small_model, xs, ys)
+    edited, _ = finetune_edit(small_model, [(r.x_e, r.y_e) for r in recs])
     logits, _ = forward(edited, xs)
     assert np.array_equal(np.argmax(logits, axis=1), ys)
 
@@ -1000,7 +1017,7 @@ def test_finetune_edit_batch_of_edits(small_world, small_model):
 def test_finetune_kl_edit_flips_argmax_with_less_drift(small_world, small_model):
     rec = small_world.edit_test[2]
     loc_inputs = _loc_draws([r.x_loc for r in small_world.edit_train[:20]], 0)
-    edited, _ = finetune_kl_edit(small_model, rec.x_e, rec.y_e, loc_inputs)
+    edited, _ = finetune_kl_edit(small_model, [(rec.x_e, rec.y_e)], loc_inputs)
     logits, _ = forward(edited, rec.x_e)
     assert int(np.argmax(logits[0])) == rec.y_e
 
@@ -1008,7 +1025,7 @@ def test_finetune_kl_edit_flips_argmax_with_less_drift(small_world, small_model)
 def test_finetune_kl_edit_zero_edit_weight_changes_little(small_world, small_model):
     rec = small_world.edit_test[3]
     edited, steps = finetune_kl_edit(
-        small_model, rec.x_e, rec.y_e, [rec.x_loc] * 20, c_edit=0.0, max_steps=20
+        small_model, [(rec.x_e, rec.y_e)], [rec.x_loc] * 20, c_edit=0.0, max_steps=20
     )
     assert steps == 20  # the argmax never flips without an edit term
     for a, b in zip(edited.weights, small_model.weights):
@@ -1084,10 +1101,10 @@ def test_finetune_step_peak_memory_is_its_dense_gradients():
     model = init_mlp([16, 256, 256, 4], make_rng(2))
     x = make_rng(5).standard_normal(16)
     y = (int(np.argmax(forward(model, x)[0][0])) + 1) % 4
-    finetune_kl_edit(model, x, y, None, 1.0, max_steps=1)
+    finetune_kl_edit(model, [(x, y)], None, 1.0, max_steps=1)
     tracemalloc.start()
     try:
-        edited, steps = finetune_kl_edit(model, x, y, None, 1.0, max_steps=1)
+        edited, steps = finetune_kl_edit(model, [(x, y)], None, 1.0, max_steps=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
